@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     NonPositiveMemoryEntropy,
     NotInvertible,
 )
-from .infotherm import Ensemble
+from .infotherm import PROB_FLOOR, Ensemble
 from .interact import (
     CONTROLLED_PERMUTATION,
     ControlledInteraction,
@@ -33,7 +34,7 @@ from .interact import (
     build_noninvasive_maxcorr,
     build_unbiased_swap,
 )
-from .qcore import DensityOperator, mutual_information, partial_trace, prob_vector
+from .qcore import DensityOperator, _check_factors, mutual_information, partial_trace, prob_vector
 from .thermal import (
     EnergyGrouping,
     MemoryHamiltonian,
@@ -43,7 +44,12 @@ from .thermal import (
     product_hamiltonian,
 )
 
-DENSE_DIM_BUDGET = 4096
+COMPLEX_BYTES = np.dtype(complex).itemsize
+INDEX_BYTES = np.dtype(np.intp).itemsize
+# One budget for every array a run allocates at its full size: the dense
+# oracle's D x D state and the structured engine's entry list alike.  It
+# admits a dense complex state of dimension 4096.
+BYTE_BUDGET = COMPLEX_BYTES * 4096**2
 INVERTIBILITY_TOL = 1e-9
 
 SEQUENTIAL_LOCAL = "sequential_local"
@@ -134,32 +140,26 @@ class MemoryArray:
         return (d_s or self.d_s) * math.prod(self.dims)
 
 
-@dataclass(frozen=True, eq=False)
-class BroadcastRun:
-    """Outcome of coupling one system state to a memory array."""
+def _unit_permutation(
+    dims: tuple[int, ...], axis: int, u: ControlledInteraction, index: np.ndarray | None = None
+) -> np.ndarray:
+    """Images of joint basis indices under the interaction between factor 0 and `axis`.
 
-    mode: str
-    state: DensityOperator
-    p_initial: np.ndarray
-    q: tuple[np.ndarray, ...]
-    system_diag_history: tuple[np.ndarray, ...]
-    ensembles: tuple[Ensemble, ...]
-    defects: dict
-
-
-def _unit_permutation(dims: tuple[int, ...], axis: int, u: ControlledInteraction) -> np.ndarray:
-    """Joint-basis permutation of the interaction between factor 0 and `axis`."""
-    total = math.prod(dims)
-    multi = list(np.unravel_index(np.arange(total), dims))
-    x = multi[0]
-    m = multi[axis]
+    `index` holds flat indices over `dims` (all of them by default); the
+    result has its shape.
+    """
+    if index is None:
+        index = np.arange(math.prod(dims))
+    block = math.prod(dims[1:])
+    stride = math.prod(dims[axis + 1 :])
+    x = index // block
+    m = index // stride % dims[axis]
     if u.kind == CONTROLLED_PERMUTATION:
-        multi[axis] = u.perms[x, m]
+        new_x, new_m = x, u.perms[x, m]
     else:
         g = u.grouping
-        multi[0] = g.level_to_group[m]
-        multi[axis] = g.groups[x, g.level_to_slot[m]]
-    return np.ravel_multi_index(tuple(multi), dims)
+        new_x, new_m = g.level_to_group[m], g.groups[x, g.level_to_slot[m]]
+    return index + (new_x - x) * block + (new_m - m) * stride
 
 
 def _apply_permutation(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -167,94 +167,157 @@ def _apply_permutation(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return matrix[np.ix_(inv, inv)]
 
 
-def _system_diag(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    return matrix.diagonal().real.reshape(dims).sum(axis=tuple(range(1, len(dims))))
+def _check_budget(nbytes: int, what: str) -> None:
+    if nbytes > BYTE_BUDGET:
+        raise DimensionBudgetExceeded(f"{what} needs {nbytes} bytes, budget {BYTE_BUDGET}")
 
 
-def _unit_pointer_dist(matrix: np.ndarray, dims: tuple[int, ...], axis: int, g: EnergyGrouping) -> np.ndarray:
-    other = tuple(j for j in range(len(dims)) if j != axis)
-    level_pop = matrix.diagonal().real.reshape(dims).sum(axis=other)
-    return np.array([level_pop[g.groups[y]].sum() for y in range(g.d_s)])
-
-
-def _final_joint(rho_s: DensityOperator, mem: MemoryArray) -> tuple[np.ndarray, tuple, list]:
-    dims = (mem.d_s,) + mem.dims
-    if math.prod(dims) > DENSE_DIM_BUDGET:
-        raise DimensionBudgetExceeded(
-            f"dense dimension {math.prod(dims)} exceeds budget {DENSE_DIM_BUDGET}"
-        )
-    if rho_s.dim != mem.d_s:
-        raise DimensionMismatch(f"system dim {rho_s.dim} != array d_s {mem.d_s}")
+def _final_joint(rho_s: DensityOperator, mem: MemoryArray, stages) -> np.ndarray:
+    """Dense oracle: rho_S (x) sigma_1 (x) ... (x) sigma_N conjugated by every stage."""
+    total = mem.total_dim()
+    _check_budget(COMPLEX_BYTES * total * total, f"dense joint state of dimension {total}")
     joint = rho_s.matrix
     for u in mem.units:
         joint = np.kron(joint, u.sigma.matrix)
-    history = []
-    for i, unit in enumerate(mem.units):
-        pi = _unit_permutation(dims, i + 1, unit.interaction)
-        joint = _apply_permutation(joint, pi)
-        history.append(_system_diag(joint, dims))
-    return joint, dims, history
+    for stage in stages:
+        joint = _apply_permutation(joint, _unit_permutation(*stage))
+    return joint
+
+
+def _memory_entries(rho_s: DensityOperator, mem: MemoryArray):
+    """Levels (m, m') and values of the nonzero entries of sigma_1 (x) ... (x) sigma_N.
+
+    Checks the system dimension and that the joint entry list (a complex
+    value and a row and column index for each of its d_S^2 * nnz entries)
+    fits the byte budget, before allocating it.
+    """
+    if rho_s.dim != mem.d_s:
+        raise DimensionMismatch(f"system dim {rho_s.dim} != array d_s {mem.d_s}")
+    nonzeros = [np.nonzero(u.sigma.matrix) for u in mem.units]
+    count = mem.d_s**2 * math.prod(len(a) for a, _ in nonzeros)
+    _check_budget((COMPLEX_BYTES + 2 * INDEX_BYTES) * count, f"joint entry list of {count} entries")
+    rows = cols = np.zeros(1, dtype=np.intp)
+    values = np.ones(1, dtype=complex)
+    for u, (a, b) in zip(mem.units, nonzeros):
+        rows = (rows[:, None] * u.dim + a).ravel()
+        cols = (cols[:, None] * u.dim + b).ravel()
+        values = (values[:, None] * u.sigma.matrix[a, b]).ravel()
+    return rows, cols, values
+
+
+class BroadcastRun:
+    """Outcome of coupling one system state to a memory array.
+
+    Every write is a joint-basis permutation, so the final state
+    U (rho_S (x) sigma) U^dagger, sigma = sigma_1 (x) ... (x) sigma_N, is the
+    list of entries rho_{xx'} sigma_{mm'} at row pi(x, m), column pi(x', m'),
+    with (m, m') over the nonzeros of sigma and pi the composed permutation
+    of the run's stages.  Statistics, input-labelled ensembles and reduced
+    states are scatter-adds over that list.  The dense matrix `state` is
+    built only on request, by the dense oracle, within BYTE_BUDGET.
+    """
+
+    def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, memory, stages):
+        levels, levels_c, sigma = memory
+        d_s = mem.d_s
+        d_m = math.prod(mem.dims)
+        self.mode = mode
+        self.dims = (d_s,) + mem.dims
+        self.p_initial = rho_s.matrix.diagonal().real.copy()
+        self._rho_s, self._mem, self._stages = rho_s, mem, stages
+        self._sigma = sigma
+        # row pi(x, m) and column pi(x, m') of the entries with system row x
+        rows = np.arange(d_s)[:, None] * d_m + levels
+        cols = np.arange(d_s)[:, None] * d_m + levels_c
+        on_diag = levels == levels_c
+        weights = (self.p_initial[:, None] * sigma[on_diag].real).ravel()
+        history = []
+        for stage in stages:
+            rows = _unit_permutation(*stage, rows)
+            cols = _unit_permutation(*stage, cols)
+            history.append(np.bincount((rows[:, on_diag] // d_m).ravel(), weights, minlength=d_s))
+        self._rows, self._cols = rows, cols
+        self.system_diag_history = tuple(history)
+        levels_after = np.unravel_index(rows[:, on_diag].ravel(), self.dims)
+        self.q = tuple(
+            np.bincount(u.grouping.level_to_group[levels_after[i + 1]], weights, minlength=d_s)
+            for i, u in enumerate(mem.units)
+        )
+        self.defects = {"ideal_scb": ideal_scb_defect(self)}
+        self._labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
+        if len(self._labels) < d_s:
+            dropped = [x for x in range(d_s) if x not in self._labels]
+            warnings.warn(
+                f"outcomes {dropped} have probability at the floor; dropped",
+                DegenerateOutcomeWarning,
+            )
+
+    @cached_property
+    def state(self) -> DensityOperator:
+        """The dense final state, from the dense oracle."""
+        return DensityOperator(_final_joint(self._rho_s, self._mem, self._stages), self.dims)
+
+    @cached_property
+    def ensembles(self) -> tuple[Ensemble, ...]:
+        """Per-unit memory ensembles labelled by the basis input written.
+
+        Member x of unit i is the unit's reduced state of U (|x><x| (x) sigma)
+        U^dagger: the entries with system row and column x.  Outcomes at the
+        probability floor are left out.
+        """
+        return tuple(
+            Ensemble(
+                self.p_initial[self._labels],
+                [
+                    self._reduce((i + 1,), self._rows[x], self._cols[x], self._sigma)
+                    for x in self._labels
+                ],
+            )
+            for i in range(len(self._mem.units))
+        )
+
+    def reduced(self, keep) -> DensityOperator:
+        """Reduced final state on the factors `keep` (0 is the system), in that order."""
+        keep = _check_factors(self, keep)
+        values = self._rho_s.matrix[:, :, None] * self._sigma
+        return self._reduce(keep, self._rows[:, None, :], self._cols[None, :, :], values)
+
+    def _reduce(self, keep, rows, cols, values) -> DensityOperator:
+        """Scatter-add the entries whose traced factors agree between row and column."""
+        dims = self.dims
+        kept_dims = tuple(dims[f] for f in keep)
+        d = math.prod(kept_dims)
+        _check_budget(COMPLEX_BYTES * d * d, f"reduced state of dimension {d}")
+        traced = [f for f in range(len(dims)) if f not in keep]
+        strides = [math.prod(dims[f + 1 :]) for f in range(len(dims))]
+
+        def key(index, factors):
+            out = 0
+            for f in factors:
+                out = out * dims[f] + index // strides[f] % dims[f]
+            return out
+
+        shape = np.broadcast_shapes(rows.shape, cols.shape)
+        match = np.broadcast_to(key(rows, traced) == key(cols, traced), shape)
+        flat = np.broadcast_to(key(rows, keep) * d + key(cols, keep), shape)[match]
+        vals = np.broadcast_to(values, shape)[match]
+        matrix = np.bincount(flat, vals.real, minlength=d * d) + 1j * np.bincount(
+            flat, vals.imag, minlength=d * d
+        )
+        return DensityOperator(matrix.reshape(d, d), kept_dims)
 
 
 def run_sequential_local(rho_s: DensityOperator, mem: MemoryArray) -> BroadcastRun:
     """Couple the system to each unit in order; read pointer statistics per unit.
 
-    The run also records, per unit, the ensemble of memory states labeled by
-    the input outcome (obtained by re-running on each basis input), which is
-    the decomposition the broadcast regime classification refers to.
+    The run also holds, per unit, the ensemble of memory states labeled by
+    the input outcome, which is the decomposition the broadcast regime
+    classification refers to.
     """
-    joint, dims, history = _final_joint(rho_s, mem)
-    p_initial = rho_s.matrix.diagonal().real.copy()
-    q = tuple(
-        _unit_pointer_dist(joint, dims, i + 1, unit.grouping)
-        for i, unit in enumerate(mem.units)
-    )
-    ensembles = _input_label_ensembles(mem, mem.dims, p_initial)
-    state = DensityOperator(joint, dims)
-    defect = max(
-        float(np.max(np.abs(p_initial - qi))) for qi in q
-    )
-    return BroadcastRun(
-        mode=SEQUENTIAL_LOCAL,
-        state=state,
-        p_initial=p_initial,
-        q=q,
-        system_diag_history=tuple(history),
-        ensembles=ensembles,
-        defects={"ideal_scb": defect},
-    )
-
-
-def _input_label_ensembles(
-    run_array: MemoryArray, unit_dims: tuple[int, ...], p_initial
-) -> tuple:
-    """Per-unit memory ensembles labeled by which basis input was written.
-
-    `run_array` is the array actually coupled to the system (possibly a
-    merged single unit); `unit_dims` is the factorization used for readout.
-    """
-    d_s = run_array.d_s
-    dims = (d_s,) + unit_dims
-    n_units = len(unit_dims)
-    conditional: list[list[DensityOperator]] = [[] for _ in range(n_units)]
-    for x in range(d_s):
-        basis = np.zeros((d_s, d_s), dtype=complex)
-        basis[x, x] = 1.0
-        joint, _, _ = _final_joint(DensityOperator(basis), run_array)
-        full = DensityOperator(joint, dims)
-        for i in range(n_units):
-            conditional[i].append(partial_trace(full, (i + 1,)))
-    keep = [x for x in range(d_s) if p_initial[x] > 1e-14]
-    dropped = [x for x in range(d_s) if x not in keep]
-    if dropped:
-        warnings.warn(
-            f"outcomes {dropped} have probability at the floor; dropped",
-            DegenerateOutcomeWarning,
-        )
-    return tuple(
-        Ensemble([p_initial[x] for x in keep], [conditional[i][x] for x in keep])
-        for i in range(n_units)
-    )
+    memory = _memory_entries(rho_s, mem)
+    dims = (mem.d_s,) + mem.dims
+    stages = tuple((dims, i + 1, unit.interaction) for i, unit in enumerate(mem.units))
+    return BroadcastRun(SEQUENTIAL_LOCAL, rho_s, mem, memory, stages)
 
 
 def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", variant: int = 0) -> BroadcastRun:
@@ -264,36 +327,12 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
     global mode informative: a globally unbiased write need not look unbiased
     on any single unit.
     """
+    memory = _memory_entries(rho_s, mem)
+    # merged levels follow the kron ravel order of the unit levels, so the
+    # (system, merged memory) stage acts on the same flat joint index
     merged_h = product_hamiltonian([u.hamiltonian for u in mem.units])
-    sigma = mem.units[0].sigma.matrix
-    for u in mem.units[1:]:
-        sigma = np.kron(sigma, u.sigma.matrix)
-    merged_grouping = group_energies(merged_h, mem.d_s)
-    merged_unit = MemoryUnit(
-        merged_h,
-        DensityOperator(sigma, (merged_h.dim,)),
-        merged_grouping,
-        _build_interaction(merged_grouping, kind, variant),
-    )
-    merged = MemoryArray(mem.d_s, (merged_unit,))
-    joint, _, history = _final_joint(rho_s, merged)
-    dims = (mem.d_s,) + mem.dims
-    p_initial = rho_s.matrix.diagonal().real.copy()
-    q = tuple(
-        _unit_pointer_dist(joint, dims, i + 1, unit.grouping)
-        for i, unit in enumerate(mem.units)
-    )
-    ensembles = _input_label_ensembles(merged, mem.dims, p_initial)
-    defect = max(float(np.max(np.abs(p_initial - qi))) for qi in q)
-    return BroadcastRun(
-        mode=GLOBAL,
-        state=DensityOperator(joint, dims),
-        p_initial=p_initial,
-        q=q,
-        system_diag_history=tuple(history),
-        ensembles=ensembles,
-        defects={"ideal_scb": defect},
-    )
+    merged = _build_interaction(group_energies(merged_h, mem.d_s), kind, variant)
+    return BroadcastRun(GLOBAL, rho_s, mem, memory, (((mem.d_s, merged_h.dim), 1, merged),))
 
 
 def ideal_scb_defect(run: BroadcastRun, p_true=None) -> float:

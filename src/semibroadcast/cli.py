@@ -19,6 +19,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +353,8 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     else:
         run = broadcast.run_sequential_local(rho_s, mem)
     h_x = qcore.shannon_entropy(run.p_initial)
-    rho_s_final = qcore.partial_trace(run.state, (0,))
+    marginal = run.reduced((0, 1))
+    rho_s_final = qcore.partial_trace(marginal, (0,))
     s_final = qcore.von_neumann_entropy(rho_s_final)
     s_final_diag = qcore.shannon_entropy(rho_s_final.matrix.diagonal().real)
     components = []
@@ -377,10 +379,7 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
                 "chi": _entropic(chi, bits),
             }
         )
-    sbs = infotherm.sbs_test(
-        run.state if len(mem.units) == 1
-        else qcore.partial_trace(run.state, (0, 1))
-    )
+    sbs = infotherm.sbs_test(marginal)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "classify",
@@ -457,7 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument(
+            "--seed", type=int, default=None,
+            help="override the config seed, and system.seed for a random system state",
+        )
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument(
             "--bits", action="store_true", help="report entropic quantities in bits"
@@ -480,10 +482,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-            cfg = ExperimentConfig(
-                cfg.experiment, args.seed, cfg.system, cfg.memory,
-                cfg.interaction, cfg.sweep, cfg.instances,
-            )
+            system = cfg.system
+            if system is not None and system.state == "random":
+                system = replace(system, seed=args.seed)
+            cfg = replace(cfg, seed=args.seed, system=system)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](cfg, out_dir, args.bits)

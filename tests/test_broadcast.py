@@ -1,9 +1,12 @@
 """Broadcast runs, the redundancy obstruction, and statistics reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semibroadcast import broadcast, interact, qcore, thermal
 from semibroadcast.errors import (
@@ -11,6 +14,7 @@ from semibroadcast.errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
     InvalidBlocks,
+    InvalidFactorIndex,
     NonPositiveMemoryEntropy,
     NotInvertible,
 )
@@ -168,16 +172,125 @@ def test_final_state_rank_is_memory_bound_for_pure_inputs():
 
 
 def test_dense_budget_is_enforced():
+    # D = 8192: the structured run succeeds, the dense oracle refuses
     big = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(4), 1.0, 2)
     mem = broadcast.MemoryArray(2, (big, big, big))
+    run = broadcast.run_sequential_local(qcore.diag_density([0.4, 0.6]), mem)
+    assert run.dims == (2, 16, 16, 16)
     with pytest.raises(DimensionBudgetExceeded):
-        broadcast.run_sequential_local(qcore.diag_density([0.4, 0.6]), mem)
+        run.state
 
 
 def test_system_dimension_mismatch_is_rejected():
     mem = broadcast.MemoryArray(2, (qubit_unit(),))
     with pytest.raises(DimensionMismatch):
         broadcast.run_sequential_local(qcore.random_density(3, seed=1), mem)
+
+
+# ------------------------------------------------- structured engine vs oracle
+
+
+MEMORY_STATES = ("gibbs", "ground", "coherent")
+
+
+def random_unit(rng, d_s, d_m, state, kind, variant):
+    h = thermal.MemoryHamiltonian(np.sort(rng.uniform(0.0, 3.0, d_m)))
+    if state == "gibbs":
+        return broadcast.thermal_unit(h, float(rng.uniform(0.1, 2.0)), d_s, kind, variant)
+    if state == "ground":
+        sigma = qcore.basis_state(d_m, 0)
+    else:
+        sigma = qcore.random_density(d_m, int(rng.integers(2**32)))
+    return broadcast.explicit_unit(h, sigma, d_s, kind, variant)
+
+
+def lifted_permutation(dims, axis, u):
+    """One write's permutation of the whole joint basis, from interact's own table."""
+    d = dims[axis]
+    multi = [a.ravel() for a in np.indices(dims)]
+    image = u.joint_permutation[multi[0] * d + multi[axis]]
+    multi[0], multi[axis] = image // d, image % d
+    return np.ravel_multi_index(multi, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_s=st.sampled_from((2, 3, 4)),
+    ranks=st.lists(st.sampled_from((1, 2)), min_size=1, max_size=3),
+    states=st.lists(st.sampled_from(MEMORY_STATES), min_size=3, max_size=3),
+    kind=st.sampled_from(("noninvasive", "cycled", "swap")),
+    mode=st.sampled_from((broadcast.SEQUENTIAL_LOCAL, broadcast.GLOBAL)),
+    pure_input=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mode, pure_input, seed):
+    dims = tuple(d_s * r for r in ranks)
+    assume(d_s * math.prod(dims) <= 1024)
+    rng = np.random.default_rng(seed)
+    variant = int(rng.integers(d_s - 1)) if kind == "cycled" else 0
+    mem = broadcast.MemoryArray(
+        d_s, [random_unit(rng, d_s, d, s, kind, variant) for d, s in zip(dims, states)]
+    )
+    if pure_input:
+        rho = qcore.basis_state(d_s, int(rng.integers(d_s)))
+    else:
+        rho = qcore.random_density(d_s, int(rng.integers(2**32)))
+
+    def run_on(rho_s):
+        if mode == broadcast.GLOBAL:
+            return broadcast.run_global(rho_s, mem, kind, variant)
+        return broadcast.run_sequential_local(rho_s, mem)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = run_on(rho)
+    assert any(issubclass(w.category, DegenerateOutcomeWarning) for w in caught) == pure_input
+
+    dense = run.state
+    n = len(dims)
+    for keep in [(f,) for f in range(n + 1)] + [(0, 1), tuple(range(n + 1))]:
+        np.testing.assert_allclose(
+            run.reduced(keep).matrix, qcore.partial_trace(dense, keep).matrix, rtol=0, atol=1e-12
+        )
+    for i, unit in enumerate(mem.units):
+        want = interact.pointer_distribution(qcore.partial_trace(dense, (0, i + 1)), unit.grouping)
+        np.testing.assert_allclose(run.q[i], want, rtol=0, atol=1e-12)
+    assert len(run.system_diag_history) == len(run._stages)
+    for k, stage in enumerate(run._stages):
+        assert np.array_equal(broadcast._unit_permutation(*stage), lifted_permutation(*stage))
+        joint = broadcast._final_joint(rho, mem, run._stages[: k + 1])
+        want = joint.diagonal().real.reshape(d_s, -1).sum(axis=1)
+        np.testing.assert_allclose(run.system_diag_history[k], want, rtol=0, atol=1e-12)
+
+    labels = [x for x in range(d_s) if run.p_initial[x] > 1e-14]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+        basis_states = [run_on(qcore.basis_state(d_s, x)).state for x in labels]
+    assert len(run.ensembles) == n
+    for i, ens in enumerate(run.ensembles):
+        assert ens.probs.tolist() == run.p_initial[labels].tolist()
+        for member, joint in zip(ens.states, basis_states):
+            want = qcore.partial_trace(joint, (i + 1,)).matrix
+            np.testing.assert_allclose(member.matrix, want, rtol=0, atol=1e-12)
+
+
+def test_reduced_rejects_bad_factor_lists():
+    run = broadcast.run_sequential_local(
+        qcore.diag_density([0.3, 0.7]), broadcast.MemoryArray(2, (qubit_unit(),))
+    )
+    for keep in ((), (0, 0), (2,)):
+        with pytest.raises(InvalidFactorIndex):
+            run.reduced(keep)
+
+
+def test_structured_budget_refuses_before_allocating():
+    # N = 3 copies of an 8-qubit memory: 4 * 2^24 entries, 2 GiB as a list
+    big = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(8), 1.0, 2)
+    mem = broadcast.MemoryArray(2, (big, big, big))
+    with pytest.raises(DimensionBudgetExceeded):
+        broadcast.run_sequential_local(qcore.diag_density([0.4, 0.6]), mem)
+    with pytest.raises(DimensionBudgetExceeded):
+        broadcast.run_global(qcore.diag_density([0.4, 0.6]), mem)
 
 
 # ------------------------------------------------------------------- global

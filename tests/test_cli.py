@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from semibroadcast import cli
+from semibroadcast import broadcast, cli, interact, qcore, thermal
+from semibroadcast.config import build_system_state, parse_config
 from semibroadcast.errors import SemibroadcastError
 
 LN2 = math.log(2.0)
@@ -157,6 +160,50 @@ def test_classify_global_mode(tmp_path):
     assert read_json(out)["mode"] == "global"
 
 
+def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
+    # N = 3 copies of a 4-qubit memory: D = 8192, twice the largest dense state
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": "random", "seed": 5},
+        "memory": {"N": 3, "n": 4, "beta_omega": 0.7},
+        "interaction": {"kind": "noninvasive"},
+    }
+    rc, out = run(tmp_path, "classify", config=cfg)
+    assert rc == 0
+    # the noninvasive write keeps p, so component i holds sum_x p_x V_x tau V_x^dagger
+    p = build_system_state(parse_config(cfg).system).matrix.diagonal().real
+    h = thermal.qubit_chain_hamiltonian(4)
+    tau = thermal.gibbs(h, 0.7).probs
+    perms = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2)).perms
+    mix = np.zeros_like(tau)
+    for x in range(2):
+        mix[perms[x]] += p[x] * tau
+    chi = qcore.shannon_entropy(mix) - qcore.shannon_entropy(tau)
+    components = read_json(out)["components"]
+    assert len(components) == 3
+    for c in components:
+        assert c["chi"] == pytest.approx(chi, abs=1e-12)
+
+
+@pytest.mark.parametrize("experiment", ["sequential", "global"])
+def test_classify_beyond_the_byte_budget_exits_4_before_allocating(tmp_path, capsys, experiment):
+    # N = 3 copies of an 8-qubit memory: an entry list of 4 * 2^24 entries
+    cfg = {
+        "experiment": experiment,
+        "system": {"d_S": 2, "state": "random"},
+        "memory": {"N": 3, "n": 8, "beta_omega": 1.0},
+    }
+    tracemalloc.start()
+    try:
+        rc, _ = run(tmp_path, "classify", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert "budget" in capsys.readouterr().err
+    assert peak < broadcast.BYTE_BUDGET // 8
+
+
 def test_out_directory_is_created(tmp_path):
     nested = tmp_path / "a" / "b"
     rc = cli.main(["cmax-sweep", "--config", _write(tmp_path, SWEEP_CFG), "--out", str(nested)])
@@ -206,6 +253,21 @@ def test_seed_override_changes_the_sample(tmp_path):
     first = read_json(out1)["records"]
     second = json.loads((tmp_path / "outs" / "results.json").read_text())["records"]
     assert any(a["beta"] != b["beta"] for a, b in zip(first, second))
+
+
+def test_seed_override_reseeds_a_random_system_state(tmp_path):
+    cfg = _write(tmp_path, {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": "random"},
+        "memory": {"N": 2, "n": 1, "beta_omega": 1.0},
+    })
+    outs = []
+    for i, seed in enumerate(["1", "2", "1"]):
+        out = tmp_path / f"seed{i}"
+        assert cli.main(["classify", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
+        outs.append((out / "results.json").read_bytes())
+    assert outs[0] != outs[1]
+    assert outs[0] == outs[2]
 
 
 def test_bits_flag_rescales_entropic_fields(tmp_path):
