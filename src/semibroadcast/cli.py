@@ -3,8 +3,9 @@
 Subcommands: cmax-sweep, hl-bound, nogo, reconstruct, classify.
 Each writes results.json (full report) and, where tabular, results.csv
 (12 significant digits, '.' decimal separator) into --out.  Runs are
-deterministic for a fixed config and seed; SEMIBROADCAST_THREADS caps the
-worker threads used by instance sweeps.
+deterministic for a fixed config and seed.  SEMIBROADCAST_THREADS is
+validated (exit 2 on a bad value) but currently has no effect on speed:
+instance sweeps run serially.
 
 Exit codes: 0 success, 2 config error, 3 invariant violation, 4 domain error.
 """
@@ -18,7 +19,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -201,14 +201,8 @@ def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> li
         )
         for i in range(inst.count)
     ]
-    workers = _threads()
-    if workers == 1:
-        records = [hl_instance_record(t, bits) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda t: hl_instance_record(t, bits), tasks))
-    records.sort(key=lambda r: r["index"])
-    return records
+    _threads()  # validates SEMIBROADCAST_THREADS; threads gained nothing under the GIL
+    return [hl_instance_record(t, bits) for t in tasks]
 
 
 def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
@@ -359,11 +353,10 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     s_final_diag = qcore.shannon_entropy(rho_s_final.matrix.diagonal().real)
     components = []
     for i, ens in enumerate(run.ensembles):
-        lower, upper = infotherm.accessible_info_bracket(ens)
-        chi = infotherm.holevo_chi(ens)
+        lower, chi = infotherm.accessible_info_bracket(ens)
         evidence = infotherm.Table1Evidence(
             i_acc_lower=lower,
-            i_acc_upper=upper,
+            i_acc_upper=chi,
             chi=chi,
             h_x=h_x,
             s_system_final=s_final,
@@ -375,7 +368,7 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
                 "component": i,
                 "class": verdict.variant,
                 "i_acc_lower": _entropic(lower, bits),
-                "i_acc_upper": _entropic(upper, bits),
+                "i_acc_upper": _entropic(chi, bits),
                 "chi": _entropic(chi, bits),
             }
         )

@@ -182,14 +182,19 @@ def _qubit_projective_search(ensemble: Ensemble, n_directions: int = 720) -> flo
 def accessible_info_bracket(ensemble: Ensemble) -> tuple[float, float]:
     """(lower, upper) bracket on the accessible information of the ensemble.
 
-    Upper bound is Holevo chi.  Lower bound is the pretty good measurement's
-    mutual information; on a single-qubit space it is additionally refined by
-    a projective-measurement search (720 start directions, local refinement).
+    Upper bound is Holevo chi.  Lower bound is the computational-basis
+    measurement's mutual information, which attains chi when every member is
+    exactly diagonal (Holevo 1973).  Otherwise it is raised to the pretty good
+    measurement's and, on a qubit, a projective search's (720 directions, local
+    refinement).
     """
     upper = holevo_chi(ensemble)
-    lower = _pgm_lower(ensemble)
-    if ensemble.dim == 2:
-        lower = max(lower, _qubit_projective_search(ensemble))
+    mats = [s.matrix for s in ensemble.states]
+    lower = _classical_mi(ensemble.probs[:, None] * np.array([m.diagonal().real for m in mats]))
+    if any(np.count_nonzero(m) > np.count_nonzero(m.diagonal()) for m in mats):
+        lower = max(lower, _pgm_lower(ensemble))
+        if ensemble.dim == 2:
+            lower = max(lower, _qubit_projective_search(ensemble))
     return min(lower, upper), upper
 
 

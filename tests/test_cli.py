@@ -183,6 +183,11 @@ def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
     assert len(components) == 3
     for c in components:
         assert c["chi"] == pytest.approx(chi, abs=1e-12)
+        # the ensembles are diagonal, so the bracket closes exactly; a thermal
+        # memory keeps chi below H(X), so the write is only locally noninvasive
+        assert c["i_acc_lower"] == pytest.approx(c["chi"], abs=1e-12)
+        assert c["i_acc_upper"] == c["chi"]
+        assert c["class"] == "local_noninvasive"
 
 
 @pytest.mark.parametrize("experiment", ["sequential", "global"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semibroadcast import broadcast, infotherm, interact, qcore, thermal
 from semibroadcast.errors import DegenerateOutcomeWarning, DimensionMismatch
@@ -170,6 +172,51 @@ def test_bracket_orders_correctly_beyond_qubits():
         states = [qcore.random_density(4, seed=50 * trial + j) for j in range(3)]
         lower, upper = infotherm.accessible_info_bracket(infotherm.Ensemble(p, states))
         assert -1e-12 <= lower <= upper + 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 4, 32])
+def test_bracket_closes_on_diagonal_ensembles_without_a_search(dim, monkeypatch):
+    # commuting members: the computational basis attains chi, so neither the
+    # pretty good measurement nor the qubit search may run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search ran on a diagonal ensemble")
+
+    monkeypatch.setattr(infotherm, "_pgm_lower", forbidden)
+    monkeypatch.setattr(infotherm, "_qubit_projective_search", forbidden)
+    rng = np.random.default_rng(dim)
+    for trial in range(4):
+        k = 1 + trial
+        states = [qcore.diag_density(rng.dirichlet(np.ones(dim))) for _ in range(k - 1)]
+        states.append(qcore.basis_state(dim, trial % dim))
+        lower, upper = infotherm.accessible_info_bracket(
+            infotherm.Ensemble(rng.dirichlet(np.ones(k)), states)
+        )
+        assert lower == pytest.approx(upper, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=6),
+    diagonal=st.lists(st.booleans(), min_size=1, max_size=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_bracket_lower_bound_only_tightens(dim, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    states = [
+        qcore.diag_density(rng.dirichlet(np.ones(dim)))
+        if diag
+        else qcore.random_density(dim, rng.integers(0, 2**63 - 1))
+        for diag in diagonal
+    ]
+    ens = infotherm.Ensemble(rng.dirichlet(np.ones(len(states))), states)
+    searched = infotherm._pgm_lower(ens)
+    if dim == 2:
+        searched = max(searched, infotherm._qubit_projective_search(ens))
+    lower, upper = infotherm.accessible_info_bracket(ens)
+    assert upper == infotherm.holevo_chi(ens)
+    assert searched - 1e-12 <= lower <= upper + 1e-12
+    if all(diagonal):
+        assert lower == pytest.approx(upper, abs=1e-12)
 
 
 # ------------------------------------------------------------ thermo report
