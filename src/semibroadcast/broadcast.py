@@ -27,13 +27,7 @@ from .errors import (
     NotInvertible,
 )
 from .infotherm import PROB_FLOOR, Ensemble
-from .interact import (
-    CONTROLLED_PERMUTATION,
-    ControlledInteraction,
-    build_cycled_variant,
-    build_noninvasive_maxcorr,
-    build_unbiased_swap,
-)
+from .interact import ControlledInteraction, build, conjugate, joint_images
 from .qcore import DensityOperator, _check_factors, mutual_information, partial_trace, prob_vector
 from .thermal import (
     EnergyGrouping,
@@ -87,8 +81,7 @@ def thermal_unit(
     """Unit holding a Gibbs state with an interaction of the requested kind."""
     tau = gibbs(hamiltonian, beta)
     grouping = group_energies(hamiltonian, d_s)
-    u = _build_interaction(grouping, kind, variant)
-    return MemoryUnit(hamiltonian, tau.state, grouping, u, beta)
+    return MemoryUnit(hamiltonian, tau.state, grouping, build(grouping, kind, variant), beta)
 
 
 def explicit_unit(
@@ -100,17 +93,7 @@ def explicit_unit(
 ) -> MemoryUnit:
     """Unit with an arbitrary initial state (pure-memory controls and the like)."""
     grouping = group_energies(hamiltonian, d_s)
-    return MemoryUnit(hamiltonian, sigma, grouping, _build_interaction(grouping, kind, variant))
-
-
-def _build_interaction(grouping: EnergyGrouping, kind: str, variant: int) -> ControlledInteraction:
-    if kind == "noninvasive":
-        return build_noninvasive_maxcorr(grouping)
-    if kind == "cycled":
-        return build_cycled_variant(grouping, variant)
-    if kind == "swap":
-        return build_unbiased_swap(grouping)
-    raise DimensionMismatch(f"unknown interaction kind {kind!r}")
+    return MemoryUnit(hamiltonian, sigma, grouping, build(grouping, kind, variant))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,33 +123,6 @@ class MemoryArray:
         return (d_s or self.d_s) * math.prod(self.dims)
 
 
-def _unit_permutation(
-    dims: tuple[int, ...], axis: int, u: ControlledInteraction, index: np.ndarray | None = None
-) -> np.ndarray:
-    """Images of joint basis indices under the interaction between factor 0 and `axis`.
-
-    `index` holds flat indices over `dims` (all of them by default); the
-    result has its shape.
-    """
-    if index is None:
-        index = np.arange(math.prod(dims))
-    block = math.prod(dims[1:])
-    stride = math.prod(dims[axis + 1 :])
-    x = index // block
-    m = index // stride % dims[axis]
-    if u.kind == CONTROLLED_PERMUTATION:
-        new_x, new_m = x, u.perms[x, m]
-    else:
-        g = u.grouping
-        new_x, new_m = g.level_to_group[m], g.groups[x, g.level_to_slot[m]]
-    return index + (new_x - x) * block + (new_m - m) * stride
-
-
-def _apply_permutation(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    inv = np.argsort(pi)
-    return matrix[np.ix_(inv, inv)]
-
-
 def _check_budget(nbytes: int, what: str) -> None:
     if nbytes > BYTE_BUDGET:
         raise DimensionBudgetExceeded(f"{what} needs {nbytes} bytes, budget {BYTE_BUDGET}")
@@ -180,7 +136,7 @@ def _final_joint(rho_s: DensityOperator, mem: MemoryArray, stages) -> np.ndarray
     for u in mem.units:
         joint = np.kron(joint, u.sigma.matrix)
     for stage in stages:
-        joint = _apply_permutation(joint, _unit_permutation(*stage))
+        joint = conjugate(joint, joint_images(*stage))
     return joint
 
 
@@ -233,15 +189,14 @@ class BroadcastRun:
         weights = (self.p_initial[:, None] * sigma[on_diag].real).ravel()
         history = []
         for stage in stages:
-            rows = _unit_permutation(*stage, rows)
-            cols = _unit_permutation(*stage, cols)
+            rows = joint_images(*stage, rows)
+            cols = joint_images(*stage, cols)
             history.append(np.bincount((rows[:, on_diag] // d_m).ravel(), weights, minlength=d_s))
         self._rows, self._cols = rows, cols
         self.system_diag_history = tuple(history)
         levels_after = np.unravel_index(rows[:, on_diag].ravel(), self.dims)
         self.q = tuple(
-            np.bincount(u.grouping.level_to_group[levels_after[i + 1]], weights, minlength=d_s)
-            for i, u in enumerate(mem.units)
+            u.grouping.readout(levels_after[i + 1], weights) for i, u in enumerate(mem.units)
         )
         self.defects = {"ideal_scb": ideal_scb_defect(self)}
         self._labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
@@ -331,7 +286,7 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
     # merged levels follow the kron ravel order of the unit levels, so the
     # (system, merged memory) stage acts on the same flat joint index
     merged_h = product_hamiltonian([u.hamiltonian for u in mem.units])
-    merged = _build_interaction(group_energies(merged_h, mem.d_s), kind, variant)
+    merged = build(group_energies(merged_h, mem.d_s), kind, variant)
     return BroadcastRun(GLOBAL, rho_s, mem, memory, (((mem.d_s, merged_h.dim), 1, merged),))
 
 

@@ -128,12 +128,7 @@ def _hl_single(cfg: ExperimentConfig, bits: bool) -> dict:
     grouping = thermal.group_energies(h, cfg.system.d_s)
     kind = cfg.interaction.kind if cfg.interaction else "noninvasive"
     variant = cfg.interaction.variant if cfg.interaction else 0
-    if kind == "noninvasive":
-        u = interact.build_noninvasive_maxcorr(grouping)
-    elif kind == "cycled":
-        u = interact.build_cycled_variant(grouping, variant)
-    else:
-        u = interact.build_unbiased_swap(grouping)
+    u = interact.build(grouping, kind, variant)
     report = infotherm.thermo_report(rho_s, tau, u)
     return _report_record(report, cfg.system.d_s, h.dim, beta, kind, bits)
 
@@ -171,16 +166,13 @@ def hl_instance_record(params: tuple, bits: bool = False) -> dict:
     beta = float(rng.uniform(beta_lo, beta_hi))
     tau = thermal.gibbs(h, beta)
     grouping = thermal.group_energies(h, d_s)
-    kinds = ["noninvasive", "cycled", "swap", "haar"]
+    kinds = interact.KINDS + ("haar",)
     kind = kinds[index % len(kinds)]
-    if kind == "noninvasive":
-        u = interact.build_noninvasive_maxcorr(grouping)
-    elif kind == "cycled":
-        u = interact.build_cycled_variant(grouping, int(rng.integers(0, d_s - 1)))
-    elif kind == "swap":
-        u = interact.build_unbiased_swap(grouping)
-    else:
+    if kind == "haar":
         u = qcore.random_unitary(d_s * d_m, rng.integers(0, 2**63 - 1))
+    else:
+        variant = int(rng.integers(0, d_s - 1)) if kind == "cycled" else 0
+        u = interact.build(grouping, kind, variant)
     rho_s = qcore.random_density(d_s, rng.integers(0, 2**63 - 1))
     report = infotherm.thermo_report(rho_s, tau, u)
     rec = _report_record(report, d_s, d_m, beta, kind, bits)

@@ -15,11 +15,11 @@ import numpy as np
 
 from .broadcast import MemoryArray, explicit_unit, thermal_unit
 from .errors import ConfigError
+from .interact import KINDS as INTERACTION_KINDS
 from .qcore import DensityOperator, basis_state, diag_density, random_density
 from .thermal import MemoryHamiltonian, qubit_chain_hamiltonian
 
 EXPERIMENTS = ("sequential", "global", "reconstruct", "nogo", "cmax_sweep")
-INTERACTION_KINDS = ("noninvasive", "cycled", "swap")
 MEMORY_STATES = ("gibbs", "ground")
 DEFAULT_SEED = 2024
 

@@ -1,6 +1,9 @@
 """System-memory measurement interactions and their figures of merit.
 
-Two constructions are provided, both basis permutations of the joint space:
+Every interaction is a basis permutation of the joint space.  This module
+owns the one kind dispatch (`build` over `KINDS`), the one index kernel
+(`joint_images`, which also maps indices of a larger product space) and the
+one dense conjugation (`conjugate`).  Two constructions are provided:
 
 * controlled permutations  U = sum_x |x><x| (x) V_x  where each V_x permutes
   memory levels sector-to-sector while preserving the within-sector slot.
@@ -11,11 +14,14 @@ Two constructions are provided, both basis permutations of the joint space:
   price of replacing the system state.
 
 The pointer correlation of a joint state is
-C = sum_x Tr[ rho (|x><x| (x) Pi_x) ] with Pi_x the sector projectors.
+C = sum_x Tr[ rho (|x><x| (x) Pi_x) ] with Pi_x the sector projectors; it
+and every pointer distribution are read from the diagonal through
+`EnergyGrouping.groups` and `EnergyGrouping.readout`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,10 +29,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, WrongKind
 from .qcore import DensityOperator, UnitaryOperator, basis_state, evolve, random_density, random_unitary
-from .thermal import EnergyGrouping, GibbsState, pointer_projectors
+from .thermal import EnergyGrouping, GibbsState
 
 CONTROLLED_PERMUTATION = "controlled_permutation"
 SWAP_UNBIASED = "swap_unbiased"
+KINDS = ("noninvasive", "cycled", "swap")
 
 
 def _shift(grouping: EnergyGrouping, offset_map) -> np.ndarray:
@@ -64,23 +71,53 @@ class ControlledInteraction:
     @cached_property
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis."""
-        d_s, d_m = self.d_s, self.d_m
-        pi = np.empty(d_s * d_m, dtype=int)
-        if self.kind == CONTROLLED_PERMUTATION:
-            for x in range(d_s):
-                pi[x * d_m : (x + 1) * d_m] = x * d_m + self.perms[x]
-        else:
-            g = self.grouping
-            for x in range(d_s):
-                for y in range(d_s):
-                    pi[x * d_m + g.groups[y]] = y * d_m + g.groups[x]
-        return pi
+        return joint_images((self.d_s, self.d_m), 1, self)
 
     def as_unitary(self) -> UnitaryOperator:
         d = self.d_s * self.d_m
         m = np.zeros((d, d))
         m[self.joint_permutation, np.arange(d)] = 1.0
         return UnitaryOperator(m, (self.d_s, self.d_m))
+
+
+def joint_images(
+    dims: tuple[int, ...], axis: int, u: ControlledInteraction, index: np.ndarray | None = None
+) -> np.ndarray:
+    """Images of joint basis indices under `u` acting on factor 0 and factor `axis`.
+
+    `index` holds flat indices over `dims` (all of them by default); the
+    result has its shape.  Controlled permutations send |x, m> to
+    |x, perms[x, m]>; the swap sends |x, groups[y][s]> to |y, groups[x][s]>.
+    """
+    if index is None:
+        index = np.arange(math.prod(dims))
+    block = math.prod(dims[1:])
+    stride = math.prod(dims[axis + 1 :])
+    x = index // block
+    m = index // stride % dims[axis]
+    if u.kind == CONTROLLED_PERMUTATION:
+        new_x, new_m = x, u.perms[x, m]
+    else:
+        g = u.grouping
+        new_x, new_m = g.level_to_group[m], g.groups[x, g.level_to_slot[m]]
+    return index + (new_x - x) * block + (new_m - m) * stride
+
+
+def conjugate(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """P M P^dagger for the basis permutation P|j> = |pi[j]>."""
+    inv = np.argsort(pi)
+    return matrix[np.ix_(inv, inv)]
+
+
+def build(grouping: EnergyGrouping, kind: str, variant: int = 0) -> ControlledInteraction:
+    """The interaction of one of KINDS; `variant` selects the cycled variant."""
+    if kind == "noninvasive":
+        return build_noninvasive_maxcorr(grouping)
+    if kind == "cycled":
+        return build_cycled_variant(grouping, variant)
+    if kind == "swap":
+        return build_unbiased_swap(grouping)
+    raise WrongKind(f"unknown interaction kind {kind!r}, expected one of {KINDS}")
 
 
 def build_noninvasive_maxcorr(grouping: EnergyGrouping) -> ControlledInteraction:
@@ -130,29 +167,24 @@ def apply(u: ControlledInteraction, rho_s: DensityOperator, sigma_m: DensityOper
         raise DimensionMismatch(
             f"interaction is {u.d_s} x {u.d_m}, states are {rho_s.dim} x {sigma_m.dim}"
         )
-    joint = np.kron(rho_s.matrix, sigma_m.matrix)
-    inv = np.argsort(u.joint_permutation)
-    out = joint[np.ix_(inv, inv)]
+    out = conjugate(np.kron(rho_s.matrix, sigma_m.matrix), u.joint_permutation)
     return DensityOperator(out, (u.d_s, u.d_m))
 
 
-def correlation_c(rho_joint: DensityOperator, projectors, system_basis=None) -> float:
-    """Pointer correlation sum_x Tr[ rho (|x><x| (x) Pi_x) ]."""
+def correlation_c(rho_joint: DensityOperator, grouping: EnergyGrouping, system_basis=None) -> float:
+    """Pointer correlation sum_x Tr[ rho (|x><x| (x) Pi_x) ]: the diagonal over (x, groups[x])."""
     if len(rho_joint.dims) != 2:
         raise DimensionMismatch(f"expected a (system, memory) state, got dims {rho_joint.dims}")
     d_s, d_m = rho_joint.dims
-    if len(projectors) != d_s:
-        raise DimensionMismatch(f"{len(projectors)} projectors for {d_s} outcomes")
+    if (grouping.d_s, grouping.dim) != (d_s, d_m):
+        raise DimensionMismatch(f"grouping is {grouping.d_s} x {grouping.dim}, state is {d_s} x {d_m}")
     rho = rho_joint.matrix
     if system_basis is not None:
         b = np.asarray(system_basis, dtype=complex)
         rot = np.kron(b.conj().T, np.eye(d_m))
         rho = rot @ rho @ rot.conj().T
-    blocks = rho.reshape(d_s, d_m, d_s, d_m)
-    total = 0.0
-    for x, proj in enumerate(projectors):
-        total += float(np.real(np.trace(proj @ blocks[x, :, x, :])))
-    return total
+    diag = rho.diagonal().real.reshape(d_s, d_m)
+    return float(diag[np.arange(d_s)[:, None], grouping.groups].sum())
 
 
 def transition_matrix(u: ControlledInteraction, tau: GibbsState, grouping: EnergyGrouping) -> "TransitionMatrix":
@@ -161,12 +193,7 @@ def transition_matrix(u: ControlledInteraction, tau: GibbsState, grouping: Energ
         raise WrongKind(f"transition matrix defined for controlled permutations, not {u.kind}")
     if tau.dim != grouping.dim or u.d_m != grouping.dim:
         raise DimensionMismatch("interaction, state, and grouping dimensions disagree")
-    d_s = grouping.d_s
-    a = np.zeros((d_s, d_s))
-    lvl_grp = grouping.level_to_group
-    for x in range(d_s):
-        targets = lvl_grp[u.perms[x]]
-        np.add.at(a[x], targets, tau.probs)
+    a = [grouping.readout(u.perms[x], tau.probs) for x in range(grouping.d_s)]
     return TransitionMatrix(a, u.variant)
 
 
@@ -201,7 +228,7 @@ def pointer_distribution(rho_joint: DensityOperator, grouping: EnergyGrouping) -
     """Sector populations of the memory factor of a (system, memory) state."""
     d_s, d_m = rho_joint.dims
     diag = rho_joint.matrix.diagonal().real.reshape(d_s, d_m).sum(axis=0)
-    return np.array([diag[grouping.groups[y]].sum() for y in range(grouping.d_s)])
+    return grouping.readout(np.arange(d_m), diag)
 
 
 def check_unbiased(
@@ -230,36 +257,6 @@ def check_noninvasive(u: ControlledInteraction, sigma_m: DensityOperator, test_s
     return defect
 
 
-@dataclass(frozen=True)
-class InteractionReport:
-    """Summary of one interaction against one memory state."""
-
-    c_u: float
-    bias_defect: float
-    invasiveness_defect: float
-
-
-def interaction_report(
-    u: ControlledInteraction,
-    sigma_m: DensityOperator,
-    grouping: EnergyGrouping,
-    test_states=None,
-) -> InteractionReport:
-    """Evaluate C_U (averaged over the diagonal ensemble) and both defects."""
-    if test_states is None:
-        test_states = test_state_battery(u.d_s)
-    projectors = pointer_projectors(grouping)
-    diag_states = [
-        DensityOperator(np.diag(s.matrix.diagonal()), s.dims) for s in test_states
-    ]
-    c_vals = [correlation_c(apply(u, s, sigma_m), projectors) for s in diag_states]
-    return InteractionReport(
-        c_u=float(np.mean(c_vals)),
-        bias_defect=check_unbiased(u, sigma_m, test_states, grouping),
-        invasiveness_defect=check_noninvasive(u, sigma_m, test_states),
-    )
-
-
 def haar_correlation_max(
     grouping: EnergyGrouping,
     tau: GibbsState,
@@ -280,7 +277,6 @@ def haar_correlation_max(
     d_s, d_m = grouping.d_s, grouping.dim
     if diag_states is None:
         diag_states = [DensityOperator(np.eye(d_s) / d_s)]
-    projectors = pointer_projectors(grouping)
     joints = [
         DensityOperator(np.kron(s.matrix, tau.state.matrix), (d_s, d_m))
         for s in diag_states
@@ -290,5 +286,5 @@ def haar_correlation_max(
         u = random_unitary(d_s * d_m, s)
         for joint in joints:
             rotated = evolve(joint, u)
-            best = max(best, correlation_c(rotated, projectors))
+            best = max(best, correlation_c(rotated, grouping))
     return best

@@ -145,9 +145,12 @@ class EnergyGrouping:
             out[self.groups[y]] = np.arange(self.r)
         return out
 
-    def group_energy_table(self) -> np.ndarray:
-        """(d_S, r) table of sector energies."""
-        return self.energies[self.groups]
+    def readout(self, levels, weights) -> np.ndarray:
+        """Pointer distribution: the total of `weights` landing in each sector.
+
+        `levels[k]` is the memory level that carries `weights[k]`.
+        """
+        return np.bincount(self.level_to_group[levels], weights, minlength=self.d_s)
 
 
 def group_energies(hamiltonian: MemoryHamiltonian, d_s: int) -> EnergyGrouping:
@@ -160,49 +163,6 @@ def group_energies(hamiltonian: MemoryHamiltonian, d_s: int) -> EnergyGrouping:
     r = d_m // d_s
     order = np.argsort(hamiltonian.energies, kind="stable")
     return EnergyGrouping(d_s, r, order.reshape(d_s, r), hamiltonian.absolute_energies())
-
-
-def pointer_projectors(grouping: EnergyGrouping) -> list[np.ndarray]:
-    """Rank-r diagonal projectors onto each sector, indexed by outcome."""
-    out = []
-    for y in range(grouping.d_s):
-        p = np.zeros((grouping.dim, grouping.dim))
-        p[grouping.groups[y], grouping.groups[y]] = 1.0
-        out.append(p)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class ABlock:
-    """Positive diagonal block labeled by the pointer pair (x, y)."""
-
-    x: int
-    y: int
-    matrix: np.ndarray
-    trace: float
-
-
-def a_blocks(grouping: EnergyGrouping, tau: GibbsState) -> list[ABlock]:
-    """Base blocks A_{0,y}: the Gibbs weights of sector y on their own levels.
-
-    Their traces are the anti-correlation weights; the y=0 block carries c_max.
-    """
-    if tau.dim != grouping.dim:
-        raise DimensionMismatch(f"state dim {tau.dim} != grouping dim {grouping.dim}")
-    out = []
-    for y in range(grouping.d_s):
-        m = np.zeros((grouping.dim, grouping.dim))
-        idx = grouping.groups[y]
-        m[idx, idx] = tau.probs[idx]
-        out.append(ABlock(0, y, m, float(tau.probs[idx].sum())))
-    return out
-
-
-def sector_weights(grouping: EnergyGrouping, tau: GibbsState) -> np.ndarray:
-    """Total Gibbs weight per sector (the traces of the base blocks)."""
-    if tau.dim != grouping.dim:
-        raise DimensionMismatch(f"state dim {tau.dim} != grouping dim {grouping.dim}")
-    return tau.probs[grouping.groups].sum(axis=1)
 
 
 def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:

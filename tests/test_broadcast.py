@@ -17,6 +17,7 @@ from semibroadcast.errors import (
     InvalidFactorIndex,
     NonPositiveMemoryEntropy,
     NotInvertible,
+    WrongKind,
 )
 
 LN2 = math.log(2.0)
@@ -63,7 +64,7 @@ def test_memory_unit_rejects_foreign_interaction():
 
 def test_explicit_unit_rejects_unknown_kind():
     h = thermal.qubit_chain_hamiltonian(1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(WrongKind):
         broadcast.explicit_unit(h, qcore.basis_state(2, 0), 2, kind="sideways")
 
 
@@ -257,7 +258,7 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
         np.testing.assert_allclose(run.q[i], want, rtol=0, atol=1e-12)
     assert len(run.system_diag_history) == len(run._stages)
     for k, stage in enumerate(run._stages):
-        assert np.array_equal(broadcast._unit_permutation(*stage), lifted_permutation(*stage))
+        assert np.array_equal(interact.joint_images(*stage), lifted_permutation(*stage))
         joint = broadcast._final_joint(rho, mem, run._stages[: k + 1])
         want = joint.diagonal().real.reshape(d_s, -1).sum(axis=1)
         np.testing.assert_allclose(run.system_diag_history[k], want, rtol=0, atol=1e-12)

@@ -3,13 +3,14 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semibroadcast import broadcast, cli, interact, qcore, thermal
-from semibroadcast.config import build_system_state, parse_config
-from semibroadcast.errors import SemibroadcastError
+from semibroadcast.config import InteractionConfig, build_system_state, parse_config
+from semibroadcast.errors import SemibroadcastError, WrongKind
 
 LN2 = math.log(2.0)
 
@@ -337,6 +338,21 @@ def test_domain_errors_exit_4(tmp_path, capsys):
     )
     assert rc == 4
     assert "domain error" in capsys.readouterr().err
+
+
+def test_single_instance_rejects_an_unknown_kind():
+    # the config parser refuses it first; the dispatch refuses it too
+    cfg = parse_config(
+        {
+            "experiment": "sequential",
+            "system": {"d_S": 2, "state": [0.5, 0.5]},
+            "memory": {"N": 1, "beta_omega": 1.0},
+            "interaction": {"kind": "swap"},
+        }
+    )
+    cli._hl_single(cfg, False)
+    with pytest.raises(WrongKind):
+        cli._hl_single(replace(cfg, interaction=InteractionConfig("sideways")), False)
 
 
 def test_invariant_violation_is_a_package_error():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semibroadcast import interact, qcore, thermal
+from semibroadcast import config, interact, qcore, thermal
 from semibroadcast.errors import DimensionMismatch, IndexOutOfRange, WrongKind
 
 E_INV = math.exp(-1.0)
@@ -38,6 +38,27 @@ def chain_setup(n, d_s, beta=1.0):
     h = thermal.qubit_chain_hamiltonian(n)
     g = thermal.group_energies(h, d_s)
     return g, thermal.gibbs(h, beta)
+
+
+def degenerate_setup(d_s):
+    h = thermal.MemoryHamiltonian([0.0] * (2 * d_s))
+    return thermal.group_energies(h, d_s), thermal.gibbs(h, 1.0)
+
+
+def dense_projectors(g):
+    """Rank-r diagonal projectors onto each sector, built from the definition."""
+    out = []
+    for y in range(g.d_s):
+        proj = np.zeros((g.dim, g.dim))
+        proj[g.groups[y], g.groups[y]] = 1.0
+        out.append(proj)
+    return out
+
+
+def mean_correlation(u, sigma, g, battery):
+    """C_U averaged over the diagonals of the battery states."""
+    diagonals = [qcore.diag_density(s.matrix.diagonal().real) for s in battery]
+    return float(np.mean([interact.correlation_c(interact.apply(u, d, sigma), g) for d in diagonals]))
 
 
 def identity_interaction(grouping):
@@ -110,6 +131,45 @@ def test_cycled_variant_range_check():
         interact.build_cycled_variant(g, -1)
 
 
+def test_build_dispatches_every_config_kind():
+    assert config.INTERACTION_KINDS == interact.KINDS
+    g, _ = ladder_setup(3)
+    for kind in config.INTERACTION_KINDS:
+        u = interact.build(g, kind)
+        assert np.array_equal(np.sort(u.joint_permutation), np.arange(9))
+    assert interact.build(g, "noninvasive").kind == interact.CONTROLLED_PERMUTATION
+    assert interact.build(g, "swap").kind == interact.SWAP_UNBIASED
+    cycled = interact.build(g, "cycled", 1)
+    assert cycled.variant == 1
+    assert np.array_equal(cycled.perms, interact.build_cycled_variant(g, 1).perms)
+    with pytest.raises(WrongKind):
+        interact.build(g, "sideways")
+    with pytest.raises(WrongKind):
+        interact.build(g, "haar")
+
+
+def test_joint_permutation_matches_hand_built_tables():
+    # tables written from the definitions, independent of the index kernel
+    setups = [qubit_setup(), chain_setup(2, 2), ladder_setup(3), chain_setup(3, 4), ladder_setup(4)]
+    setups += [degenerate_setup(2), degenerate_setup(3), degenerate_setup(4)]
+    for g, _ in setups:
+        d_s, d_m = g.d_s, g.dim
+        interactions = [interact.build_noninvasive_maxcorr(g), interact.build_unbiased_swap(g)]
+        interactions += [interact.build_cycled_variant(g, i) for i in range(d_s - 1)]
+        for u in interactions:
+            table = np.full(d_s * d_m, -1)
+            for x in range(d_s):
+                if u.kind == interact.CONTROLLED_PERMUTATION:
+                    for m in range(d_m):
+                        table[x * d_m + m] = x * d_m + u.perms[x][m]
+                else:
+                    for y in range(d_s):
+                        for s in range(g.r):
+                            table[x * d_m + g.groups[y][s]] = y * d_m + g.groups[x][s]
+            assert np.array_equal(u.joint_permutation, table)
+            assert np.array_equal(interact.joint_images((d_s, d_m), 1, u), table)
+
+
 def test_swap_is_an_involution():
     for g, _ in (qubit_setup(), chain_setup(2, 2), ladder_setup(4)):
         u = interact.build_unbiased_swap(g)
@@ -175,7 +235,7 @@ def test_swap_writes_register_and_returns_thermal_system():
 def test_correlation_of_maximally_mixed_joint():
     g, _ = qubit_setup()
     joint = qcore.DensityOperator(np.eye(4) / 4.0, (2, 2))
-    c = interact.correlation_c(joint, thermal.pointer_projectors(g))
+    c = interact.correlation_c(joint, g)
     assert c == pytest.approx(0.5, abs=1e-15)
 
 
@@ -185,14 +245,14 @@ def test_correlation_of_perfectly_correlated_state_is_one():
     m[0, 0] = 0.2  # |0> with memory level 0 (sector 0)
     m[7, 7] = 0.8  # |1> with memory level 3 (sector 1)
     joint = qcore.DensityOperator(m, (2, 4))
-    c = interact.correlation_c(joint, thermal.pointer_projectors(g))
+    c = interact.correlation_c(joint, g)
     assert c == pytest.approx(1.0, abs=1e-15)
 
 
 def test_correlation_without_interaction_is_pointer_weight():
     g, tau = qubit_setup()
     joint = qcore.tensor(qcore.diag_density([1.0, 0.0]), tau.state)
-    c = interact.correlation_c(joint, thermal.pointer_projectors(g))
+    c = interact.correlation_c(joint, g)
     assert c == pytest.approx(W0, abs=1e-15)
 
 
@@ -200,10 +260,9 @@ def test_correlation_in_permuted_system_basis():
     g, tau = qubit_setup()
     u = interact.build_noninvasive_maxcorr(g)
     out = interact.apply(u, qcore.diag_density([1.0, 0.0]), tau.state)
-    projs = thermal.pointer_projectors(g)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    direct = interact.correlation_c(out, projs)
-    flipped = interact.correlation_c(out, projs, system_basis=flip)
+    direct = interact.correlation_c(out, g)
+    flipped = interact.correlation_c(out, g, system_basis=flip)
     assert direct == pytest.approx(W0, abs=1e-15)
     assert flipped == pytest.approx(W1, abs=1e-15)
 
@@ -212,21 +271,41 @@ def test_correlation_input_validation():
     g, tau = qubit_setup()
     joint = qcore.tensor(qcore.diag_density([1.0, 0.0]), tau.state)
     with pytest.raises(DimensionMismatch):
-        interact.correlation_c(joint.with_dims((4,)), thermal.pointer_projectors(g))
-    with pytest.raises(DimensionMismatch):
-        interact.correlation_c(joint, thermal.pointer_projectors(g)[:1])
+        interact.correlation_c(joint.with_dims((4,)), g)
+    for other, _ in (ladder_setup(3), chain_setup(2, 2)):
+        with pytest.raises(DimensionMismatch):
+            interact.correlation_c(joint, other)
+
+
+def test_correlation_matches_dense_projector_oracle():
+    for g, _ in (qubit_setup(), ladder_setup(3), chain_setup(3, 4)):
+        d = g.d_s * g.dim
+        basis = qcore.random_unitary(g.d_s, seed=g.d_s).matrix
+        for seed in range(3):
+            joint = qcore.random_density(d, seed=seed).with_dims((g.d_s, g.dim))
+            for system_basis in (None, basis):
+                rho = joint.matrix
+                if system_basis is not None:
+                    rot = np.kron(system_basis.conj().T, np.eye(g.dim))
+                    rho = rot @ rho @ rot.conj().T
+                blocks = rho.reshape(g.d_s, g.dim, g.d_s, g.dim)
+                want = sum(
+                    np.real(np.trace(proj @ blocks[x, :, x, :]))
+                    for x, proj in enumerate(dense_projectors(g))
+                )
+                got = interact.correlation_c(joint, g, system_basis=system_basis)
+                assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_maxcorr_reaches_cmax_on_every_diagonal_input():
     for g, tau in (qubit_setup(0.6), chain_setup(2, 2, 1.1), ladder_setup(3, 0.9)):
         u = interact.build_noninvasive_maxcorr(g)
-        projs = thermal.pointer_projectors(g)
         target = thermal.c_max(g, tau)
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = rng.dirichlet(np.ones(g.d_s))
             out = interact.apply(u, qcore.diag_density(p), tau.state)
-            assert interact.correlation_c(out, projs) == pytest.approx(target, abs=1e-13)
+            assert interact.correlation_c(out, g) == pytest.approx(target, abs=1e-13)
 
 
 # ------------------------------------------------------- transition matrix
@@ -244,7 +323,7 @@ def test_transition_matrix_matches_dense_projector_oracle():
         for i in range(g.d_s - 1):
             u = interact.build_cycled_variant(g, i)
             a = interact.transition_matrix(u, tau, g).a
-            projs = thermal.pointer_projectors(g)
+            projs = dense_projectors(g)
             um = u.as_unitary().matrix
             for x in range(g.d_s):
                 joint = np.kron(qcore.basis_state(g.d_s, x).matrix, tau.state.matrix)
@@ -340,7 +419,7 @@ def test_pointer_distribution_of_product_state_is_sector_weights():
     g, tau = chain_setup(2, 2, beta=0.9)
     rho = qcore.random_density(2, seed=14)
     dist = interact.pointer_distribution(qcore.tensor(rho, tau.state), g)
-    assert dist.tolist() == pytest.approx(thermal.sector_weights(g, tau).tolist(), abs=1e-14)
+    assert dist.tolist() == pytest.approx(g.readout(np.arange(g.dim), tau.probs).tolist(), abs=1e-14)
 
 
 def test_noninvasive_defect_is_machine_zero_on_full_battery():
@@ -400,17 +479,20 @@ def test_swap_fixed_point_is_the_sector_register():
     # a system already distributed like the register is written non-invasively
     g, tau = chain_setup(2, 2, beta=1.0)
     u = interact.build_unbiased_swap(g)
-    rho = qcore.diag_density(thermal.sector_weights(g, tau))
+    rho = qcore.diag_density(g.readout(np.arange(g.dim), tau.probs))
     assert interact.check_noninvasive(u, tau.state, [rho]) <= 1e-13
 
 
 def test_interaction_report_thermal_qubit():
+    # C_U, the bias defect and the invasiveness defect of the controlled shift
     g, tau = qubit_setup()
     u = interact.build_noninvasive_maxcorr(g)
-    report = interact.interaction_report(u, tau.state, g)
-    assert report.c_u == pytest.approx(W0, abs=1e-13)
-    assert report.invasiveness_defect <= 1e-12
-    assert report.bias_defect == pytest.approx(W1, abs=1e-13)
+    battery = interact.test_state_battery(2)
+    c_u = mean_correlation(u, tau.state, g, battery)
+    assert c_u == pytest.approx(W0, abs=1e-13)
+    assert c_u == pytest.approx(thermal.c_max(g, tau), abs=1e-13)
+    assert interact.check_noninvasive(u, tau.state, battery) <= 1e-12
+    assert interact.check_unbiased(u, tau.state, battery, g) == pytest.approx(W1, abs=1e-13)
 
 
 def test_faithful_and_unbiased_interaction_is_noninvasive():
@@ -419,10 +501,10 @@ def test_faithful_and_unbiased_interaction_is_noninvasive():
     g, _ = chain_setup(2, 2)
     sigma = qcore.basis_state(4, 0)
     u = interact.build_noninvasive_maxcorr(g)
-    report = interact.interaction_report(u, sigma, g)
-    assert report.c_u == pytest.approx(1.0, abs=1e-13)
-    assert report.bias_defect <= 1e-12
-    assert report.invasiveness_defect <= 1e-12
+    battery = interact.test_state_battery(2)
+    assert mean_correlation(u, sigma, g, battery) == pytest.approx(1.0, abs=1e-13)
+    assert interact.check_unbiased(u, sigma, battery, g) <= 1e-12
+    assert interact.check_noninvasive(u, sigma, battery) <= 1e-12
 
 
 # ------------------------------------------------------------ haar probing
@@ -447,7 +529,7 @@ def test_ceiling_does_not_constrain_basis_inputs():
     joint = qcore.DensityOperator(
         m @ np.kron(qcore.basis_state(2, 0).matrix, tau.state.matrix) @ m.T, (2, 2)
     )
-    c = interact.correlation_c(joint, thermal.pointer_projectors(g))
+    c = interact.correlation_c(joint, g)
     assert c == pytest.approx(1.0, abs=1e-14)
     assert c > thermal.c_max(g, tau)
 

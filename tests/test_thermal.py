@@ -132,7 +132,7 @@ def test_grouping_of_fully_degenerate_spectrum_is_index_order():
 def test_grouping_sector_energies_ascend():
     h = thermal.MemoryHamiltonian([0.9, 0.1, 0.5, 0.3, 0.7, 0.2])
     g = thermal.group_energies(h, 3)
-    table = g.group_energy_table()
+    table = g.energies[g.groups]
     assert table.max(axis=1)[:-1].tolist() == pytest.approx(
         sorted(table.max(axis=1))[:-1]
     )
@@ -154,52 +154,16 @@ def test_level_lookup_tables_invert_groups():
             assert g.level_to_slot[level] == slot
 
 
-def test_pointer_projectors_resolve_identity():
-    g = thermal.group_energies(thermal.qubit_chain_hamiltonian(3), 2)
-    projs = thermal.pointer_projectors(g)
-    assert all(np.trace(p) == 4.0 for p in projs)
-    assert np.allclose(sum(projs), np.eye(8))
-    assert np.allclose(projs[0] @ projs[1], 0.0)
-
-
-# ------------------------------------------------------------- base blocks
-
-
-def test_a_blocks_single_qubit_matrices():
-    h = thermal.qubit_chain_hamiltonian(1)
-    g = thermal.group_energies(h, 2)
-    tau = thermal.gibbs(h, beta=1.0)
-    blocks = thermal.a_blocks(g, tau)
-    assert np.allclose(blocks[0].matrix, np.diag([W0, 0.0]))
-    assert np.allclose(blocks[1].matrix, np.diag([0.0, W1]))
-    assert blocks[0].trace == pytest.approx(W0, abs=1e-15)
-    assert blocks[1].trace == pytest.approx(W1, abs=1e-15)
-
-
-def test_a_block_traces_sum_to_one():
-    h = thermal.qubit_chain_hamiltonian(3)
-    g = thermal.group_energies(h, 4)
-    tau = thermal.gibbs(h, beta=0.7)
-    blocks = thermal.a_blocks(g, tau)
-    assert sum(b.trace for b in blocks) == pytest.approx(1.0, abs=1e-14)
-    assert [b.y for b in blocks] == [0, 1, 2, 3]
-    assert all(b.x == 0 for b in blocks)
-
-
-def test_sector_weights_match_block_traces():
+def test_readout_sums_weights_per_sector():
     h = thermal.qubit_chain_hamiltonian(2)
     g = thermal.group_energies(h, 2)
     tau = thermal.gibbs(h, beta=1.3)
-    w = thermal.sector_weights(g, tau)
-    assert w.tolist() == pytest.approx([b.trace for b in thermal.a_blocks(g, tau)])
-    assert w[0] == thermal.c_max(g, tau)
-
-
-def test_a_blocks_dimension_check():
-    g = thermal.group_energies(thermal.qubit_chain_hamiltonian(2), 2)
-    tau = thermal.gibbs(thermal.qubit_chain_hamiltonian(1), beta=1.0)
-    with pytest.raises(DimensionMismatch):
-        thermal.a_blocks(g, tau)
+    w = g.readout(np.arange(g.dim), tau.probs)
+    assert w.tolist() == pytest.approx([tau.probs[g.groups[y]].sum() for y in range(2)], abs=1e-15)
+    assert w[0] == pytest.approx(thermal.c_max(g, tau), abs=1e-15)
+    # repeated levels each contribute; the output always has d_S entries
+    assert g.readout(np.array([0, 0, 3]), np.array([0.25, 0.25, 0.5])).tolist() == [0.5, 0.5]
+    assert g.readout(np.array([1]), np.array([1.0])).tolist() == [1.0, 0.0]
 
 
 # ------------------------------------------------------------------- c_max
