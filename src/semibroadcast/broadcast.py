@@ -52,17 +52,23 @@ GLOBAL = "global"
 
 @dataclass(frozen=True, eq=False)
 class MemoryUnit:
-    """One memory (or subcomponent) with its sector structure and interaction."""
+    """One memory (or subcomponent) with its sector structure and interaction.
+
+    The initial state is diagonal in the energy basis: `probs[m]` is the
+    population of level m.
+    """
 
     hamiltonian: MemoryHamiltonian
-    sigma: DensityOperator
+    probs: np.ndarray
     grouping: EnergyGrouping
     interaction: ControlledInteraction
-    beta: float | None = None
 
     def __post_init__(self):
-        if self.sigma.dim != self.hamiltonian.dim or self.grouping.dim != self.hamiltonian.dim:
-            raise DimensionMismatch("unit state, grouping, and Hamiltonian dims disagree")
+        probs = prob_vector(self.probs)
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+        if probs.size != self.hamiltonian.dim or self.grouping.dim != self.hamiltonian.dim:
+            raise DimensionMismatch("unit populations, grouping, and Hamiltonian dims disagree")
         if self.interaction.d_m != self.hamiltonian.dim:
             raise DimensionMismatch("unit interaction does not act on this memory")
 
@@ -79,21 +85,19 @@ def thermal_unit(
     variant: int = 0,
 ) -> MemoryUnit:
     """Unit holding a Gibbs state with an interaction of the requested kind."""
-    tau = gibbs(hamiltonian, beta)
-    grouping = group_energies(hamiltonian, d_s)
-    return MemoryUnit(hamiltonian, tau.state, grouping, build(grouping, kind, variant), beta)
+    return explicit_unit(hamiltonian, gibbs(hamiltonian, beta).probs, d_s, kind, variant)
 
 
 def explicit_unit(
     hamiltonian: MemoryHamiltonian,
-    sigma: DensityOperator,
+    probs,
     d_s: int,
     kind: str = "noninvasive",
     variant: int = 0,
 ) -> MemoryUnit:
-    """Unit with an arbitrary initial state (pure-memory controls and the like)."""
+    """Unit with the given level populations (Gibbs, ground, or any other)."""
     grouping = group_energies(hamiltonian, d_s)
-    return MemoryUnit(hamiltonian, sigma, grouping, build(grouping, kind, variant))
+    return MemoryUnit(hamiltonian, probs, grouping, build(grouping, kind, variant))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +123,8 @@ class MemoryArray:
     def dims(self) -> tuple[int, ...]:
         return tuple(u.dim for u in self.units)
 
-    def total_dim(self, d_s: int | None = None) -> int:
-        return (d_s or self.d_s) * math.prod(self.dims)
+    def total_dim(self) -> int:
+        return self.d_s * math.prod(self.dims)
 
 
 def _check_budget(nbytes: int, what: str) -> None:
@@ -129,19 +133,19 @@ def _check_budget(nbytes: int, what: str) -> None:
 
 
 def _final_joint(rho_s: DensityOperator, mem: MemoryArray, stages) -> np.ndarray:
-    """Dense oracle: rho_S (x) sigma_1 (x) ... (x) sigma_N conjugated by every stage."""
+    """Dense oracle: rho_S (x) diag(p_1) (x) ... (x) diag(p_N) conjugated by every stage."""
     total = mem.total_dim()
     _check_budget(COMPLEX_BYTES * total * total, f"dense joint state of dimension {total}")
     joint = rho_s.matrix
     for u in mem.units:
-        joint = np.kron(joint, u.sigma.matrix)
+        joint = np.kron(joint, np.diag(u.probs))
     for stage in stages:
         joint = conjugate(joint, joint_images(*stage))
     return joint
 
 
 def _memory_entries(rho_s: DensityOperator, mem: MemoryArray):
-    """Levels (m, m') and values of the nonzero entries of sigma_1 (x) ... (x) sigma_N.
+    """Occupied levels m and populations p_m of the product p_1 (x) ... (x) p_N.
 
     Checks the system dimension and that the joint entry list (a complex
     value and a row and column index for each of its d_S^2 * nnz entries)
@@ -149,52 +153,48 @@ def _memory_entries(rho_s: DensityOperator, mem: MemoryArray):
     """
     if rho_s.dim != mem.d_s:
         raise DimensionMismatch(f"system dim {rho_s.dim} != array d_s {mem.d_s}")
-    nonzeros = [np.nonzero(u.sigma.matrix) for u in mem.units]
-    count = mem.d_s**2 * math.prod(len(a) for a, _ in nonzeros)
+    occupied = [np.flatnonzero(u.probs) for u in mem.units]
+    count = mem.d_s**2 * math.prod(len(a) for a in occupied)
     _check_budget((COMPLEX_BYTES + 2 * INDEX_BYTES) * count, f"joint entry list of {count} entries")
-    rows = cols = np.zeros(1, dtype=np.intp)
-    values = np.ones(1, dtype=complex)
-    for u, (a, b) in zip(mem.units, nonzeros):
-        rows = (rows[:, None] * u.dim + a).ravel()
-        cols = (cols[:, None] * u.dim + b).ravel()
-        values = (values[:, None] * u.sigma.matrix[a, b]).ravel()
-    return rows, cols, values
+    levels = np.zeros(1, dtype=np.intp)
+    values = np.ones(1)
+    for u, a in zip(mem.units, occupied):
+        levels = (levels[:, None] * u.dim + a).ravel()
+        values = (values[:, None] * u.probs[a]).ravel()
+    return levels, values
 
 
 class BroadcastRun:
     """Outcome of coupling one system state to a memory array.
 
-    Every write is a joint-basis permutation, so the final state
-    U (rho_S (x) sigma) U^dagger, sigma = sigma_1 (x) ... (x) sigma_N, is the
-    list of entries rho_{xx'} sigma_{mm'} at row pi(x, m), column pi(x', m'),
-    with (m, m') over the nonzeros of sigma and pi the composed permutation
-    of the run's stages.  Statistics, input-labelled ensembles and reduced
-    states are scatter-adds over that list.  The dense matrix `state` is
-    built only on request, by the dense oracle, within BYTE_BUDGET.
+    Every write is a joint-basis permutation and every memory is diagonal,
+    p = p_1 (x) ... (x) p_N, so the final state U (rho_S (x) diag p) U^dagger
+    is the list of entries rho_{xx'} p_m at row pi(x, m), column pi(x', m),
+    with m over the occupied levels and pi the composed permutation of the
+    run's stages.  Statistics, input-labelled ensembles and reduced states
+    are scatter-adds over that list.  The dense matrix `state` is built only
+    on request, by the dense oracle, within BYTE_BUDGET.
     """
 
     def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, memory, stages):
-        levels, levels_c, sigma = memory
+        levels, values = memory
         d_s = mem.d_s
         d_m = math.prod(mem.dims)
         self.mode = mode
         self.dims = (d_s,) + mem.dims
         self.p_initial = rho_s.matrix.diagonal().real.copy()
         self._rho_s, self._mem, self._stages = rho_s, mem, stages
-        self._sigma = sigma
-        # row pi(x, m) and column pi(x, m') of the entries with system row x
+        self._values = values
+        # rows[x, k] = pi(x, m_k): the row of entry (x, x', m_k), and its column for x' = x
         rows = np.arange(d_s)[:, None] * d_m + levels
-        cols = np.arange(d_s)[:, None] * d_m + levels_c
-        on_diag = levels == levels_c
-        weights = (self.p_initial[:, None] * sigma[on_diag].real).ravel()
+        weights = (self.p_initial[:, None] * values).ravel()
         history = []
         for stage in stages:
             rows = joint_images(*stage, rows)
-            cols = joint_images(*stage, cols)
-            history.append(np.bincount((rows[:, on_diag] // d_m).ravel(), weights, minlength=d_s))
-        self._rows, self._cols = rows, cols
+            history.append(np.bincount((rows // d_m).ravel(), weights, minlength=d_s))
+        self._rows = rows
         self.system_diag_history = tuple(history)
-        levels_after = np.unravel_index(rows[:, on_diag].ravel(), self.dims)
+        levels_after = np.unravel_index(rows.ravel(), self.dims)
         self.q = tuple(
             u.grouping.readout(levels_after[i + 1], weights) for i, u in enumerate(mem.units)
         )
@@ -216,7 +216,7 @@ class BroadcastRun:
     def ensembles(self) -> tuple[Ensemble, ...]:
         """Per-unit memory ensembles labelled by the basis input written.
 
-        Member x of unit i is the unit's reduced state of U (|x><x| (x) sigma)
+        Member x of unit i is the unit's reduced state of U (|x><x| (x) diag p)
         U^dagger: the entries with system row and column x.  Outcomes at the
         probability floor are left out.
         """
@@ -224,7 +224,7 @@ class BroadcastRun:
             Ensemble(
                 self.p_initial[self._labels],
                 [
-                    self._reduce((i + 1,), self._rows[x], self._cols[x], self._sigma)
+                    self._reduce((i + 1,), self._rows[x], self._rows[x], self._values)
                     for x in self._labels
                 ],
             )
@@ -234,8 +234,8 @@ class BroadcastRun:
     def reduced(self, keep) -> DensityOperator:
         """Reduced final state on the factors `keep` (0 is the system), in that order."""
         keep = _check_factors(self, keep)
-        values = self._rho_s.matrix[:, :, None] * self._sigma
-        return self._reduce(keep, self._rows[:, None, :], self._cols[None, :, :], values)
+        values = self._rho_s.matrix[:, :, None] * self._values
+        return self._reduce(keep, self._rows[:, None, :], self._rows[None, :, :], values)
 
     def _reduce(self, keep, rows, cols, values) -> DensityOperator:
         """Scatter-add the entries whose traced factors agree between row and column."""
@@ -290,10 +290,9 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
     return BroadcastRun(GLOBAL, rho_s, mem, memory, (((mem.d_s, merged_h.dim), 1, merged),))
 
 
-def ideal_scb_defect(run: BroadcastRun, p_true=None) -> float:
-    """Worst deviation of any unit's pointer statistics from the target distribution."""
-    p = run.p_initial if p_true is None else np.asarray(p_true, dtype=float)
-    return max(float(np.max(np.abs(p - qi))) for qi in run.q)
+def ideal_scb_defect(run: BroadcastRun) -> float:
+    """Worst deviation of any unit's pointer statistics from the input distribution."""
+    return max(float(np.max(np.abs(run.p_initial - qi))) for qi in run.q)
 
 
 @dataclass(frozen=True)

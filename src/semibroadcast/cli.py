@@ -248,7 +248,8 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     rho_s = build_system_state(cfg.system)
     s_rho = qcore.von_neumann_entropy(rho_s)
     h_x = qcore.shannon_entropy(rho_s.matrix.diagonal().real)
-    s_m1 = qcore.von_neumann_entropy(mem.units[0].sigma)
+    # ascending like a spectrum: the sum runs in von_neumann_entropy's order
+    s_m1 = qcore.shannon_entropy(np.sort(mem.units[0].probs))
     if s_m1 > 0.0:
         wit = broadcast.nogo_witness(s_rho, s_m1, h_x, d_s)
         witness = {
@@ -298,9 +299,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     rho_s = build_system_state(cfg.system)
     p_true = qcore.prob_vector(rho_s.matrix.diagonal().real)
     mem = build_memory_array(cfg.memory, cfg.interaction, d_s, variants_per_unit=True)
-    tau = thermal.gibbs(build_unit_hamiltonian(cfg.memory), unit_beta(cfg.memory))
-    grouping = mem.units[0].grouping
-    cmax = thermal.c_max(grouping, tau)
+    unit = mem.units[0]
+    cmax = thermal.c_max(unit.grouping, unit)
     run = broadcast.run_sequential_local(rho_s, mem)
     p_hat = broadcast.reconstruct_p(run.q, cmax, d_s)
     residual = float(np.max(np.abs(p_hat - p_true)))

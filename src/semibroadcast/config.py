@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .broadcast import MemoryArray, explicit_unit, thermal_unit
+from .broadcast import MemoryArray, explicit_unit
 from .errors import ConfigError
 from .interact import KINDS as INTERACTION_KINDS
 from .qcore import DensityOperator, basis_state, diag_density, random_density
-from .thermal import MemoryHamiltonian, qubit_chain_hamiltonian
+from .thermal import MemoryHamiltonian, gibbs, qubit_chain_hamiltonian
 
 EXPERIMENTS = ("sequential", "global", "reconstruct", "nogo", "cmax_sweep")
 MEMORY_STATES = ("gibbs", "ground")
@@ -255,6 +255,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         if "sweep" in doc:
             raise ConfigError(f"{experiment} takes no sweep section")
+    if system is not None and interaction is not None and interaction.variant > system.d_s - 2:
+        raise ConfigError(
+            f"interaction.i={interaction.variant} outside the cycled variants 0..{system.d_s - 2}"
+        )
     if experiment == "reconstruct":
         if system is None or memory is None:
             raise ConfigError("reconstruct needs system and memory sections")
@@ -312,29 +316,21 @@ def build_memory_array(
 ) -> MemoryArray:
     """Assemble the memory array for one scenario.
 
-    With variants_per_unit (the reconstruction protocol) the array holds
-    d_s - 1 copies of the unit Hamiltonian, unit i running cycled variant i.
+    Every unit starts in the same level populations: Gibbs, or the ground
+    state (the lowest level, ties to the lowest index).  With
+    variants_per_unit (the reconstruction protocol) the array holds d_s - 1
+    copies of the unit Hamiltonian, unit i running cycled variant i.
     """
     h = build_unit_hamiltonian(memory)
-    beta = unit_beta(memory)
-    kind = interaction.kind if interaction is not None else "noninvasive"
-    variant = interaction.variant if interaction is not None else 0
-    if variants_per_unit:
-        units = [
-            thermal_unit(h, beta, d_s, "cycled", i) if memory.state == "gibbs"
-            else _ground_unit(h, d_s, "cycled", i)
-            for i in range(d_s - 1)
-        ]
-        return MemoryArray(d_s, units)
-    if memory.state == "ground":
-        units = [_ground_unit(h, d_s, kind, variant) for _ in range(memory.n_components)]
+    if memory.state == "gibbs":
+        probs = gibbs(h, unit_beta(memory)).probs
     else:
-        units = [
-            thermal_unit(h, beta, d_s, kind, variant) for _ in range(memory.n_components)
-        ]
-    return MemoryArray(d_s, units)
-
-
-def _ground_unit(h: MemoryHamiltonian, d_s: int, kind: str, variant: int):
-    order = np.argsort(h.energies, kind="stable")
-    return explicit_unit(h, basis_state(h.dim, int(order[0])), d_s, kind, variant)
+        probs = np.zeros(h.dim)
+        probs[np.argmin(h.energies)] = 1.0
+    if variants_per_unit:
+        specs = [("cycled", i) for i in range(d_s - 1)]
+    elif interaction is None:
+        specs = [("noninvasive", 0)] * memory.n_components
+    else:
+        specs = [(interaction.kind, interaction.variant)] * memory.n_components
+    return MemoryArray(d_s, [explicit_unit(h, probs, d_s, kind, variant) for kind, variant in specs])

@@ -221,12 +221,7 @@ class ThermoReport:
         return abs(self.sigma_prod - self.mutual_info - self.rel_entropy_to_thermal)
 
 
-def thermo_report(
-    rho_s: DensityOperator,
-    tau: GibbsState,
-    u,
-    system_basis=None,
-) -> ThermoReport:
+def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
     """Entropy production and its decomposition for one write into a thermal memory.
 
     `u` may be a ControlledInteraction or any joint unitary on system (x) memory.
@@ -251,7 +246,7 @@ def thermo_report(
     sigma_prod = delta_q + delta_s_system
     beta_delta_f = delta_q - delta_s_m
 
-    ens = conditional_ensemble(rho_out, system_basis)
+    ens = conditional_ensemble(rho_out)
     return ThermoReport(
         sigma_prod=sigma_prod,
         delta_q=delta_q,

@@ -166,7 +166,11 @@ def group_energies(hamiltonian: MemoryHamiltonian, d_s: int) -> EnergyGrouping:
 
 
 def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:
-    """Best pointer correlation: total Gibbs weight of the coldest sector."""
+    """Best pointer correlation: total weight of the coldest sector.
+
+    `tau` is any diagonal memory state with `probs` and `dim`: a Gibbs state
+    or a `broadcast.MemoryUnit`.
+    """
     if tau.dim != grouping.dim:
         raise DimensionMismatch(f"state dim {tau.dim} != grouping dim {grouping.dim}")
     return float(tau.probs[grouping.groups[0]].sum())

@@ -109,7 +109,7 @@ def test_criterion_3_thermal_memories_obstruct_copying(announce):
     pure_mem = broadcast.MemoryArray(
         2,
         tuple(
-            broadcast.explicit_unit(h1, qcore.basis_state(2, 0), 2, kind="noninvasive")
+            broadcast.explicit_unit(h1, [1.0, 0.0], 2, kind="noninvasive")
             for _ in range(2)
         ),
     )

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semibroadcast import broadcast, interact, qcore, thermal
+from semibroadcast.config import HamiltonianConfig, MemoryConfig, build_memory_array
 from semibroadcast.errors import (
     DegenerateOutcomeWarning,
     DimensionBudgetExceeded,
@@ -48,7 +49,7 @@ def test_memory_unit_validates_dimensions():
     g = thermal.group_energies(h, 2)
     u = interact.build_noninvasive_maxcorr(g)
     with pytest.raises(DimensionMismatch):
-        broadcast.MemoryUnit(h, qcore.random_density(4, seed=0), g, u)
+        broadcast.MemoryUnit(h, np.full(4, 0.25), g, u)
 
 
 def test_memory_unit_rejects_foreign_interaction():
@@ -59,13 +60,13 @@ def test_memory_unit_rejects_foreign_interaction():
     g1 = thermal.group_energies(h1, 2)
     tau1 = thermal.gibbs(h1, 1.0)
     with pytest.raises(DimensionMismatch):
-        broadcast.MemoryUnit(h1, tau1.state, g1, u2)
+        broadcast.MemoryUnit(h1, tau1.probs, g1, u2)
 
 
 def test_explicit_unit_rejects_unknown_kind():
     h = thermal.qubit_chain_hamiltonian(1)
     with pytest.raises(WrongKind):
-        broadcast.explicit_unit(h, qcore.basis_state(2, 0), 2, kind="sideways")
+        broadcast.explicit_unit(h, [1.0, 0.0], 2, kind="sideways")
 
 
 def test_memory_array_needs_consistent_system_dimension():
@@ -90,8 +91,7 @@ def test_sequential_run_reads_the_same_statistics_on_every_unit():
     p = [0.3, 0.7]
     run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
     unit = mem.units[0]
-    tau = thermal.gibbs(unit.hamiltonian, unit.beta)
-    a = interact.transition_matrix(unit.interaction, tau, unit.grouping)
+    a = interact.transition_matrix(unit.interaction, unit, unit.grouping)
     expected = a.pushforward(p)
     for qi in run.q:
         assert qi.tolist() == pytest.approx(expected.tolist(), abs=1e-13)
@@ -128,15 +128,14 @@ def test_mixed_unit_sizes_each_push_through_their_own_map():
     p = [0.2, 0.8]
     run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
     for unit, qi in zip(mem.units, run.q):
-        tau = thermal.gibbs(unit.hamiltonian, unit.beta)
-        a = interact.transition_matrix(unit.interaction, tau, unit.grouping)
+        a = interact.transition_matrix(unit.interaction, unit, unit.grouping)
         assert qi.tolist() == pytest.approx(a.pushforward(p).tolist(), abs=1e-13)
 
 
 def test_pure_memories_record_statistics_exactly():
     h = thermal.qubit_chain_hamiltonian(1)
     units = tuple(
-        broadcast.explicit_unit(h, qcore.basis_state(2, 0), 2, kind="noninvasive")
+        broadcast.explicit_unit(h, [1.0, 0.0], 2, kind="noninvasive")
         for _ in range(2)
     )
     run = broadcast.run_sequential_local(
@@ -191,18 +190,14 @@ def test_system_dimension_mismatch_is_rejected():
 # ------------------------------------------------- structured engine vs oracle
 
 
-MEMORY_STATES = ("gibbs", "ground", "coherent")
+MEMORY_STATES = ("gibbs", "ground")
 
 
 def random_unit(rng, d_s, d_m, state, kind, variant):
     h = thermal.MemoryHamiltonian(np.sort(rng.uniform(0.0, 3.0, d_m)))
     if state == "gibbs":
         return broadcast.thermal_unit(h, float(rng.uniform(0.1, 2.0)), d_s, kind, variant)
-    if state == "ground":
-        sigma = qcore.basis_state(d_m, 0)
-    else:
-        sigma = qcore.random_density(d_m, int(rng.integers(2**32)))
-    return broadcast.explicit_unit(h, sigma, d_s, kind, variant)
+    return broadcast.explicit_unit(h, np.eye(d_m)[0], d_s, kind, variant)
 
 
 def lifted_permutation(dims, axis, u):
@@ -428,6 +423,27 @@ def test_reconstruct_round_trip_through_dense_simulation():
     assert p_hat.tolist() == pytest.approx(p_true, abs=1e-12)
 
 
+@pytest.mark.parametrize("d_s", [2, 3, 4])
+def test_transition_matrix_is_the_forward_model_of_reconstruction(d_s):
+    # the reconstruction layout: unit i runs cycled variant i on unsorted levels
+    rng = np.random.default_rng(d_s)
+    energies = tuple(rng.uniform(0.0, 2.0, 2 * d_s))
+    memory = MemoryConfig(1, 1, 0.7, HamiltonianConfig("explicit", energies=energies))
+    mem = build_memory_array(memory, None, d_s, variants_per_unit=True)
+    tau = thermal.gibbs(thermal.MemoryHamiltonian(energies), 0.7)
+    p = rng.dirichlet(np.ones(d_s))
+    run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
+    assert len(run.q) == d_s - 1
+    pushed = []
+    for i, unit in enumerate(mem.units):
+        assert unit.interaction.variant == i
+        q = interact.transition_matrix(unit.interaction, tau, unit.grouping).pushforward(p)
+        np.testing.assert_allclose(q, run.q[i], rtol=0, atol=1e-12)
+        pushed.append(q)
+    p_hat = broadcast.reconstruct_p(pushed, thermal.c_max(mem.units[0].grouping, tau), d_s)
+    np.testing.assert_allclose(p_hat, p, rtol=0, atol=1e-9)
+
+
 def test_reconstruct_sees_only_the_diagonal_of_coherent_inputs():
     d_s = 2
     h = thermal.qubit_chain_hamiltonian(1)
@@ -513,7 +529,9 @@ def test_simulated_coherent_write_assembles_as_ideal_state_with_off_block():
     tau = thermal.gibbs(h, 1.0)
     sector0 = np.array([tau.probs[0], tau.probs[1], 0.0, 0.0])
     sigma = qcore.diag_density(sector0 / sector0.sum())
-    units = tuple(broadcast.explicit_unit(h, sigma, 2, kind="noninvasive") for _ in range(2))
+    units = tuple(
+        broadcast.explicit_unit(h, sector0 / sector0.sum(), 2, kind="noninvasive") for _ in range(2)
+    )
     psi = np.array([math.sqrt(0.3), math.sqrt(0.7)])
     rho = qcore.DensityOperator(np.outer(psi, psi))
     run = broadcast.run_sequential_local(rho, broadcast.MemoryArray(2, units))

@@ -125,6 +125,28 @@ def test_reconstruct_default_round_trip(tmp_path, capsys):
     assert "reconstruction residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "system, hamiltonian",
+    [
+        ({"d_S": 2, "state": [0.3, 0.7]}, {"type": "qubit_chain"}),
+        ({"d_S": 3, "state": [0.5, 0.3, 0.2]}, {"type": "explicit", "energies": [0.0, 1.0, 2.0]}),
+    ],
+)
+def test_reconstruct_ground_memory_is_exact(tmp_path, system, hamiltonian):
+    # c_max comes from the memory the run wrote: a ground memory records perfectly
+    cfg = {
+        "experiment": "reconstruct",
+        "system": system,
+        "memory": {"N": 1, "n": 1, "beta_omega": 1.0, "state": "ground", "hamiltonian": hamiltonian},
+    }
+    rc, out = run(tmp_path, "reconstruct", config=cfg)
+    assert rc == 0
+    payload = read_json(out)
+    assert payload["c_max"] == 1.0
+    assert payload["max_residual"] <= 1e-12
+    assert payload["p_reconstructed"] == pytest.approx(system["state"], abs=1e-12)
+
+
 def test_classify_default_is_locally_noninvasive(tmp_path, capsys):
     rc, out = run(tmp_path, "classify")
     assert rc == 0
@@ -307,6 +329,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     sectionless = _write(tmp_path, HL_SMALL, "sectionless.json")
     assert cli.main(["classify", "--config", sectionless]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_missing_cycled_variant_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": [0.3, 0.7]},
+        "memory": {"N": 1, "n": 1, "beta_omega": 1.0},
+        "interaction": {"kind": "cycled", "i": 5},
+    }
+    rc, out = run(tmp_path, "classify", config=cfg)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_thread_env_exits_2(tmp_path, monkeypatch):

@@ -129,8 +129,19 @@ def test_interaction_section_validation():
         parse_config(minimal(interaction={"kind": "cycled", "i": -1}))
     with pytest.raises(ConfigError):
         parse_config(minimal(interaction={"kind": "cycled", "phase": 0}))
-    cfg = parse_config(minimal(interaction={"kind": "cycled", "i": 1}))
+    cfg = parse_config(
+        minimal(interaction={"kind": "cycled", "i": 1}, system={"d_S": 3, "state": [0.2, 0.3, 0.5]})
+    )
     assert cfg.interaction == InteractionConfig("cycled", 1)
+
+
+def test_interaction_variant_must_exist_for_the_system_dimension():
+    # d_S = 2 has the single cycled variant 0
+    with pytest.raises(ConfigError, match="cycled variants 0..0"):
+        parse_config(minimal(interaction={"kind": "cycled", "i": 1}))
+    with pytest.raises(ConfigError):
+        parse_config(minimal("global", interaction={"kind": "cycled", "i": 5}))
+    assert parse_config(minimal(interaction={"kind": "cycled", "i": 0})).interaction.variant == 0
 
 
 def test_sweep_section_validation():
@@ -265,13 +276,13 @@ def test_build_memory_array_components_and_state():
     assert len(mem.units) == 3
     assert all(u.interaction.kind == "swap_unbiased" for u in mem.units)
     w0 = 1.0 / (1.0 + np.exp(-1.0))
-    assert np.allclose(mem.units[0].sigma.matrix, np.diag([w0, 1.0 - w0]))
+    assert np.allclose(mem.units[0].probs, [w0, 1.0 - w0])
 
     ground_cfg = MemoryConfig(
         1, 1, 1.0, HamiltonianConfig("explicit", energies=(0.5, 0.1)), state="ground"
     )
     mem = build_memory_array(ground_cfg, None, 2)
-    assert np.allclose(mem.units[0].sigma.matrix, np.diag([0.0, 1.0]))
+    assert np.allclose(mem.units[0].probs, [0.0, 1.0])
 
 
 def test_build_memory_array_reconstruction_layout():

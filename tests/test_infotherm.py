@@ -419,7 +419,7 @@ def run_and_classify(rho_s, unit):
 
 def test_pure_memory_copy_classifies_as_sbs():
     h = thermal.qubit_chain_hamiltonian(1)
-    unit = broadcast.explicit_unit(h, qcore.basis_state(2, 0), 2, kind="noninvasive")
+    unit = broadcast.explicit_unit(h, [1.0, 0.0], 2, kind="noninvasive")
     assert run_and_classify(qcore.diag_density([0.3, 0.7]), unit) == "sbs"
 
 
