@@ -28,7 +28,7 @@ from .errors import (
 )
 from .infotherm import PROB_FLOOR, Ensemble
 from .interact import ControlledInteraction, build, conjugate, joint_images
-from .qcore import DensityOperator, _check_factors, mutual_information, partial_trace, prob_vector
+from .qcore import DensityOperator, _check_factors, diag_density, mutual_information, partial_trace, prob_vector
 from .thermal import (
     EnergyGrouping,
     MemoryHamiltonian,
@@ -194,9 +194,9 @@ class BroadcastRun:
             history.append(np.bincount((rows // d_m).ravel(), weights, minlength=d_s))
         self._rows = rows
         self.system_diag_history = tuple(history)
-        levels_after = np.unravel_index(rows.ravel(), self.dims)
         self.q = tuple(
-            u.grouping.readout(levels_after[i + 1], weights) for i, u in enumerate(mem.units)
+            u.grouping.readout(self._digits(rows, (i + 1,)).ravel(), weights)
+            for i, u in enumerate(mem.units)
         )
         self.defects = {"ideal_scb": ideal_scb_defect(self)}
         self._labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
@@ -206,6 +206,14 @@ class BroadcastRun:
                 f"outcomes {dropped} have probability at the floor; dropped",
                 DegenerateOutcomeWarning,
             )
+
+    def _digits(self, index, factors):
+        """The joint indices `index` read as mixed-radix indices over `factors` alone."""
+        dims = self.dims
+        out = 0
+        for f in factors:
+            out = out * dims[f] + index // math.prod(dims[f + 1 :]) % dims[f]
+        return out
 
     @cached_property
     def state(self) -> DensityOperator:
@@ -217,44 +225,37 @@ class BroadcastRun:
         """Per-unit memory ensembles labelled by the basis input written.
 
         Member x of unit i is the unit's reduced state of U (|x><x| (x) diag p)
-        U^dagger: the entries with system row and column x.  Outcomes at the
-        probability floor are left out.
+        U^dagger.  The write permutes basis states, so the member is diagonal:
+        each population p_m lands on the unit's level of row pi(x, m).
+        Outcomes at the probability floor are left out.
         """
-        return tuple(
-            Ensemble(
-                self.p_initial[self._labels],
-                [
-                    self._reduce((i + 1,), self._rows[x], self._rows[x], self._values)
-                    for x in self._labels
-                ],
-            )
-            for i in range(len(self._mem.units))
-        )
+        ensembles = []
+        for i, u in enumerate(self._mem.units):
+            _check_budget(COMPLEX_BYTES * u.dim * u.dim, f"reduced state of dimension {u.dim}")
+            levels = self._digits(self._rows, (i + 1,))  # [x, k]: unit level of row pi(x, m_k)
+            members = [
+                diag_density(np.bincount(levels[x], self._values, minlength=u.dim), (u.dim,))
+                for x in self._labels
+            ]
+            ensembles.append(Ensemble(self.p_initial[self._labels], members))
+        return tuple(ensembles)
 
     def reduced(self, keep) -> DensityOperator:
-        """Reduced final state on the factors `keep` (0 is the system), in that order."""
-        keep = _check_factors(self, keep)
-        values = self._rho_s.matrix[:, :, None] * self._values
-        return self._reduce(keep, self._rows[:, None, :], self._rows[None, :, :], values)
+        """Reduced final state on the factors `keep` (0 is the system), in that order.
 
-    def _reduce(self, keep, rows, cols, values) -> DensityOperator:
-        """Scatter-add the entries whose traced factors agree between row and column."""
+        Scatter-adds the entries whose traced factors agree between row and column.
+        """
+        keep = _check_factors(self, keep)
         dims = self.dims
         kept_dims = tuple(dims[f] for f in keep)
         d = math.prod(kept_dims)
         _check_budget(COMPLEX_BYTES * d * d, f"reduced state of dimension {d}")
         traced = [f for f in range(len(dims)) if f not in keep]
-        strides = [math.prod(dims[f + 1 :]) for f in range(len(dims))]
-
-        def key(index, factors):
-            out = 0
-            for f in factors:
-                out = out * dims[f] + index // strides[f] % dims[f]
-            return out
-
+        rows, cols = self._rows[:, None, :], self._rows[None, :, :]
+        values = self._rho_s.matrix[:, :, None] * self._values
         shape = np.broadcast_shapes(rows.shape, cols.shape)
-        match = np.broadcast_to(key(rows, traced) == key(cols, traced), shape)
-        flat = np.broadcast_to(key(rows, keep) * d + key(cols, keep), shape)[match]
+        match = np.broadcast_to(self._digits(rows, traced) == self._digits(cols, traced), shape)
+        flat = np.broadcast_to(self._digits(rows, keep) * d + self._digits(cols, keep), shape)[match]
         vals = np.broadcast_to(values, shape)[match]
         matrix = np.bincount(flat, vals.real, minlength=d * d) + 1j * np.bincount(
             flat, vals.imag, minlength=d * d

@@ -464,6 +464,10 @@ def main(argv=None) -> int:
                 f"{args.command} expects experiment in "
                 f"{EXPECTED_EXPERIMENTS[args.command]}, got {cfg.experiment!r}"
             )
+        if args.command == "hl-bound" and cfg.instances is None:
+            # one instance writes into one Gibbs memory; beta * dE is undefined for a ground one
+            if cfg.memory.state != "gibbs" or cfg.memory.n_components != 1:
+                raise ConfigError("single-instance hl-bound needs memory.N = 1 and a gibbs memory")
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")

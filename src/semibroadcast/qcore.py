@@ -39,11 +39,6 @@ def _as_dims(dims, total: int) -> tuple[int, ...]:
     return dims
 
 
-def _offdiag_max(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.max(np.abs(off))) if m.shape[0] > 1 else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace positive semidefinite matrix on a factorized space."""
@@ -63,18 +58,22 @@ class DensityOperator:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidOperator(f"trace {tr} is not 1 within {TRACE_TOL}")
-        # Positivity: diagonal matrices are checked directly, anything else
-        # through the spectrum.  Keeps construction cheap for thermal states.
-        if _offdiag_max(m) == 0.0:
-            lo = float(np.min(m.diagonal().real))
-        else:
-            lo = float(np.min(np.linalg.eigvalsh(m)))
-        if lo < -POSITIVITY_TOL:
-            raise InvalidOperator(f"negative eigenvalue {lo:.3e} below -{POSITIVITY_TOL}")
         m = m.copy()
         m.setflags(write=False)
+        # Positivity through the spectrum, which spectrum() then returns: the
+        # sorted diagonal of a diagonal matrix, `eigvalsh` for anything else.
+        # Keeps construction cheap for thermal states.
+        if d < 2 or np.max(np.abs(m - np.diag(m.diagonal()))) == 0.0:
+            spectrum = np.sort(m.diagonal().real)
+        else:
+            spectrum = np.linalg.eigvalsh(m)
+        lo = float(np.min(spectrum))
+        if lo < -POSITIVITY_TOL:
+            raise InvalidOperator(f"negative eigenvalue {lo:.3e} below -{POSITIVITY_TOL}")
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -85,9 +84,8 @@ class DensityOperator:
         return DensityOperator(self.matrix, dims)
 
     def spectrum(self) -> np.ndarray:
-        if _offdiag_max(self.matrix) == 0.0:
-            return np.sort(self.matrix.diagonal().real)
-        return np.linalg.eigvalsh(self.matrix)
+        """Eigenvalues in ascending order, as a read-only array."""
+        return self._spectrum
 
 
 @dataclass(frozen=True, eq=False)

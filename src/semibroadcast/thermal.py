@@ -179,9 +179,12 @@ def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:
 def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
     """c_max for an n-qubit chain memory without building the 2^n-level state.
 
-    Sums Boltzmann weights over excitation classes in the log domain
-    (log-binomials via log-gamma), taking the 2^n / d_s largest weights.
-    Stable through n = 410.  d_s must be a power of two dividing 2^n.
+    The C(n, m) levels with m excitations each weigh e^{-beta omega m} / Z^n.
+    The coldest 2^n / d_s levels are the whole classes m < b and `take` levels
+    of the class b that straddles the sector boundary, both found in exact
+    integers.  Head (m < b and the `take` part of b) and tail (the rest of b
+    and m > b) are summed in the log domain.  Stable through n = 410.  d_s
+    must be a power of two dividing 2^n.
     """
     if n < 1:
         raise DimensionMismatch(f"need n >= 1, got n={n}")
@@ -194,29 +197,21 @@ def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
         raise DimensionMismatch(f"d_s={d_s} does not divide 2^{n}")
     r = 2 ** (n - log_r)  # exact int, may be huge
     log_z_n = n * float(np.logaddexp(0.0, -beta_omega))
-
-    def log_binom(m: int) -> float:
-        return float(gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1))
-
-    head, tail = [], []
-    cum = 0
-    for m in range(n + 1):
-        count = math.comb(n, m)
-        if cum + count <= r:
-            head.append(log_binom(m) - beta_omega * m - log_z_n)
-            cum += count
-            continue
-        # class m straddles the sector boundary; split it by exact counts
-        take = r - cum
-        if take > 0:
-            head.append(math.log(take) - beta_omega * m - log_z_n)
-        if count > take:
-            tail.append(math.log(count - take) - beta_omega * m - log_z_n)
-        for mm in range(m + 1, n + 1):
-            tail.append(log_binom(mm) - beta_omega * mm - log_z_n)
-        break
-    head_val = float(np.exp(logsumexp(np.array(head))))
+    m = np.arange(n + 1)
+    log_w = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1) - beta_omega * m - log_z_n
+    # C(n, m) for m <= n//2 + 1, which reaches past r <= 2^(n-1) levels: the recurrence
+    # C(n, m+1) = C(n, m)(n - m)/(m + 1) unrolled and divided once, so the quotients are exact
+    k = np.arange(1, n // 2 + 2, dtype=object)
+    counts = np.concatenate(([1], np.cumprod(n + 1 - k) // np.cumprod(k)))
+    cum = np.cumsum(counts)
+    b = int(np.argmax(cum > r))  # the first class that does not fit whole
+    take = r - (cum[b] - counts[b])
+    head = log_w[:b]
+    if take > 0:
+        head = np.append(head, math.log(take) - beta_omega * b - log_z_n)
+    head_val = float(np.exp(logsumexp(head)))
     if head_val <= 0.5:
         return head_val
     # Near saturation the complement sum is far more accurate.
-    return 1.0 - float(np.exp(logsumexp(np.array(tail))))
+    rest = math.log(counts[b] - take) - beta_omega * b - log_z_n
+    return 1.0 - float(np.exp(logsumexp(np.append(rest, log_w[b + 1 :]))))

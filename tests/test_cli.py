@@ -344,6 +344,24 @@ def test_missing_cycled_variant_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "memory",
+    [{"N": 1, "beta_omega": 1.0, "state": "ground"}, {"N": 3, "beta_omega": 1.0}],
+    ids=["ground", "N3"],
+)
+def test_single_instance_hl_bound_refuses_what_it_would_ignore(tmp_path, capsys, memory):
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": [0.5, 0.5]},
+        "memory": memory,
+        "interaction": {"kind": "noninvasive"},
+    }
+    rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
     cfg = _write(tmp_path, HL_SMALL)
     monkeypatch.setenv("SEMIBROADCAST_THREADS", "many")

@@ -239,6 +239,50 @@ def test_analytic_cmax_frozen_values():
     assert thermal.c_max_qubits_analytic(11, 0.1) == pytest.approx(CMAX_11_01, abs=1e-12)
 
 
+def mp_cmax_by_n(mpmath, beta_omega, d_s, n_max):
+    """50-digit c_max of the n-qubit chain for every n up to n_max.
+
+    The level weights x^m, x = e^{-beta omega}, are held as integers
+    floor(x^m 2^bits), so the weight of the 2^n / d_s coldest levels (exact
+    class sizes from Pascal's rule) is an integer sum off by at most 2^(n+1)
+    units.  Dividing by 2^bits (1 + x)^n adds at most 2^(n + 1 - bits) to the
+    50-digit rounding.
+    """
+    bits = 1024
+    with mpmath.workprec(bits + 64):
+        x = mpmath.exp(-mpmath.mpf(beta_omega))
+        scaled = [int(mpmath.floor(x**m * 2**bits)) for m in range(n_max + 1)]
+    out = {}
+    row = [1]
+    with mpmath.workdps(50):
+        z = 1 + mpmath.exp(-mpmath.mpf(beta_omega))
+        for n in range(1, n_max + 1):
+            row = [a + b for a, b in zip(row + [0], [0] + row)]
+            if 2**n % d_s:
+                continue
+            left, head = 2**n // d_s, 0
+            for count, weight in zip(row, scaled):
+                take = min(count, left)
+                head += take * weight
+                left -= take
+                if not left:
+                    break
+            out[n] = mpmath.mpf(head) / 2**bits / z**n
+    return out
+
+
+def test_analytic_cmax_matches_a_50_digit_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    bad = []
+    for bw in (0.0, 0.05, 0.25, 1.0, 4.0, 8.0):
+        for d_s in (2, 4):
+            for n, exact in mp_cmax_by_n(mpmath, bw, d_s, 409).items():
+                err = abs(float(thermal.c_max_qubits_analytic(n, bw, d_s) - exact))
+                if err > 1e-12:
+                    bad.append((n, bw, d_s, err))
+    assert not bad
+
+
 def test_analytic_cmax_deep_chain_saturates_without_leaving_unit_interval():
     c = thermal.c_max_qubits_analytic(409, 1.0)
     assert c > 1.0 - 1e-6
