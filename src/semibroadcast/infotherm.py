@@ -16,13 +16,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegenerateOutcomeWarning, DimensionMismatch
+from .interact import ControlledInteraction, apply
 from .qcore import (
     EIG_FLOOR,
     DensityOperator,
-    UnitaryOperator,
-    mutual_information,
+    evolve,
     partial_trace,
     relative_entropy,
+    tensor,
     von_neumann_entropy,
 )
 from .thermal import GibbsState
@@ -224,29 +225,29 @@ class ThermoReport:
 def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
     """Entropy production and its decomposition for one write into a thermal memory.
 
-    `u` may be a ControlledInteraction or any joint unitary on system (x) memory.
+    `u` may be a ControlledInteraction, applied as an index permutation, or
+    any joint unitary on system (x) memory, applied by conjugation.  The
+    final state and its two marginals are built once; each entropy is taken
+    once and I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
     """
-    from .interact import ControlledInteraction, apply
-
     if isinstance(u, ControlledInteraction):
         rho_out = apply(u, rho_s, tau.state)
     else:
-        um = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-        joint = DensityOperator(np.kron(rho_s.matrix, tau.state.matrix), (rho_s.dim, tau.dim))
-        rho_out = DensityOperator(um @ joint.matrix @ um.conj().T, joint.dims)
+        rho_out = evolve(tensor(rho_s, tau.state), u)
 
     rho_s_out = partial_trace(rho_out, (0,))
     rho_m_out = partial_trace(rho_out, (1,))
+    s_s_out = von_neumann_entropy(rho_s_out)
+    s_m_out = von_neumann_entropy(rho_m_out)
 
     energies = tau.hamiltonian.absolute_energies()
     delta_e_m = float(rho_m_out.matrix.diagonal().real @ energies) - tau.mean_energy()
-    delta_s_system = von_neumann_entropy(rho_s_out) - von_neumann_entropy(rho_s)
-    delta_s_m = von_neumann_entropy(rho_m_out) - von_neumann_entropy(tau.state)
+    delta_s_system = s_s_out - von_neumann_entropy(rho_s)
+    delta_s_m = s_m_out - von_neumann_entropy(tau.state)
     delta_q = tau.beta * delta_e_m
     sigma_prod = delta_q + delta_s_system
     beta_delta_f = delta_q - delta_s_m
 
-    ens = conditional_ensemble(rho_out)
     return ThermoReport(
         sigma_prod=sigma_prod,
         delta_q=delta_q,
@@ -254,9 +255,9 @@ def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
         delta_e_m=delta_e_m,
         delta_s_m=delta_s_m,
         beta_delta_f=beta_delta_f,
-        mutual_info=mutual_information(rho_out, (0,)),
+        mutual_info=s_s_out + s_m_out - von_neumann_entropy(rho_out),
         rel_entropy_to_thermal=relative_entropy(rho_m_out, tau.state),
-        chi=holevo_chi(ens),
+        chi=holevo_chi(conditional_ensemble(rho_out)),
     )
 
 

@@ -52,6 +52,8 @@ class DensityOperator:
             raise InvalidOperator(f"expected a square matrix, got shape {m.shape}")
         d = m.shape[0]
         dims = (d,) if dims is None else _as_dims(dims, d)
+        if not np.isfinite(m).all():
+            raise InvalidOperator("matrix has a non-finite entry")
         herm = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
         if herm > HERMITICITY_TOL:
             raise InvalidOperator(f"Hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
@@ -119,6 +121,8 @@ def prob_vector(values) -> np.ndarray:
     p = np.asarray(values, dtype=float).copy()
     if p.ndim != 1:
         raise InvalidOperator(f"expected a 1-d array, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidOperator("probability vector has a non-finite entry")
     if np.min(p) < -PROB_NEG_TOL:
         raise InvalidOperator(f"negative entry {np.min(p):.3e} below -{PROB_NEG_TOL}")
     p[p < 0.0] = 0.0

@@ -362,6 +362,27 @@ def test_single_instance_hl_bound_refuses_what_it_would_ignore(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {
+            "experiment": "global",
+            "system": {"d_S": 2, "state": [0.5, 0.5]},
+            "memory": {"N": 1, "n": 1, "beta_omega": 1.0},
+            "interaction": {"kind": "swap"},
+        },
+        {"experiment": "global", "instances": {"count": 4}},
+    ],
+    ids=["single", "sweep"],
+)
+def test_hl_bound_refuses_a_global_experiment(tmp_path, capsys, cfg):
+    # every hl-bound write is one sequential write: "global" would be ignored
+    rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
     cfg = _write(tmp_path, HL_SMALL)
     monkeypatch.setenv("SEMIBROADCAST_THREADS", "many")

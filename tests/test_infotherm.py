@@ -306,6 +306,46 @@ def test_entropy_production_bounds_label_entropy_for_sbs_writes():
     assert rep.sigma_prod >= LN2 - 1e-9
 
 
+ORACLE_MEMORIES = {
+    "chain2": (2, thermal.qubit_chain_hamiltonian(2)),
+    "explicit2": (2, thermal.MemoryHamiltonian([0.0, 0.4, 1.1, 2.3])),
+    "explicit3": (3, thermal.MemoryHamiltonian([0.0, 0.4, 1.0, 1.7, 2.0, 3.1])),
+}
+
+
+@pytest.mark.parametrize("kind", ["noninvasive", "cycled", "swap", "haar"])
+@pytest.mark.parametrize("memory", sorted(ORACLE_MEMORIES))
+def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memory):
+    d_s, h = ORACLE_MEMORIES[memory]
+    tau = thermal.gibbs(h, 0.8)
+    rho_s = qcore.random_density(d_s, seed=17 + d_s)
+    if kind == "haar":
+        u = qcore.random_unitary(d_s * h.dim, seed=23)
+        rho_out = qcore.evolve(qcore.tensor(rho_s, tau.state), u)
+    else:
+        u = interact.build(thermal.group_energies(h, d_s), kind, d_s - 2 if kind == "cycled" else 0)
+        rho_out = interact.apply(u, rho_s, tau.state)
+    rep = infotherm.thermo_report(rho_s, tau, u)
+
+    rho_s_out = qcore.partial_trace(rho_out, (0,))
+    rho_m_out = qcore.partial_trace(rho_out, (1,))
+    s = qcore.von_neumann_entropy
+    # same float sequence as the library definitions: exact
+    assert rep.mutual_info == qcore.mutual_information(rho_out, (0,))
+    assert rep.chi == infotherm.holevo_chi(infotherm.conditional_ensemble(rho_out))
+    assert rep.rel_entropy_to_thermal == qcore.relative_entropy(rho_m_out, tau.state)
+    assert rep.delta_s_system == s(rho_s_out) - s(rho_s)
+    assert rep.delta_s_m == s(rho_m_out) - s(tau.state)
+    assert rep.delta_q == tau.beta * rep.delta_e_m
+    assert rep.sigma_prod == rep.delta_q + rep.delta_s_system
+    assert rep.beta_delta_f == rep.delta_q - rep.delta_s_m
+    # Tr[rho_M' H] - Tr[tau H] through matrix products: another float sequence
+    hm = np.diag(h.absolute_energies())
+    delta_e = np.trace(rho_m_out.matrix @ hm).real - np.trace(tau.state.matrix @ hm).real
+    assert rep.delta_e_m == pytest.approx(delta_e, abs=1e-12)
+    assert rep.reeb_wolf_residual() <= 1e-12
+
+
 def test_random_instances_respect_bound_and_equality():
     rng = np.random.default_rng(12)
     h = thermal.qubit_chain_hamiltonian(2)

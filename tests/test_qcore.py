@@ -70,6 +70,20 @@ def test_density_operator_rejects_negative_eigenvalue():
         qcore.DensityOperator(m)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+def test_non_finite_entries_are_rejected(bad, where):
+    m = np.full((2, 2), 0.25, dtype=complex) + 0.25 * np.eye(2)
+    m[where] = bad
+    m[where[::-1]] = bad
+    with pytest.raises(InvalidOperator, match="non-finite"):
+        qcore.DensityOperator(m)
+    p = np.array([0.5, 0.5])
+    p[where[1]] = bad
+    with pytest.raises(InvalidOperator, match="non-finite"):
+        qcore.prob_vector(p)
+
+
 def test_density_operator_rejects_non_square():
     with pytest.raises(InvalidOperator):
         qcore.DensityOperator(np.ones((2, 3)) / 6.0)
