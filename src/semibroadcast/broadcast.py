@@ -60,21 +60,24 @@ class MemoryUnit:
 
     hamiltonian: MemoryHamiltonian
     probs: np.ndarray
-    grouping: EnergyGrouping
     interaction: ControlledInteraction
 
     def __post_init__(self):
         probs = prob_vector(self.probs)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if probs.size != self.hamiltonian.dim or self.grouping.dim != self.hamiltonian.dim:
-            raise DimensionMismatch("unit populations, grouping, and Hamiltonian dims disagree")
+        if probs.size != self.hamiltonian.dim:
+            raise DimensionMismatch("unit populations and Hamiltonian dims disagree")
         if self.interaction.d_m != self.hamiltonian.dim:
             raise DimensionMismatch("unit interaction does not act on this memory")
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.dim
+
+    @property
+    def grouping(self) -> EnergyGrouping:
+        return self.interaction.grouping
 
 
 def thermal_unit(
@@ -96,8 +99,7 @@ def explicit_unit(
     variant: int = 0,
 ) -> MemoryUnit:
     """Unit with the given level populations (Gibbs, ground, or any other)."""
-    grouping = group_energies(hamiltonian, d_s)
-    return MemoryUnit(hamiltonian, probs, grouping, build(grouping, kind, variant))
+    return MemoryUnit(hamiltonian, probs, build(group_energies(hamiltonian, d_s), kind, variant))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,15 +129,30 @@ class MemoryArray:
         return self.d_s * math.prod(self.dims)
 
 
-def _check_budget(nbytes: int, what: str) -> None:
+def check_budget(nbytes: int, what: str) -> None:
+    """Refuse an array of `nbytes` beyond BYTE_BUDGET, before it is allocated."""
     if nbytes > BYTE_BUDGET:
-        raise DimensionBudgetExceeded(f"{what} needs {nbytes} bytes, budget {BYTE_BUDGET}")
+        size = nbytes if nbytes < 2**64 else f"over 2^{nbytes.bit_length() - 1}"
+        raise DimensionBudgetExceeded(f"{what} needs {size} bytes, budget {BYTE_BUDGET}")
+
+
+def check_table(d_s: int, d_m: int) -> None:
+    """Refuse an interaction whose joint image table (d_S * d_M indices) exceeds the budget."""
+    check_budget(INDEX_BYTES * d_s * d_m, "interaction table")
+
+
+def check_entry_list(d_s: int, levels: int) -> None:
+    """Refuse a joint entry list over `levels` occupied memory levels beyond the budget.
+
+    Each of its d_S^2 * levels entries holds a complex value and a row and a column index.
+    """
+    check_budget((COMPLEX_BYTES + 2 * INDEX_BYTES) * d_s**2 * levels, "joint entry list")
 
 
 def _final_joint(rho_s: DensityOperator, mem: MemoryArray, stages) -> np.ndarray:
     """Dense oracle: rho_S (x) diag(p_1) (x) ... (x) diag(p_N) conjugated by every stage."""
     total = mem.total_dim()
-    _check_budget(COMPLEX_BYTES * total * total, f"dense joint state of dimension {total}")
+    check_budget(COMPLEX_BYTES * total * total, "dense joint state")
     joint = rho_s.matrix
     for u in mem.units:
         joint = np.kron(joint, np.diag(u.probs))
@@ -154,8 +171,7 @@ def _memory_entries(rho_s: DensityOperator, mem: MemoryArray):
     if rho_s.dim != mem.d_s:
         raise DimensionMismatch(f"system dim {rho_s.dim} != array d_s {mem.d_s}")
     occupied = [np.flatnonzero(u.probs) for u in mem.units]
-    count = mem.d_s**2 * math.prod(len(a) for a in occupied)
-    _check_budget((COMPLEX_BYTES + 2 * INDEX_BYTES) * count, f"joint entry list of {count} entries")
+    check_entry_list(mem.d_s, math.prod(len(a) for a in occupied))
     levels = np.zeros(1, dtype=np.intp)
     values = np.ones(1)
     for u, a in zip(mem.units, occupied):
@@ -198,7 +214,6 @@ class BroadcastRun:
             u.grouping.readout(self._digits(rows, (i + 1,)).ravel(), weights)
             for i, u in enumerate(mem.units)
         )
-        self.defects = {"ideal_scb": ideal_scb_defect(self)}
         self._labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
         if len(self._labels) < d_s:
             dropped = [x for x in range(d_s) if x not in self._labels]
@@ -231,7 +246,7 @@ class BroadcastRun:
         """
         ensembles = []
         for i, u in enumerate(self._mem.units):
-            _check_budget(COMPLEX_BYTES * u.dim * u.dim, f"reduced state of dimension {u.dim}")
+            check_budget(COMPLEX_BYTES * u.dim * u.dim, "reduced state")
             levels = self._digits(self._rows, (i + 1,))  # [x, k]: unit level of row pi(x, m_k)
             members = [
                 diag_density(np.bincount(levels[x], self._values, minlength=u.dim), (u.dim,))
@@ -249,7 +264,7 @@ class BroadcastRun:
         dims = self.dims
         kept_dims = tuple(dims[f] for f in keep)
         d = math.prod(kept_dims)
-        _check_budget(COMPLEX_BYTES * d * d, f"reduced state of dimension {d}")
+        check_budget(COMPLEX_BYTES * d * d, "reduced state")
         traced = [f for f in range(len(dims)) if f not in keep]
         rows, cols = self._rows[:, None, :], self._rows[None, :, :]
         values = self._rho_s.matrix[:, :, None] * self._values
@@ -284,6 +299,7 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
     on any single unit.
     """
     memory = _memory_entries(rho_s, mem)
+    check_table(mem.d_s, math.prod(mem.dims))
     # merged levels follow the kron ravel order of the unit levels, so the
     # (system, merged memory) stage acts on the same flat joint index
     merged_h = product_hamiltonian([u.hamiltonian for u in mem.units])

@@ -32,6 +32,7 @@ from .config import (
     build_system_state,
     build_unit_hamiltonian,
     load_config,
+    memory_dim,
     parse_config,
     unit_beta,
 )
@@ -184,8 +185,16 @@ def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> li
 
 
 def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
-    if cfg.instances is not None:
-        records = hl_sweep_records(cfg.instances, cfg.seed, bits)
+    # every write builds dense d_S * d_M joint states: refuse the largest before the first
+    # (a sweep draws d_M = d_S * r with r <= max_memory_dim // d_S)
+    inst = cfg.instances
+    if inst is not None:
+        d = max(d_s * d_s * (inst.max_memory_dim // d_s) for d_s in inst.d_s)
+    else:
+        d = cfg.system.d_s * memory_dim(cfg.memory)
+    broadcast.check_budget(broadcast.COMPLEX_BYTES * d * d, "dense joint state")
+    if inst is not None:
+        records = hl_sweep_records(inst, cfg.seed, bits)
     else:
         records = [{**_hl_single(cfg, bits), "index": 0}]
     min_gap = min(r["gap"] for r in records)

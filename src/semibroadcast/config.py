@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .broadcast import MemoryArray, explicit_unit
+from .broadcast import MemoryArray, check_entry_list, check_table, explicit_unit
 from .errors import ConfigError
 from .interact import KINDS as INTERACTION_KINDS
 from .qcore import DensityOperator, basis_state, diag_density, random_density
@@ -303,6 +303,13 @@ def build_unit_hamiltonian(cfg: MemoryConfig) -> MemoryHamiltonian:
     return MemoryHamiltonian(np.array(cfg.hamiltonian.energies))
 
 
+def memory_dim(cfg: MemoryConfig) -> int:
+    """Level count of one memory unit, read from the config without building it."""
+    if cfg.hamiltonian.type == "qubit_chain":
+        return 2**cfg.hamiltonian.n
+    return len(cfg.hamiltonian.energies)
+
+
 def unit_beta(cfg: MemoryConfig) -> float:
     scale = cfg.hamiltonian.omega if cfg.hamiltonian.type == "qubit_chain" else 1.0
     return cfg.beta_omega / scale
@@ -319,18 +326,30 @@ def build_memory_array(
     Every unit starts in the same level populations: Gibbs, or the ground
     state (the lowest level, ties to the lowest index).  With
     variants_per_unit (the reconstruction protocol) the array holds d_s - 1
-    copies of the unit Hamiltonian, unit i running cycled variant i.
+    copies of the unit Hamiltonian, unit i running cycled variant i.  Each
+    distinct (kind, variant) unit is built once and shared.
+
+    The unit's interaction table and the run's entry list (every level of a
+    Gibbs memory is occupied, one level of a ground memory) are checked
+    against the byte budget from the config's dimensions, before anything
+    is built.
     """
+    n_units = d_s - 1 if variants_per_unit else memory.n_components
+    d_m = memory_dim(memory)
+    check_table(d_s, d_m)
+    # 64 units of two or more occupied levels already exceed any budget
+    check_entry_list(d_s, (d_m if memory.state == "gibbs" else 1) ** min(n_units, 64))
+    if variants_per_unit:
+        specs = [("cycled", i) for i in range(d_s - 1)]
+    elif interaction is None:
+        specs = [("noninvasive", 0)] * n_units
+    else:
+        specs = [(interaction.kind, interaction.variant)] * n_units
     h = build_unit_hamiltonian(memory)
     if memory.state == "gibbs":
         probs = gibbs(h, unit_beta(memory)).probs
     else:
         probs = np.zeros(h.dim)
         probs[np.argmin(h.energies)] = 1.0
-    if variants_per_unit:
-        specs = [("cycled", i) for i in range(d_s - 1)]
-    elif interaction is None:
-        specs = [("noninvasive", 0)] * memory.n_components
-    else:
-        specs = [(interaction.kind, interaction.variant)] * memory.n_components
-    return MemoryArray(d_s, [explicit_unit(h, probs, d_s, kind, variant) for kind, variant in specs])
+    units = {spec: explicit_unit(h, probs, d_s, *spec) for spec in dict.fromkeys(specs)}
+    return MemoryArray(d_s, [units[spec] for spec in specs])

@@ -59,29 +59,22 @@ class Ensemble:
         return DensityOperator(m, self.states[0].dims)
 
 
-def _system_blocks(rho_joint: DensityOperator, system_basis=None) -> np.ndarray:
+def _system_blocks(rho_joint: DensityOperator) -> np.ndarray:
     if len(rho_joint.dims) < 2:
         raise DimensionMismatch("need a (system, memory...) state with >= 2 factors")
     d_s = rho_joint.dims[0]
     d_m = rho_joint.dim // d_s
-    rho = rho_joint.matrix
-    if system_basis is not None:
-        b = np.asarray(system_basis, dtype=complex)
-        if b.shape != (d_s, d_s):
-            raise DimensionMismatch(f"basis shape {b.shape} != ({d_s}, {d_s})")
-        rot = np.kron(b.conj().T, np.eye(d_m))
-        rho = rot @ rho @ rot.conj().T
-    return rho.reshape(d_s, d_m, d_s, d_m)
+    return rho_joint.matrix.reshape(d_s, d_m, d_s, d_m)
 
 
-def conditional_ensemble(rho_joint: DensityOperator, system_basis=None) -> Ensemble:
+def conditional_ensemble(rho_joint: DensityOperator) -> Ensemble:
     """Memory ensemble conditioned on the system's outcome basis.
 
     p_x = <x|rho_S|x> and rho^x = <x|rho|x> / p_x on everything but the
     system factor.  Outcomes with p_x at the probability floor are dropped
     with a DegenerateOutcomeWarning.
     """
-    blocks = _system_blocks(rho_joint, system_basis)
+    blocks = _system_blocks(rho_joint)
     d_s = rho_joint.dims[0]
     mem_dims = rho_joint.dims[1:]
     probs, states = [], []
@@ -278,13 +271,13 @@ class SBSVerdict:
 SBS_TOL = 1e-9
 
 
-def sbs_test(rho_joint: DensityOperator, system_basis=None) -> SBSVerdict:
+def sbs_test(rho_joint: DensityOperator) -> SBSVerdict:
     """Check block-diagonality in the outcome basis and conditional orthogonality.
 
     conditional_overlap is the worst pairwise Hilbert-Schmidt overlap
     Tr(rho^x rho^y) between distinct conditional memory states.
     """
-    blocks = _system_blocks(rho_joint, system_basis)
+    blocks = _system_blocks(rho_joint)
     d_s = rho_joint.dims[0]
     off = 0.0
     for x in range(d_s):
@@ -293,7 +286,7 @@ def sbs_test(rho_joint: DensityOperator, system_basis=None) -> SBSVerdict:
                 off = max(off, float(np.max(np.abs(blocks[x, :, y, :]))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateOutcomeWarning)
-        ens = conditional_ensemble(rho_joint, system_basis)
+        ens = conditional_ensemble(rho_joint)
     overlap = 0.0
     for i in range(len(ens.states)):
         for j in range(i + 1, len(ens.states)):

@@ -1,17 +1,18 @@
 """System-memory measurement interactions and their figures of merit.
 
-Every interaction is a basis permutation of the joint space.  This module
-owns the one kind dispatch (`build` over `KINDS`), the one index kernel
-(`joint_images`, which also maps indices of a larger product space) and the
-one dense conjugation (`conjugate`).  Two constructions are provided:
+Every interaction is a basis permutation of the joint space, stored as the
+table of its joint images.  This module owns the one kind dispatch (`build`
+over `KINDS`), the one index kernel (`joint_images`, which also maps indices
+of a larger product space) and the one dense conjugation (`conjugate`).
+Each kind is a sector map (x, nu) -> (y, mu): the joint level
+|x, groups[nu][s]> goes to |y, groups[mu][s]>, keeping the within-sector
+slot s.
 
-* controlled permutations  U = sum_x |x><x| (x) V_x  where each V_x permutes
-  memory levels sector-to-sector while preserving the within-sector slot.
-  These never disturb the system's outcome-basis diagonal.
-* an unbiased swap that relabels the memory as (register (x) rest) per the
-  sector structure and exchanges the system with the register.  It copies
-  the system's outcome statistics into the pointer sectors exactly, at the
-  price of replacing the system state.
+* noninvasive and cycled: controlled sector shifts, y = x.  These never
+  disturb the system's outcome-basis diagonal.
+* swap: (x, nu) -> (nu, x) exchanges the system with the memory's sector
+  register.  It copies the system's outcome statistics into the pointer
+  sectors exactly, at the price of replacing the system state.
 
 The pointer correlation of a joint state is
 C = sum_x Tr[ rho (|x><x| (x) Pi_x) ] with Pi_x the sector projectors; it
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,33 +31,32 @@ from .errors import DimensionMismatch, IndexOutOfRange, WrongKind
 from .qcore import DensityOperator, UnitaryOperator, basis_state, evolve, random_density, random_unitary
 from .thermal import EnergyGrouping, GibbsState
 
-CONTROLLED_PERMUTATION = "controlled_permutation"
-SWAP_UNBIASED = "swap_unbiased"
 KINDS = ("noninvasive", "cycled", "swap")
 
 
-def _shift(grouping: EnergyGrouping, offset_map) -> np.ndarray:
-    """Level permutations (d_S, d_M): row x sends sector nu to sector offset_map(x, nu)."""
-    d_s = grouping.d_s
-    perms = np.empty((d_s, grouping.dim), dtype=int)
+def _table(grouping: EnergyGrouping, sector_map) -> np.ndarray:
+    """Joint images (d_S, d_M): |x, groups[nu][s]> -> |y, groups[mu][s]> for (y, mu) = sector_map(x, nu)."""
+    d_s, d_m = grouping.d_s, grouping.dim
+    table = np.empty((d_s, d_m), dtype=int)
     for x in range(d_s):
         for nu in range(d_s):
-            perms[x, grouping.groups[nu]] = grouping.groups[offset_map(x, nu)]
-    return perms
+            y, mu = sector_map(x, nu)
+            table[x, grouping.groups[nu]] = y * d_m + grouping.groups[mu]
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
 class ControlledInteraction:
     """A joint basis permutation of system (x) memory.
 
-    kind CONTROLLED_PERMUTATION stores per-outcome memory permutations
-    `perms[x]` (level -> level); kind SWAP_UNBIASED stores only the sector
-    structure it swaps through.
+    `table[x, m]` is the flat index of U|x, m> on the d_S * d_M product
+    basis; `kind` is one of KINDS.
     """
 
     kind: str
     grouping: EnergyGrouping
-    perms: np.ndarray | None = None
+    table: np.ndarray
     variant: int = 0
 
     @property
@@ -68,10 +67,10 @@ class ControlledInteraction:
     def d_m(self) -> int:
         return self.grouping.dim
 
-    @cached_property
+    @property
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis."""
-        return joint_images((self.d_s, self.d_m), 1, self)
+        return self.table.ravel()
 
     def as_unitary(self) -> UnitaryOperator:
         d = self.d_s * self.d_m
@@ -86,21 +85,20 @@ def joint_images(
     """Images of joint basis indices under `u` acting on factor 0 and factor `axis`.
 
     `index` holds flat indices over `dims` (all of them by default); the
-    result has its shape.  Controlled permutations send |x, m> to
-    |x, perms[x, m]>; the swap sends |x, groups[y][s]> to |y, groups[x][s]>.
+    result has its shape.  |x, m> goes to |y, mu> with y * d_M + mu = table[x, m].
     """
     if index is None:
         index = np.arange(math.prod(dims))
     block = math.prod(dims[1:])
     stride = math.prod(dims[axis + 1 :])
-    x = index // block
-    m = index // stride % dims[axis]
-    if u.kind == CONTROLLED_PERMUTATION:
-        new_x, new_m = x, u.perms[x, m]
-    else:
-        g = u.grouping
-        new_x, new_m = g.level_to_group[m], g.groups[x, g.level_to_slot[m]]
-    return index + (new_x - x) * block + (new_m - m) * stride
+    # the index shift of each (x, m), worked out once per call from the table, then gathered per index
+    shift, mu = np.divmod(u.table, dims[axis])
+    shift -= np.arange(dims[0])[:, None]
+    shift *= block
+    mu -= np.arange(dims[axis])
+    mu *= stride
+    shift += mu
+    return index + shift[index // block, index // stride % dims[axis]]
 
 
 def conjugate(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -127,8 +125,7 @@ def build_noninvasive_maxcorr(grouping: EnergyGrouping) -> ControlledInteraction
     every diagonal input against the thermal memory it was grouped for.
     """
     d_s = grouping.d_s
-    perms = _shift(grouping, lambda x, nu: (x + nu) % d_s)
-    return ControlledInteraction(CONTROLLED_PERMUTATION, grouping, perms, 0)
+    return ControlledInteraction("noninvasive", grouping, _table(grouping, lambda x, nu: (x, (x + nu) % d_s)))
 
 
 def build_cycled_variant(grouping: EnergyGrouping, i: int) -> ControlledInteraction:
@@ -143,13 +140,13 @@ def build_cycled_variant(grouping: EnergyGrouping, i: int) -> ControlledInteract
     if not (0 <= i <= d_s - 2):
         raise IndexOutOfRange(f"variant {i} outside 0..{d_s - 2}")
 
-    def offset_map(x: int, nu: int) -> int:
+    def sector_map(x: int, nu: int) -> tuple[int, int]:
         if nu == 0:
-            return x
+            return x, x
         s_inv = ((nu - 1 - i) % (d_s - 1)) + 1
-        return (x + s_inv) % d_s
+        return x, (x + s_inv) % d_s
 
-    return ControlledInteraction(CONTROLLED_PERMUTATION, grouping, _shift(grouping, offset_map), i)
+    return ControlledInteraction("cycled", grouping, _table(grouping, sector_map), i)
 
 
 def build_unbiased_swap(grouping: EnergyGrouping) -> ControlledInteraction:
@@ -158,7 +155,7 @@ def build_unbiased_swap(grouping: EnergyGrouping) -> ControlledInteraction:
     Exactly unbiased: the pointer distribution after the swap equals the
     system's outcome-basis diagonal for every input state.
     """
-    return ControlledInteraction(SWAP_UNBIASED, grouping, None, 0)
+    return ControlledInteraction("swap", grouping, _table(grouping, lambda x, nu: (nu, x)))
 
 
 def apply(u: ControlledInteraction, rho_s: DensityOperator, sigma_m: DensityOperator) -> DensityOperator:
@@ -171,48 +168,27 @@ def apply(u: ControlledInteraction, rho_s: DensityOperator, sigma_m: DensityOper
     return DensityOperator(out, (u.d_s, u.d_m))
 
 
-def correlation_c(rho_joint: DensityOperator, grouping: EnergyGrouping, system_basis=None) -> float:
+def correlation_c(rho_joint: DensityOperator, grouping: EnergyGrouping) -> float:
     """Pointer correlation sum_x Tr[ rho (|x><x| (x) Pi_x) ]: the diagonal over (x, groups[x])."""
     if len(rho_joint.dims) != 2:
         raise DimensionMismatch(f"expected a (system, memory) state, got dims {rho_joint.dims}")
     d_s, d_m = rho_joint.dims
     if (grouping.d_s, grouping.dim) != (d_s, d_m):
         raise DimensionMismatch(f"grouping is {grouping.d_s} x {grouping.dim}, state is {d_s} x {d_m}")
-    rho = rho_joint.matrix
-    if system_basis is not None:
-        b = np.asarray(system_basis, dtype=complex)
-        rot = np.kron(b.conj().T, np.eye(d_m))
-        rho = rot @ rho @ rot.conj().T
-    diag = rho.diagonal().real.reshape(d_s, d_m)
+    diag = rho_joint.matrix.diagonal().real.reshape(d_s, d_m)
     return float(diag[np.arange(d_s)[:, None], grouping.groups].sum())
 
 
-def transition_matrix(u: ControlledInteraction, tau: GibbsState, grouping: EnergyGrouping) -> "TransitionMatrix":
-    """Row-stochastic pointer map a[x, y] = Tr[ Pi_y V_x tau V_x^dagger ]."""
-    if u.kind != CONTROLLED_PERMUTATION:
-        raise WrongKind(f"transition matrix defined for controlled permutations, not {u.kind}")
-    if tau.dim != grouping.dim or u.d_m != grouping.dim:
-        raise DimensionMismatch("interaction, state, and grouping dimensions disagree")
-    a = [grouping.readout(u.perms[x], tau.probs) for x in range(grouping.d_s)]
-    return TransitionMatrix(a, u.variant)
+def transition_matrix(u: ControlledInteraction, probs) -> np.ndarray:
+    """Row-stochastic pointer map a[x, y] = Tr[ Pi_y V_x diag(probs) V_x^dagger ] of a controlled shift.
 
-
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """Pointer-outcome transition weights for one interaction variant."""
-
-    a: np.ndarray
-    variant: int
-
-    def __init__(self, a, variant: int = 0):
-        m = np.asarray(a, dtype=float).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "a", m)
-        object.__setattr__(self, "variant", int(variant))
-
-    def pushforward(self, p) -> np.ndarray:
-        """Outcome distribution q_y = sum_x p_x a[x, y]."""
-        return np.asarray(p, dtype=float) @ self.a
+    The outcome distribution of a diagonal input p is p @ a.
+    """
+    if u.kind == "swap":
+        raise WrongKind("transition matrix defined for controlled permutations, not swap")
+    if len(probs) != u.d_m:
+        raise DimensionMismatch(f"memory populations have {len(probs)} levels, interaction {u.d_m}")
+    return np.array([u.grouping.readout(row % u.d_m, probs) for row in u.table])
 
 
 def test_state_battery(d_s: int, seed: int = 7, n_random: int = 100) -> list[DensityOperator]:

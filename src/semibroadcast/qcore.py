@@ -242,34 +242,19 @@ def mutual_information(rho: DensityOperator, cut) -> float:
     return sa + sb - von_neumann_entropy(rho)
 
 
-def dephase(rho: DensityOperator, factor: int, basis=None) -> DensityOperator:
-    """Kill off-diagonal elements of one factor, optionally in a supplied basis."""
+def dephase(rho: DensityOperator, factor: int) -> DensityOperator:
+    """Kill off-diagonal elements of one factor in its computational basis."""
     (factor,) = _check_factors(rho, (factor,))
     dims = rho.dims
     d = dims[factor]
-    mat = rho.matrix
-    if basis is not None:
-        b = np.asarray(basis, dtype=complex)
-        if b.shape != (d, d):
-            raise DimensionMismatch(f"basis shape {b.shape} != ({d}, {d})")
-        if np.max(np.abs(b.conj().T @ b - np.eye(d))) > UNITARITY_TOL:
-            raise InvalidOperator("basis columns are not orthonormal")
-        rot = np.kron(
-            np.kron(np.eye(math.prod(dims[:factor])), b),
-            np.eye(math.prod(dims[factor + 1 :])),
-        )
-        mat = rot.conj().T @ mat @ rot
     k = len(dims)
-    arr = mat.reshape(dims + dims).copy()
+    arr = rho.matrix.reshape(dims + dims).copy()
     idx_row = np.arange(d).reshape((1,) * factor + (d,) + (1,) * (2 * k - factor - 1))
     idx_col = np.arange(d).reshape(
         (1,) * (k + factor) + (d,) + (1,) * (k - factor - 1)
     )
     arr *= idx_row == idx_col
-    mat = arr.reshape(rho.dim, rho.dim)
-    if basis is not None:
-        mat = rot @ mat @ rot.conj().T
-    return DensityOperator(mat, dims)
+    return DensityOperator(arr.reshape(rho.dim, rho.dim), dims)
 
 
 def random_density(dim: int, seed, dims=None) -> DensityOperator:

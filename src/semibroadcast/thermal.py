@@ -19,8 +19,6 @@ from scipy.special import gammaln, logsumexp
 from .errors import DimensionMismatch
 from .qcore import DensityOperator
 
-BETA_OMEGA_DEFAULTS = (0.1, 0.25, 0.5, 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class MemoryHamiltonian:
@@ -115,17 +113,13 @@ class EnergyGrouping:
     d_s: int
     r: int
     groups: np.ndarray          # (d_S, r) level indices
-    energies: np.ndarray        # absolute energies, by level index
 
-    def __init__(self, d_s: int, r: int, groups, energies):
+    def __init__(self, d_s: int, r: int, groups):
         g = np.asarray(groups, dtype=int).copy()
-        e = np.asarray(energies, dtype=float).copy()
         g.setflags(write=False)
-        e.setflags(write=False)
         object.__setattr__(self, "d_s", int(d_s))
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "groups", g)
-        object.__setattr__(self, "energies", e)
 
     @property
     def dim(self) -> int:
@@ -136,13 +130,6 @@ class EnergyGrouping:
         out = np.empty(self.dim, dtype=int)
         for y in range(self.d_s):
             out[self.groups[y]] = y
-        return out
-
-    @cached_property
-    def level_to_slot(self) -> np.ndarray:
-        out = np.empty(self.dim, dtype=int)
-        for y in range(self.d_s):
-            out[self.groups[y]] = np.arange(self.r)
         return out
 
     def readout(self, levels, weights) -> np.ndarray:
@@ -162,7 +149,7 @@ def group_energies(hamiltonian: MemoryHamiltonian, d_s: int) -> EnergyGrouping:
         raise DimensionMismatch(f"d_s={d_s} does not divide memory dimension {d_m}")
     r = d_m // d_s
     order = np.argsort(hamiltonian.energies, kind="stable")
-    return EnergyGrouping(d_s, r, order.reshape(d_s, r), hamiltonian.absolute_energies())
+    return EnergyGrouping(d_s, r, order.reshape(d_s, r))
 
 
 def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semibroadcast import broadcast, interact, qcore, thermal
-from semibroadcast.config import HamiltonianConfig, MemoryConfig, build_memory_array
+from semibroadcast.config import HamiltonianConfig, MemoryConfig, SweepConfig, build_memory_array
 from semibroadcast.errors import (
     DegenerateOutcomeWarning,
     DimensionBudgetExceeded,
@@ -49,7 +49,7 @@ def test_memory_unit_validates_dimensions():
     g = thermal.group_energies(h, 2)
     u = interact.build_noninvasive_maxcorr(g)
     with pytest.raises(DimensionMismatch):
-        broadcast.MemoryUnit(h, np.full(4, 0.25), g, u)
+        broadcast.MemoryUnit(h, np.full(4, 0.25), u)
 
 
 def test_memory_unit_rejects_foreign_interaction():
@@ -57,10 +57,9 @@ def test_memory_unit_rejects_foreign_interaction():
     g2 = thermal.group_energies(h2, 2)
     u2 = interact.build_noninvasive_maxcorr(g2)
     h1 = thermal.qubit_chain_hamiltonian(1)
-    g1 = thermal.group_energies(h1, 2)
     tau1 = thermal.gibbs(h1, 1.0)
     with pytest.raises(DimensionMismatch):
-        broadcast.MemoryUnit(h1, tau1.probs, g1, u2)
+        broadcast.MemoryUnit(h1, tau1.probs, u2)
 
 
 def test_explicit_unit_rejects_unknown_kind():
@@ -91,8 +90,7 @@ def test_sequential_run_reads_the_same_statistics_on_every_unit():
     p = [0.3, 0.7]
     run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
     unit = mem.units[0]
-    a = interact.transition_matrix(unit.interaction, unit, unit.grouping)
-    expected = a.pushforward(p)
+    expected = np.asarray(p) @ interact.transition_matrix(unit.interaction, unit.probs)
     for qi in run.q:
         assert qi.tolist() == pytest.approx(expected.tolist(), abs=1e-13)
     assert run.mode == broadcast.SEQUENTIAL_LOCAL
@@ -102,8 +100,7 @@ def test_sequential_run_reads_the_same_statistics_on_every_unit():
 def test_sequential_defect_matches_closed_form():
     mem = broadcast.MemoryArray(2, (qubit_unit(), qubit_unit()))
     run = broadcast.run_sequential_local(qcore.diag_density([0.3, 0.7]), mem)
-    assert run.defects["ideal_scb"] == pytest.approx(SEQ_DEFECT_P37, abs=1e-13)
-    assert broadcast.ideal_scb_defect(run) == run.defects["ideal_scb"]
+    assert broadcast.ideal_scb_defect(run) == pytest.approx(SEQ_DEFECT_P37, abs=1e-13)
 
 
 def test_sequential_system_diagonal_history_is_flat_for_noninvasive():
@@ -119,7 +116,7 @@ def test_sequential_system_diagonal_history_is_flat_for_noninvasive():
 def test_uniform_input_is_a_fixed_point_of_the_statistics():
     mem = broadcast.MemoryArray(2, (qubit_unit(), qubit_unit()))
     run = broadcast.run_sequential_local(qcore.diag_density([0.5, 0.5]), mem)
-    assert run.defects["ideal_scb"] <= 1e-13
+    assert broadcast.ideal_scb_defect(run) <= 1e-13
 
 
 def test_mixed_unit_sizes_each_push_through_their_own_map():
@@ -128,8 +125,8 @@ def test_mixed_unit_sizes_each_push_through_their_own_map():
     p = [0.2, 0.8]
     run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
     for unit, qi in zip(mem.units, run.q):
-        a = interact.transition_matrix(unit.interaction, unit, unit.grouping)
-        assert qi.tolist() == pytest.approx(a.pushforward(p).tolist(), abs=1e-13)
+        a = interact.transition_matrix(unit.interaction, unit.probs)
+        assert qi.tolist() == pytest.approx((np.asarray(p) @ a).tolist(), abs=1e-13)
 
 
 def test_pure_memories_record_statistics_exactly():
@@ -141,7 +138,7 @@ def test_pure_memories_record_statistics_exactly():
     run = broadcast.run_sequential_local(
         qcore.diag_density([0.3, 0.7]), broadcast.MemoryArray(2, units)
     )
-    assert run.defects["ideal_scb"] <= 1e-12
+    assert broadcast.ideal_scb_defect(run) <= 1e-12
 
 
 def test_swap_chain_disturbs_later_readouts():
@@ -151,7 +148,7 @@ def test_swap_chain_disturbs_later_readouts():
         run = broadcast.run_sequential_local(qcore.diag_density([1.0, 0.0]), mem)
     assert run.q[0].tolist() == pytest.approx([1.0, 0.0], abs=1e-14)
     assert run.q[1].tolist() == pytest.approx([W0, W1], abs=1e-14)
-    assert run.defects["ideal_scb"] == pytest.approx(W1, abs=1e-13)
+    assert broadcast.ideal_scb_defect(run) == pytest.approx(W1, abs=1e-13)
 
 
 def test_input_label_ensembles_are_the_written_conditionals():
@@ -296,7 +293,7 @@ def test_global_swap_is_not_locally_unbiased():
     mem = broadcast.MemoryArray(2, (qubit_unit(), qubit_unit()))
     run = broadcast.run_global(qcore.diag_density([0.3, 0.7]), mem, kind="swap")
     assert run.mode == broadcast.GLOBAL
-    assert run.defects["ideal_scb"] > 1e-6
+    assert broadcast.ideal_scb_defect(run) > 1e-6
     assert run.state.dims == (2, 2, 2)
 
 
@@ -308,7 +305,7 @@ def test_global_register_as_a_whole_is_unbiased():
     run = broadcast.run_sequential_local(
         qcore.diag_density([0.3, 0.7]), broadcast.MemoryArray(2, (merged,))
     )
-    assert run.defects["ideal_scb"] <= 1e-12
+    assert broadcast.ideal_scb_defect(run) <= 1e-12
 
 
 def test_global_noninvasive_keeps_system_diagonal():
@@ -437,7 +434,7 @@ def test_transition_matrix_is_the_forward_model_of_reconstruction(d_s):
     pushed = []
     for i, unit in enumerate(mem.units):
         assert unit.interaction.variant == i
-        q = interact.transition_matrix(unit.interaction, tau, unit.grouping).pushforward(p)
+        q = p @ interact.transition_matrix(unit.interaction, tau.probs)
         np.testing.assert_allclose(q, run.q[i], rtol=0, atol=1e-12)
         pushed.append(q)
     p_hat = broadcast.reconstruct_p(pushed, thermal.c_max(mem.units[0].grouping, tau), d_s)
@@ -535,7 +532,7 @@ def test_simulated_coherent_write_assembles_as_ideal_state_with_off_block():
     psi = np.array([math.sqrt(0.3), math.sqrt(0.7)])
     rho = qcore.DensityOperator(np.outer(psi, psi))
     run = broadcast.run_sequential_local(rho, broadcast.MemoryArray(2, units))
-    assert run.defects["ideal_scb"] <= 1e-12
+    assert broadcast.ideal_scb_defect(run) <= 1e-12
 
     conditionals = []
     for x in range(2):
@@ -577,7 +574,7 @@ def test_sweep_rows_are_sorted_and_complete():
 
 
 def test_sweep_values_match_the_analytic_path():
-    rows = broadcast.sweep_cmax_convergence([1, 7, 25], thermal.BETA_OMEGA_DEFAULTS)
+    rows = broadcast.sweep_cmax_convergence([1, 7, 25], SweepConfig().beta_omega)
     for n, bw, c in rows:
         assert c == thermal.c_max_qubits_analytic(n, bw)
         assert 0.5 <= c <= 1.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -197,10 +198,10 @@ def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
     p = build_system_state(parse_config(cfg).system).matrix.diagonal().real
     h = thermal.qubit_chain_hamiltonian(4)
     tau = thermal.gibbs(h, 0.7).probs
-    perms = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2)).perms
+    levels = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2)).table % h.dim
     mix = np.zeros_like(tau)
     for x in range(2):
-        mix[perms[x]] += p[x] * tau
+        mix[levels[x]] += p[x] * tau
     chi = qcore.shannon_entropy(mix) - qcore.shannon_entropy(tau)
     components = read_json(out)["components"]
     assert len(components) == 3
@@ -230,6 +231,59 @@ def test_classify_beyond_the_byte_budget_exits_4_before_allocating(tmp_path, cap
     assert rc == 4
     assert "budget" in capsys.readouterr().err
     assert peak < broadcast.BYTE_BUDGET // 8
+
+
+def _memory(**fields):
+    return {"experiment": "sequential", "system": {"d_S": 2, "state": "random"}, "memory": fields}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _memory(N=1, n=30, beta_omega=1.0),  # a 2^31-index interaction table
+        _memory(N=1, n=30, beta_omega=1.0, state="ground"),
+        _memory(N=20000, n=1, beta_omega=1.0),  # an entry list of 4 * 2^20000 entries
+        {**_memory(N=25, n=1, beta_omega=1.0, state="ground"), "experiment": "global"},
+    ],
+    ids=["n30", "n30-ground", "N20000", "global-ground-N25"],
+)
+def test_classify_refuses_oversized_memories_before_building_them(tmp_path, capsys, cfg):
+    start = time.perf_counter()
+    rc, out = run(tmp_path, "classify", config=cfg)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    assert "budget" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
+HL_OVERSIZED = {
+    # d_S * d_M = 2 * 2050 = 4100 > 4096, the largest dense state the budget admits
+    "single": {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": [0.5, 0.5]},
+        "memory": {
+            "N": 1,
+            "beta_omega": 1.0,
+            "hamiltonian": {"type": "explicit", "energies": list(range(2050))},
+        },
+    },
+    # the sweep may draw d_S = 2 with d_M = 2050
+    "sweep": {"experiment": "sequential", "instances": {"count": 3, "d_S": [3, 2], "max_memory_dim": 2050}},
+}
+
+
+@pytest.mark.parametrize("which", sorted(HL_OVERSIZED))
+def test_hl_bound_beyond_the_byte_budget_exits_4_before_allocating(tmp_path, capsys, which):
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "hl-bound", config=HL_OVERSIZED[which])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert "budget" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+    assert peak < 32 * 2**20
 
 
 def test_out_directory_is_created(tmp_path):

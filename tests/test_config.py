@@ -16,7 +16,7 @@ from semibroadcast.config import (
     parse_config,
     unit_beta,
 )
-from semibroadcast.errors import ConfigError
+from semibroadcast.errors import ConfigError, DimensionBudgetExceeded
 
 
 def minimal(experiment="sequential", **extra):
@@ -274,7 +274,7 @@ def test_build_memory_array_components_and_state():
     mem_cfg = MemoryConfig(3, 1, 1.0, HamiltonianConfig("qubit_chain", n=1))
     mem = build_memory_array(mem_cfg, InteractionConfig("swap"), 2)
     assert len(mem.units) == 3
-    assert all(u.interaction.kind == "swap_unbiased" for u in mem.units)
+    assert all(u.interaction.kind == "swap" for u in mem.units)
     w0 = 1.0 / (1.0 + np.exp(-1.0))
     assert np.allclose(mem.units[0].probs, [w0, 1.0 - w0])
 
@@ -289,6 +289,37 @@ def test_build_memory_array_reconstruction_layout():
     mem_cfg = MemoryConfig(1, 1, 1.0, HamiltonianConfig("explicit", energies=(0.0, 1.0, 2.0)))
     mem = build_memory_array(mem_cfg, None, 3, variants_per_unit=True)
     assert len(mem.units) == 2
-    perms = [np.asarray(u.interaction.perms) for u in mem.units]
-    assert not np.array_equal(perms[0], perms[1])
-    assert all(u.interaction.kind == "controlled_permutation" for u in mem.units)
+    assert not np.array_equal(mem.units[0].interaction.table, mem.units[1].interaction.table)
+    assert [u.interaction.kind for u in mem.units] == ["cycled", "cycled"]
+    assert [u.interaction.variant for u in mem.units] == [0, 1]
+
+
+def test_build_memory_array_builds_each_distinct_unit_once():
+    mem_cfg = MemoryConfig(3, 1, 1.0, HamiltonianConfig("qubit_chain", n=1))
+    mem = build_memory_array(mem_cfg, InteractionConfig("cycled"), 2)
+    assert mem.units[0] is mem.units[1] is mem.units[2]
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_memory_dim_reads_the_level_count_from_the_config(n):
+    chain = MemoryConfig(1, n, 1.0, HamiltonianConfig("qubit_chain", n=n))
+    explicit = MemoryConfig(1, 1, 1.0, HamiltonianConfig("explicit", energies=tuple(range(n))))
+    for mem_cfg in (chain, explicit):
+        assert cfgmod.memory_dim(mem_cfg) == build_unit_hamiltonian(mem_cfg).dim
+
+
+@pytest.mark.parametrize("state", ["gibbs", "ground"])
+def test_build_memory_array_refuses_an_oversized_table_before_building(state):
+    # 2^30 levels: the interaction table alone is 16 GiB, and the Hamiltonian is never built
+    mem_cfg = MemoryConfig(1, 30, 1.0, HamiltonianConfig("qubit_chain", n=30), state=state)
+    with pytest.raises(DimensionBudgetExceeded):
+        build_memory_array(mem_cfg, None, 2)
+
+
+def test_build_memory_array_bounds_the_entry_list_of_every_occupied_level():
+    # N = 3 copies of an 8-qubit memory: 4 * 2^24 entries for Gibbs units, 4 for ground units
+    gibbs_cfg = MemoryConfig(3, 8, 1.0, HamiltonianConfig("qubit_chain", n=8))
+    with pytest.raises(DimensionBudgetExceeded):
+        build_memory_array(gibbs_cfg, None, 2)
+    ground_cfg = MemoryConfig(3, 8, 1.0, HamiltonianConfig("qubit_chain", n=8), state="ground")
+    assert build_memory_array(ground_cfg, None, 2).dims == (256, 256, 256)

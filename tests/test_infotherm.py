@@ -98,7 +98,8 @@ def test_conditional_ensemble_in_rotated_basis():
     joint = qcore.DensityOperator(m, (2, 2))
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     rotated = qcore.evolve(joint, qcore.UnitaryOperator(np.kron(h, np.eye(2)), (2, 2)))
-    ens = infotherm.conditional_ensemble(rotated, system_basis=h)
+    # read the system in the columns of h: rotate back by h^dagger first
+    ens = infotherm.conditional_ensemble(qcore.evolve(rotated, np.kron(h.conj().T, np.eye(2))))
     assert ens.probs.tolist() == pytest.approx([0.3, 0.7], abs=1e-14)
     assert np.allclose(ens.states[0].matrix, np.diag([1.0, 0.0]), atol=1e-14)
 

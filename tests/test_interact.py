@@ -62,10 +62,13 @@ def mean_correlation(u, sigma, g, battery):
 
 
 def identity_interaction(grouping):
-    perms = np.tile(np.arange(grouping.dim), (grouping.d_s, 1))
-    return interact.ControlledInteraction(
-        interact.CONTROLLED_PERMUTATION, grouping, perms, 0
-    )
+    table = np.arange(grouping.d_s * grouping.dim).reshape(grouping.d_s, grouping.dim)
+    return interact.ControlledInteraction("noninvasive", grouping, table)
+
+
+def system_rotation(basis, d_m):
+    """The joint unitary that reads the system in the columns of `basis`."""
+    return np.kron(np.asarray(basis).conj().T, np.eye(d_m))
 
 
 # ------------------------------------------------------------- construction
@@ -74,7 +77,7 @@ def identity_interaction(grouping):
 def test_maxcorr_single_qubit_is_cnot():
     g, _ = qubit_setup()
     u = interact.build_noninvasive_maxcorr(g)
-    assert u.perms.tolist() == [[0, 1], [1, 0]]
+    assert u.table.tolist() == [[0, 1], [3, 2]]
     assert np.array_equal(u.as_unitary().matrix.real, CNOT)
 
 
@@ -82,7 +85,7 @@ def test_maxcorr_two_qubit_chain_shifts_whole_sectors():
     g, _ = chain_setup(2, 2)
     u = interact.build_noninvasive_maxcorr(g)
     # sectors {0,1} and {2,3}; control 1 exchanges them slot by slot
-    assert u.perms.tolist() == [[0, 1, 2, 3], [2, 3, 0, 1]]
+    assert u.table.tolist() == [[0, 1, 2, 3], [6, 7, 4, 5]]
 
 
 def test_maxcorr_matches_hand_built_controlled_shift():
@@ -111,7 +114,7 @@ def test_cycled_variant_zero_is_base():
     for g, _ in (qubit_setup(), ladder_setup(3), chain_setup(2, 4)):
         base = interact.build_noninvasive_maxcorr(g)
         v0 = interact.build_cycled_variant(g, 0)
-        assert np.array_equal(base.perms, v0.perms)
+        assert np.array_equal(base.table, v0.table)
 
 
 def test_cycled_variant_one_swaps_offsets_for_three_outcomes():
@@ -119,8 +122,8 @@ def test_cycled_variant_one_swaps_offsets_for_three_outcomes():
     v1 = interact.build_cycled_variant(g, 1)
     # offsets 1 and 2 trade places relative to the base shift
     for x in range(3):
-        assert v1.perms[x, 1] == (x + 2) % 3
-        assert v1.perms[x, 2] == (x + 1) % 3
+        assert v1.table[x, 1] == 3 * x + (x + 2) % 3
+        assert v1.table[x, 2] == 3 * x + (x + 1) % 3
 
 
 def test_cycled_variant_range_check():
@@ -137,11 +140,10 @@ def test_build_dispatches_every_config_kind():
     for kind in config.INTERACTION_KINDS:
         u = interact.build(g, kind)
         assert np.array_equal(np.sort(u.joint_permutation), np.arange(9))
-    assert interact.build(g, "noninvasive").kind == interact.CONTROLLED_PERMUTATION
-    assert interact.build(g, "swap").kind == interact.SWAP_UNBIASED
+        assert u.kind == kind
     cycled = interact.build(g, "cycled", 1)
     assert cycled.variant == 1
-    assert np.array_equal(cycled.perms, interact.build_cycled_variant(g, 1).perms)
+    assert np.array_equal(cycled.table, interact.build_cycled_variant(g, 1).table)
     with pytest.raises(WrongKind):
         interact.build(g, "sideways")
     with pytest.raises(WrongKind):
@@ -154,18 +156,25 @@ def test_joint_permutation_matches_hand_built_tables():
     setups += [degenerate_setup(2), degenerate_setup(3), degenerate_setup(4)]
     for g, _ in setups:
         d_s, d_m = g.d_s, g.dim
-        interactions = [interact.build_noninvasive_maxcorr(g), interact.build_unbiased_swap(g)]
-        interactions += [interact.build_cycled_variant(g, i) for i in range(d_s - 1)]
-        for u in interactions:
+
+        def cycled(i):
+            # variant i moves sector s_i(delta) = ((delta - 1 + i) mod (d_S - 1)) + 1 by offset delta
+            targets = {((delta - 1 + i) % (d_s - 1)) + 1: delta for delta in range(1, d_s)}
+            return lambda x, nu: (x, (x + targets.get(nu, 0)) % d_s)
+
+        # (x, nu) -> (y, mu): |x, groups[nu][s]> goes to |y, groups[mu][s]>
+        cases = [
+            (interact.build_noninvasive_maxcorr(g), lambda x, nu: (x, (x + nu) % d_s)),
+            (interact.build_unbiased_swap(g), lambda x, nu: (nu, x)),
+        ]
+        cases += [(interact.build_cycled_variant(g, i), cycled(i)) for i in range(d_s - 1)]
+        for u, sector_map in cases:
             table = np.full(d_s * d_m, -1)
             for x in range(d_s):
-                if u.kind == interact.CONTROLLED_PERMUTATION:
-                    for m in range(d_m):
-                        table[x * d_m + m] = x * d_m + u.perms[x][m]
-                else:
-                    for y in range(d_s):
-                        for s in range(g.r):
-                            table[x * d_m + g.groups[y][s]] = y * d_m + g.groups[x][s]
+                for nu in range(d_s):
+                    y, mu = sector_map(x, nu)
+                    for s in range(g.r):
+                        table[x * d_m + g.groups[nu][s]] = y * d_m + g.groups[mu][s]
             assert np.array_equal(u.joint_permutation, table)
             assert np.array_equal(interact.joint_images((d_s, d_m), 1, u), table)
 
@@ -262,7 +271,7 @@ def test_correlation_in_permuted_system_basis():
     out = interact.apply(u, qcore.diag_density([1.0, 0.0]), tau.state)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     direct = interact.correlation_c(out, g)
-    flipped = interact.correlation_c(out, g, system_basis=flip)
+    flipped = interact.correlation_c(qcore.evolve(out, system_rotation(flip, g.dim)), g)
     assert direct == pytest.approx(W0, abs=1e-15)
     assert flipped == pytest.approx(W1, abs=1e-15)
 
@@ -283,18 +292,13 @@ def test_correlation_matches_dense_projector_oracle():
         basis = qcore.random_unitary(g.d_s, seed=g.d_s).matrix
         for seed in range(3):
             joint = qcore.random_density(d, seed=seed).with_dims((g.d_s, g.dim))
-            for system_basis in (None, basis):
-                rho = joint.matrix
-                if system_basis is not None:
-                    rot = np.kron(system_basis.conj().T, np.eye(g.dim))
-                    rho = rot @ rho @ rot.conj().T
-                blocks = rho.reshape(g.d_s, g.dim, g.d_s, g.dim)
+            for rho in (joint, qcore.evolve(joint, system_rotation(basis, g.dim))):
+                blocks = rho.matrix.reshape(g.d_s, g.dim, g.d_s, g.dim)
                 want = sum(
                     np.real(np.trace(proj @ blocks[x, :, x, :]))
                     for x, proj in enumerate(dense_projectors(g))
                 )
-                got = interact.correlation_c(joint, g, system_basis=system_basis)
-                assert got == pytest.approx(want, abs=1e-13)
+                assert interact.correlation_c(rho, g) == pytest.approx(want, abs=1e-13)
 
 
 def test_maxcorr_reaches_cmax_on_every_diagonal_input():
@@ -314,7 +318,7 @@ def test_maxcorr_reaches_cmax_on_every_diagonal_input():
 def test_transition_matrix_single_qubit_frozen():
     g, tau = qubit_setup()
     u = interact.build_noninvasive_maxcorr(g)
-    a = interact.transition_matrix(u, tau, g).a
+    a = interact.transition_matrix(u, tau.probs)
     assert np.allclose(a, [[W0, W1], [W1, W0]], atol=1e-15)
 
 
@@ -322,7 +326,7 @@ def test_transition_matrix_matches_dense_projector_oracle():
     for g, tau in (chain_setup(3, 2, 0.8), ladder_setup(4, 1.4)):
         for i in range(g.d_s - 1):
             u = interact.build_cycled_variant(g, i)
-            a = interact.transition_matrix(u, tau, g).a
+            a = interact.transition_matrix(u, tau.probs)
             projs = dense_projectors(g)
             um = u.as_unitary().matrix
             for x in range(g.d_s):
@@ -336,14 +340,11 @@ def test_transition_matrix_matches_dense_projector_oracle():
 
 def test_transition_matrix_is_doubly_stochastic_at_any_beta():
     rng = np.random.default_rng(11)
-    for g, _ in (chain_setup(2, 2), ladder_setup(3), chain_setup(2, 4)):
-        h = thermal.MemoryHamiltonian(g.energies)
+    for g, tau0 in (chain_setup(2, 2), ladder_setup(3), chain_setup(2, 4)):
         for _ in range(5):
-            tau = thermal.gibbs(h, float(rng.uniform(0.0, 4.0)))
+            tau = thermal.gibbs(tau0.hamiltonian, float(rng.uniform(0.0, 4.0)))
             for i in range(g.d_s - 1):
-                a = interact.transition_matrix(
-                    interact.build_cycled_variant(g, i), tau, g
-                ).a
+                a = interact.transition_matrix(interact.build_cycled_variant(g, i), tau.probs)
                 assert np.allclose(a.sum(axis=1), 1.0, atol=1e-13)
                 assert np.allclose(a.sum(axis=0), 1.0, atol=1e-13)
                 assert np.all(a >= -1e-15)
@@ -352,7 +353,7 @@ def test_transition_matrix_is_doubly_stochastic_at_any_beta():
 def test_transition_matrix_diagonal_carries_cmax():
     g, tau = chain_setup(3, 2, beta=0.5)
     u = interact.build_noninvasive_maxcorr(g)
-    a = interact.transition_matrix(u, tau, g).a
+    a = interact.transition_matrix(u, tau.probs)
     c = thermal.c_max(g, tau)
     assert np.allclose(np.diag(a), c, atol=1e-14)
 
@@ -362,7 +363,7 @@ def test_cycled_variants_spread_anticorrelation_evenly():
     for d_s in (3, 4):
         g, tau = ladder_setup(d_s, beta=0.85)
         total = sum(
-            interact.transition_matrix(interact.build_cycled_variant(g, i), tau, g).a
+            interact.transition_matrix(interact.build_cycled_variant(g, i), tau.probs)
             for i in range(d_s - 1)
         )
         c = thermal.c_max(g, tau)
@@ -375,31 +376,31 @@ def test_cycled_variants_spread_anticorrelation_evenly():
 def test_pushforward_matches_matrix_product():
     g, tau = qubit_setup(beta=math.log(4.0))  # c_max = 0.8 exactly
     u = interact.build_noninvasive_maxcorr(g)
-    tm = interact.transition_matrix(u, tau, g)
+    a = interact.transition_matrix(u, tau.probs)
     assert thermal.c_max(g, tau) == pytest.approx(0.8, abs=1e-15)
-    assert tm.pushforward([0.3, 0.7]).tolist() == pytest.approx([0.38, 0.62], abs=1e-15)
+    assert (np.array([0.3, 0.7]) @ a).tolist() == pytest.approx([0.38, 0.62], abs=1e-15)
 
 
 def test_pushforward_matches_dense_pointer_distribution():
     g, tau = chain_setup(2, 2, beta=1.0)
     u = interact.build_noninvasive_maxcorr(g)
-    tm = interact.transition_matrix(u, tau, g)
-    p = [0.25, 0.75]
+    a = interact.transition_matrix(u, tau.probs)
+    p = np.array([0.25, 0.75])
     out = interact.apply(u, qcore.diag_density(p), tau.state)
     q_dense = interact.pointer_distribution(out, g)
-    assert tm.pushforward(p).tolist() == pytest.approx(q_dense.tolist(), abs=1e-14)
+    assert (p @ a).tolist() == pytest.approx(q_dense.tolist(), abs=1e-14)
 
 
 def test_transition_matrix_rejects_swap():
     g, tau = qubit_setup()
     with pytest.raises(WrongKind):
-        interact.transition_matrix(interact.build_unbiased_swap(g), tau, g)
+        interact.transition_matrix(interact.build_unbiased_swap(g), tau.probs)
 
 
 def test_transition_matrix_near_pure_memory_is_identity():
     g, _ = qubit_setup()
     tau = thermal.gibbs(thermal.qubit_chain_hamiltonian(1), beta=60.0)
-    a = interact.transition_matrix(interact.build_noninvasive_maxcorr(g), tau, g).a
+    a = interact.transition_matrix(interact.build_noninvasive_maxcorr(g), tau.probs)
     assert np.allclose(a, np.eye(2), atol=1e-12)
 
 

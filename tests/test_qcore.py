@@ -352,16 +352,11 @@ def test_dephase_is_idempotent():
 def test_dephase_in_rotated_basis_fixes_basis_states():
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     plus = qcore.DensityOperator(np.ones((2, 2)) / 2.0)
-    out = qcore.dephase(plus, 0, basis=h)
+    # dephasing in the basis of h's columns: rotate into it, dephase, rotate back
+    out = qcore.evolve(qcore.dephase(qcore.evolve(plus, h.conj().T), 0), h)
     assert np.allclose(out.matrix, plus.matrix, atol=1e-14)
-
-
-def test_dephase_rejects_bad_basis():
-    rho = qcore.random_density(2, seed=42)
-    with pytest.raises(InvalidOperator):
-        qcore.dephase(rho, 0, basis=np.ones((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        qcore.dephase(rho, 0, basis=np.eye(3))
+    # the computational-basis dephasing of |+> is the maximally mixed state
+    assert np.allclose(qcore.dephase(plus, 0).matrix, np.eye(2) / 2.0, atol=1e-14)
 
 
 def test_dephase_never_lowers_entropy():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semibroadcast import thermal
+from semibroadcast import config, thermal
 from semibroadcast.errors import DimensionMismatch
 
 E_INV = math.exp(-1.0)
@@ -132,7 +132,7 @@ def test_grouping_of_fully_degenerate_spectrum_is_index_order():
 def test_grouping_sector_energies_ascend():
     h = thermal.MemoryHamiltonian([0.9, 0.1, 0.5, 0.3, 0.7, 0.2])
     g = thermal.group_energies(h, 3)
-    table = g.energies[g.groups]
+    table = h.absolute_energies()[g.groups]
     assert table.max(axis=1)[:-1].tolist() == pytest.approx(
         sorted(table.max(axis=1))[:-1]
     )
@@ -148,10 +148,10 @@ def test_grouping_requires_divisibility():
 
 def test_level_lookup_tables_invert_groups():
     g = thermal.group_energies(thermal.qubit_chain_hamiltonian(3), 4)
+    assert sorted(g.groups.ravel().tolist()) == list(range(8))
     for y in range(4):
-        for slot, level in enumerate(g.groups[y]):
+        for level in g.groups[y]:
             assert g.level_to_group[level] == y
-            assert g.level_to_slot[level] == slot
 
 
 def test_readout_sums_weights_per_sector():
@@ -292,7 +292,7 @@ def test_analytic_cmax_deep_chain_saturates_without_leaving_unit_interval():
 
 
 def test_analytic_cmax_monotone_in_n_odd():
-    for bw in thermal.BETA_OMEGA_DEFAULTS:
+    for bw in config.SweepConfig().beta_omega:
         values = [thermal.c_max_qubits_analytic(n, bw) for n in range(1, 52, 2)]
         assert all(b >= a - 1e-13 for a, b in zip(values, values[1:]))
 
