@@ -326,6 +326,9 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         raise ConfigError("classify needs system and memory sections")
     d_s = cfg.system.d_s
     rho_s = build_system_state(cfg.system)
+    # the dense (S, M_1) marginal read below: refuse it before building the memory
+    d = d_s * memory_dim(cfg.memory)
+    broadcast.check_budget(broadcast.COMPLEX_BYTES * d * d, "reduced state")
     mem = build_memory_array(cfg.memory, cfg.interaction, d_s)
     if cfg.experiment == "global":
         kind = cfg.interaction.kind if cfg.interaction else "swap"

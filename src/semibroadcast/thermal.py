@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DimensionMismatch
 from .qcore import DensityOperator
@@ -53,8 +53,10 @@ def qubit_chain_hamiltonian(n: int, omega: float = 1.0) -> MemoryHamiltonian:
     """n noninteracting qubits with level splitting omega; level energies count excitations."""
     if n < 1:
         raise DimensionMismatch(f"need at least one qubit, got n={n}")
-    levels = np.arange(2**n)
-    excitations = np.array([int(i).bit_count() for i in levels], dtype=float)
+    # levels 2^k ... 2^(k+1) - 1 carry one more excitation than levels 0 ... 2^k - 1
+    excitations = np.zeros(1)
+    for _ in range(n):
+        excitations = np.concatenate([excitations, excitations + 1.0])
     return MemoryHamiltonian(excitations, scale=omega)
 
 
@@ -97,12 +99,31 @@ class GibbsState:
         return float(self.probs @ self.hamiltonian.absolute_energies())
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a nonempty 1-d float array, bit-identical to scipy's logsumexp.
+
+    It follows scipy's float sequence: the m maximal elements are set aside,
+    the rest summed as exp(a - a_max) (the same pairwise sum over the same
+    array, zeros at the maxima), and the result is log1p(s/m) + log(m) + a_max.
+    A plain max-shift would change the last bits.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    e = np.exp(a - a_max)
+    e[top] = 0.0
+    s = e.sum()
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def gibbs(hamiltonian: MemoryHamiltonian, beta: float) -> GibbsState:
     """Gibbs state at inverse temperature beta >= 0 (log-domain normalization)."""
     if not (math.isfinite(beta) and beta >= 0.0):
         raise DimensionMismatch(f"beta must be finite and >= 0, got {beta}")
     logw = -beta * hamiltonian.absolute_energies()
-    log_z = float(logsumexp(logw))
+    log_z = _logsumexp(logw)
     return GibbsState(hamiltonian, beta, np.exp(logw - log_z), log_z)
 
 
@@ -186,19 +207,20 @@ def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
     log_z_n = n * float(np.logaddexp(0.0, -beta_omega))
     m = np.arange(n + 1)
     log_w = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1) - beta_omega * m - log_z_n
-    # C(n, m) for m <= n//2 + 1, which reaches past r <= 2^(n-1) levels: the recurrence
-    # C(n, m+1) = C(n, m)(n - m)/(m + 1) unrolled and divided once, so the quotients are exact
-    k = np.arange(1, n // 2 + 2, dtype=object)
-    counts = np.concatenate(([1], np.cumprod(n + 1 - k) // np.cumprod(k)))
-    cum = np.cumsum(counts)
-    b = int(np.argmax(cum > r))  # the first class that does not fit whole
-    take = r - (cum[b] - counts[b])
+    # walk the classes with C(n, m+1) = C(n, m)(n - m)/(m + 1) in exact integers, up to
+    # the first class b that does not fit whole below r levels
+    b, count, below = 0, 1, 0
+    while below + count <= r:
+        below += count
+        count = count * (n - b) // (b + 1)
+        b += 1
+    take = r - below
     head = log_w[:b]
     if take > 0:
         head = np.append(head, math.log(take) - beta_omega * b - log_z_n)
-    head_val = float(np.exp(logsumexp(head)))
+    head_val = float(np.exp(_logsumexp(head)))
     if head_val <= 0.5:
         return head_val
     # Near saturation the complement sum is far more accurate.
-    rest = math.log(counts[b] - take) - beta_omega * b - log_z_n
-    return 1.0 - float(np.exp(logsumexp(np.append(rest, log_w[b + 1 :]))))
+    rest = math.log(count - take) - beta_omega * b - log_z_n
+    return 1.0 - float(np.exp(_logsumexp(np.append(rest, log_w[b + 1 :]))))

@@ -256,6 +256,25 @@ def test_classify_refuses_oversized_memories_before_building_them(tmp_path, caps
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("experiment", ["sequential", "global"])
+def test_classify_refuses_an_oversized_first_marginal_before_building_the_memory(
+    tmp_path, capsys, experiment
+):
+    # a 2^20-level ground memory fits the table and entry-list budgets, but the dense
+    # (S, M_1) marginal of 2^21 x 2^21 entries does not
+    cfg = {**_memory(N=1, n=20, beta_omega=1.0, state="ground"), "experiment": experiment}
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "classify", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert "reduced state" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+    assert peak < 32 * 2**20
+
+
 HL_OVERSIZED = {
     # d_S * d_M = 2 * 2050 = 4100 > 4096, the largest dense state the budget admits
     "single": {

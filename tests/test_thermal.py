@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semibroadcast import config, thermal
 from semibroadcast.errors import DimensionMismatch
@@ -48,6 +51,12 @@ def test_chain_energy_of_each_level_counts_excitations():
     h = thermal.qubit_chain_hamiltonian(4, omega=0.5)
     for level in range(16):
         assert h.absolute_energies()[level] == 0.5 * bin(level).count("1")
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chain_energies_equal_the_popcount_of_each_level(n):
+    h = thermal.qubit_chain_hamiltonian(n)
+    assert h.energies.tolist() == [bin(i).count("1") for i in range(2**n)]
 
 
 def test_product_hamiltonian_adds_energies():
@@ -106,6 +115,55 @@ def test_gibbs_probs_ordering_follows_energies():
     tau = thermal.gibbs(h, beta=1.5)
     assert np.argmax(tau.probs) == 1
     assert np.argmin(tau.probs) == 2
+
+
+# ---------------------------------------------------------------- log-sum-exp
+
+
+def assert_logsumexp_is_scipys(a):
+    assert thermal._logsumexp(a) == float(scipy.special.logsumexp(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=400),
+    st.sampled_from([1e-3, 1.0, 30.0, 300.0, 1e4]),
+    st.integers(min_value=0, max_value=400),
+)
+def test_logsumexp_is_bit_identical_to_scipy(seed, size, spread, ties):
+    rng = np.random.default_rng(seed)
+    a = spread * rng.standard_normal(size) + rng.uniform(-50.0, 50.0)
+    a[rng.integers(size, size=min(ties, size))] = a.max()  # forced ties at the maximum
+    assert_logsumexp_is_scipys(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[0.0], [-3.7], [712.5], [2.5] * 7, [-1e300] * 3, [0.0, -800.0], [5.0, 5.0, -745.0, 4.0]],
+    ids=["one-zero", "one-negative", "one-large", "all-equal", "all-equal-tiny", "underflow", "ties"],
+)
+def test_logsumexp_edge_cases_are_bit_identical_to_scipy(a):
+    # a single element or all elements equal leave s = 0: the result is log(m) + a_max
+    assert_logsumexp_is_scipys(np.array(a))
+
+
+def test_logsumexp_matches_scipy_on_every_analytic_cmax_input(monkeypatch):
+    seen, logsumexp = [], thermal._logsumexp
+
+    def recording(a):
+        seen.append(a.copy())
+        return logsumexp(a)
+
+    monkeypatch.setattr(thermal, "_logsumexp", recording)
+    for bw in (0.0, 1.0, 8.0):
+        for d_s in (2, 4, 8):
+            for n in range(max(1, d_s.bit_length() - 1), 410):
+                thermal.c_max_qubits_analytic(n, bw, d_s)
+    monkeypatch.undo()
+    assert len(seen) > 3 * 3 * 407
+    for a in seen:
+        assert_logsumexp_is_scipys(a)
 
 
 # ---------------------------------------------------------------- grouping
@@ -231,6 +289,92 @@ def test_analytic_cmax_matches_dense_for_larger_d_s():
                 assert thermal.c_max_qubits_analytic(n, bw, d_s) == pytest.approx(
                     dense_cmax(n, bw, d_s), abs=1e-12
                 )
+
+
+# float.hex of c_max_qubits_analytic(n, beta_omega, d_s), keyed by (d_s, beta_omega) then
+# n, recorded from commit 428a663; n = log2(d_s) is the one-level sector r = 1
+CMAX_HEX = {
+    (2, 0.0): {
+        1: "0x1.0000000000000p-1",
+        2: "0x1.0000000000000p-1",
+        3: "0x1.ffffffffffffep-2",
+        51: "0x1.fffffffffff50p-2",
+        408: "0x1.ffffffffff010p-2",
+        409: "0x1.ffffffffff9d0p-2",
+        410: "0x1.fffffffffefc7p-2",
+    },
+    (2, 1.0): {
+        1: "0x1.764d4f5d5a2bdp-1",
+        2: "0x1.764d4f5d5a2bdp-1",
+        3: "0x1.a4d2377b0a0f7p-1",
+        51: "0x1.ffe37b05b63fcp-1",
+        408: "0x1.0000000000000p+0",
+        409: "0x1.0000000000000p+0",
+        410: "0x1.0000000000000p+0",
+    },
+    (2, 8.0): {
+        1: "0x1.ffd40b84505a1p-1",
+        2: "0x1.ffd40b84505a1p-1",
+        3: "0x1.fffff4ae954ffp-1",
+        51: "0x1.0000000000000p+0",
+        408: "0x1.0000000000000p+0",
+        409: "0x1.0000000000000p+0",
+        410: "0x1.0000000000000p+0",
+    },
+    (4, 0.0): {
+        2: "0x1.0000000000000p-2",
+        3: "0x1.0000000000001p-2",
+        51: "0x1.000000000006cp-2",
+        408: "0x1.0000000000673p-2",
+        409: "0x1.00000000001a1p-2",
+        410: "0x1.fffffffffefbap-3",
+    },
+    (4, 1.0): {
+        2: "0x1.11a2fd9ecd1d8p-1",
+        3: "0x1.11a2fd9ecd1d8p-1",
+        51: "0x1.fea834d1cdcfdp-1",
+        408: "0x1.0000000000000p+0",
+        409: "0x1.0000000000000p+0",
+        410: "0x1.0000000000000p+0",
+    },
+    (4, 8.0): {
+        2: "0x1.ffa81acea638ap-1",
+        3: "0x1.ffa81acea638ap-1",
+        51: "0x1.0000000000000p+0",
+        408: "0x1.0000000000000p+0",
+        409: "0x1.0000000000000p+0",
+        410: "0x1.0000000000000p+0",
+    },
+    (8, 0.0): {
+        3: "0x1.0000000000001p-3",
+        51: "0x1.000000000005bp-3",
+        408: "0x1.000000000063dp-3",
+        409: "0x1.000000000021dp-3",
+        410: "0x1.ffffffffff17ep-4",
+    },
+    (8, 1.0): {
+        3: "0x1.9016c1615d490p-2",
+        51: "0x1.fac9a26d7aaffp-1",
+        408: "0x1.0000000000000p+0",
+        409: "0x1.0000000000000p+0",
+        410: "0x1.0000000000000p+0",
+    },
+    (8, 8.0): {
+        3: "0x1.ff7c2ddeaead0p-1",
+        51: "0x1.0000000000000p+0",
+        408: "0x1.0000000000000p+0",
+        409: "0x1.0000000000000p+0",
+        410: "0x1.0000000000000p+0",
+    },
+}
+
+
+def test_analytic_cmax_bits_are_pinned():
+    got = {
+        key: {n: thermal.c_max_qubits_analytic(n, key[1], key[0]).hex() for n in values}
+        for key, values in CMAX_HEX.items()
+    }
+    assert got == CMAX_HEX
 
 
 def test_analytic_cmax_frozen_values():
