@@ -293,25 +293,27 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     d_s = cfg.system.d_s
     rho_s = build_system_state(cfg.system)
     p_true = qcore.prob_vector(rho_s.matrix.diagonal().real)
-    mem = build_memory_array(cfg.memory, cfg.interaction, d_s, variants_per_unit=True)
-    unit = mem.units[0]
+    unit = build_memory_array(cfg.memory, None, d_s).units[0]
     cmax = thermal.c_max(unit.grouping, unit)
-    run = broadcast.run_sequential_local(rho_s, mem)
-    p_hat = broadcast.reconstruct_p(run.q, cmax, d_s)
+    q_variants = [
+        p_true @ interact.transition_matrix(interact.build(unit.grouping, "cycled", i), unit.probs)
+        for i in range(d_s - 1)
+    ]
+    p_hat = broadcast.reconstruct_p(q_variants, cmax, d_s)
     residual = float(np.max(np.abs(p_hat - p_true)))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "reconstruct",
         "d_S": d_s,
         "c_max": cmax,
-        "q_variants": [list(map(float, q)) for q in run.q],
+        "q_variants": [list(map(float, q)) for q in q_variants],
         "p_true": list(map(float, p_true)),
         "p_reconstructed": list(map(float, p_hat)),
         "max_residual": residual,
     }
     _write_json(out_dir, payload)
     rows = []
-    for i, q in enumerate(run.q):
+    for i, q in enumerate(q_variants):
         for y, val in enumerate(q):
             rows.append([i, y, float(val)])
     _write_csv(out_dir, ["variant", "outcome", "q"], rows)
@@ -346,17 +348,15 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         lower, chi = infotherm.accessible_info_bracket(ens)
         evidence = infotherm.Table1Evidence(
             i_acc_lower=lower,
-            i_acc_upper=chi,
             chi=chi,
             h_x=h_x,
             s_system_final=s_final,
             s_system_final_diag=s_final_diag,
         )
-        verdict = infotherm.classify_table1(evidence)
         components.append(
             {
                 "component": i,
-                "class": verdict.variant,
+                "class": infotherm.classify_table1(evidence),
                 "i_acc_lower": _entropic(lower, bits),
                 "i_acc_upper": _entropic(chi, bits),
                 "chi": _entropic(chi, bits),

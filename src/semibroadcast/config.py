@@ -259,6 +259,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"interaction.i={interaction.variant} outside the cycled variants 0..{system.d_s - 2}"
         )
+    if system is not None and memory is not None and memory_dim(memory) % system.d_s:
+        raise ConfigError(
+            f"system.d_S={system.d_s} does not divide the memory's {memory_dim(memory)} levels"
+        )
     if experiment == "reconstruct":
         if system is None or memory is None:
             raise ConfigError("reconstruct needs system and memory sections")
@@ -266,6 +270,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("reconstruct uses a single component (memory.N = 1)")
         if interaction is not None and interaction.kind != "cycled":
             raise ConfigError("reconstruct interactions are the cycled variants")
+        if interaction is not None and "i" in doc["interaction"]:
+            raise ConfigError("reconstruct runs every cycled variant; it takes no interaction.i")
     if experiment == "nogo":
         if system is None or memory is None:
             raise ConfigError("nogo needs system and memory sections")
@@ -319,37 +325,28 @@ def build_memory_array(
     memory: MemoryConfig,
     interaction: InteractionConfig | None,
     d_s: int,
-    variants_per_unit: bool = False,
 ) -> MemoryArray:
     """Assemble the memory array for one scenario.
 
     Every unit starts in the same level populations: Gibbs, or the ground
-    state (the lowest level, ties to the lowest index).  With
-    variants_per_unit (the reconstruction protocol) the array holds d_s - 1
-    copies of the unit Hamiltonian, unit i running cycled variant i.  Each
-    distinct (kind, variant) unit is built once and shared.
+    state (the lowest level, ties to the lowest index).  The unit is built
+    once and shared by every component.
 
     The unit's interaction table and the run's entry list (every level of a
     Gibbs memory is occupied, one level of a ground memory) are checked
     against the byte budget from the config's dimensions, before anything
     is built.
     """
-    n_units = d_s - 1 if variants_per_unit else memory.n_components
     d_m = memory_dim(memory)
     check_table(d_s, d_m)
     # 64 units of two or more occupied levels already exceed any budget
-    check_entry_list(d_s, (d_m if memory.state == "gibbs" else 1) ** min(n_units, 64))
-    if variants_per_unit:
-        specs = [("cycled", i) for i in range(d_s - 1)]
-    elif interaction is None:
-        specs = [("noninvasive", 0)] * n_units
-    else:
-        specs = [(interaction.kind, interaction.variant)] * n_units
+    check_entry_list(d_s, (d_m if memory.state == "gibbs" else 1) ** min(memory.n_components, 64))
     h = build_unit_hamiltonian(memory)
     if memory.state == "gibbs":
         probs = gibbs(h, unit_beta(memory)).probs
     else:
         probs = np.zeros(h.dim)
         probs[np.argmin(h.energies)] = 1.0
-    units = {spec: explicit_unit(h, probs, d_s, *spec) for spec in dict.fromkeys(specs)}
-    return MemoryArray(d_s, [units[spec] for spec in specs])
+    kind, variant = (interaction.kind, interaction.variant) if interaction else ("noninvasive", 0)
+    unit = explicit_unit(h, probs, d_s, kind, variant)
+    return MemoryArray(d_s, [unit] * memory.n_components)

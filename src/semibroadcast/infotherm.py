@@ -312,21 +312,14 @@ class Table1Evidence:
     """Quantities entering the broadcast-regime classification."""
 
     i_acc_lower: float
-    i_acc_upper: float
     chi: float
     h_x: float
     s_system_final: float
     s_system_final_diag: float
 
 
-@dataclass(frozen=True)
-class Table1Class:
-    variant: str
-    evidence: Table1Evidence
-
-
-def classify_table1(evidence: Table1Evidence, tol: float = TABLE_TOL) -> Table1Class:
-    """First matching broadcast regime, checked from strongest to weakest.
+def classify_table1(evidence: Table1Evidence, tol: float = TABLE_TOL) -> str:
+    """Name (from TABLE1_ROWS) of the first matching broadcast regime, strongest first.
 
     Accessible information equalities are certified through the bracket:
     I_acc = chi is accepted when the lower bound reaches chi within tol.
@@ -339,11 +332,11 @@ def classify_table1(evidence: Table1Evidence, tol: float = TABLE_TOL) -> Table1C
     i_acc_is_chi = ev.chi - ev.i_acc_lower <= tol
     chain = i_acc_is_chi and eq(ev.chi, ev.h_x)
     if chain and eq(ev.h_x, ev.s_system_final):
-        return Table1Class("sbs", ev)
+        return "sbs"
     if chain and eq(ev.h_x, ev.s_system_final_diag):
-        return Table1Class("objectivity", ev)
+        return "objectivity"
     if chain and ev.h_x <= ev.s_system_final_diag + tol:
-        return Table1Class("ideal", ev)
+        return "ideal"
     if ev.chi <= ev.h_x + tol and eq(ev.h_x, ev.s_system_final_diag):
-        return Table1Class("local_noninvasive", ev)
-    return Table1Class("none", ev)
+        return "local_noninvasive"
+    return "none"

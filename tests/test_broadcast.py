@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semibroadcast import broadcast, interact, qcore, thermal
-from semibroadcast.config import HamiltonianConfig, MemoryConfig, SweepConfig, build_memory_array
+from semibroadcast.config import SweepConfig
 from semibroadcast.errors import (
     DegenerateOutcomeWarning,
     DimensionBudgetExceeded,
@@ -422,12 +422,12 @@ def test_reconstruct_round_trip_through_dense_simulation():
 
 @pytest.mark.parametrize("d_s", [2, 3, 4])
 def test_transition_matrix_is_the_forward_model_of_reconstruction(d_s):
-    # the reconstruction layout: unit i runs cycled variant i on unsorted levels
+    # unit i runs cycled variant i on unsorted levels; one sequential run over all of them is the oracle
     rng = np.random.default_rng(d_s)
-    energies = tuple(rng.uniform(0.0, 2.0, 2 * d_s))
-    memory = MemoryConfig(1, 1, 0.7, HamiltonianConfig("explicit", energies=energies))
-    mem = build_memory_array(memory, None, d_s, variants_per_unit=True)
-    tau = thermal.gibbs(thermal.MemoryHamiltonian(energies), 0.7)
+    h = thermal.MemoryHamiltonian(rng.uniform(0.0, 2.0, 2 * d_s))
+    tau = thermal.gibbs(h, 0.7)
+    units = [broadcast.explicit_unit(h, tau.probs, d_s, "cycled", i) for i in range(d_s - 1)]
+    mem = broadcast.MemoryArray(d_s, units)
     p = rng.dirichlet(np.ones(d_s))
     run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
     assert len(run.q) == d_s - 1

@@ -148,6 +148,23 @@ def test_reconstruct_ground_memory_is_exact(tmp_path, system, hamiltonian):
     assert payload["p_reconstructed"] == pytest.approx(system["state"], abs=1e-12)
 
 
+@pytest.mark.parametrize("d_s, n", [(4, 6), (8, 3)])
+def test_reconstruct_reads_each_variant_from_its_transition_matrix(tmp_path, d_s, n):
+    # one run over the variants' product space drifted off 1 at (4, 6) and exceeded the budget at (8, 3)
+    cfg = {
+        "experiment": "reconstruct",
+        "system": {"d_S": d_s, "state": [1.0 / d_s] * d_s},
+        "memory": {"N": 1, "n": n, "beta_omega": 1.0},
+    }
+    rc, out = run(tmp_path, "reconstruct", config=cfg)
+    assert rc == 0
+    payload = read_json(out)
+    assert payload["max_residual"] <= 1e-12
+    assert len(payload["q_variants"]) == d_s - 1
+    for q in payload["q_variants"]:
+        assert abs(math.fsum(q) - 1.0) <= 1e-15
+
+
 def test_classify_default_is_locally_noninvasive(tmp_path, capsys):
     rc, out = run(tmp_path, "classify")
     assert rc == 0
@@ -415,6 +432,47 @@ def test_missing_cycled_variant_exits_2_and_writes_nothing(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, experiment, memory",
+    [
+        ("classify", "sequential", {"N": 1, "hamiltonian": {"type": "explicit", "energies": [0, 1, 2, 3]}}),
+        ("nogo", "nogo", {"N": 2, "n": 2}),
+        ("reconstruct", "reconstruct", {"N": 1, "n": 2}),
+        ("hl-bound", "sequential", {"N": 1, "n": 2}),
+    ],
+    ids=["classify", "nogo", "reconstruct", "hl-bound"],
+)
+def test_a_memory_that_d_s_does_not_divide_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, experiment, memory
+):
+    cfg = {
+        "experiment": experiment,
+        "system": {"d_S": 3, "state": [0.5, 0.3, 0.2]},
+        "memory": {**memory, "beta_omega": 1.0},
+    }
+    rc, out = run(tmp_path, command, config=cfg)
+    assert rc == 2
+    assert "does not divide" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_refuses_a_cycled_variant_index(tmp_path, capsys):
+    # reconstruct runs every cycled variant, so an interaction.i would be ignored
+    cfg = {
+        "experiment": "reconstruct",
+        "system": {"d_S": 3, "state": [0.5, 0.3, 0.2]},
+        "memory": {"N": 1, "beta_omega": 1.0, "hamiltonian": {"type": "explicit", "energies": [0, 1, 2]}},
+        "interaction": {"kind": "cycled", "i": 1},
+    }
+    rc, out = run(tmp_path, "reconstruct", config=cfg)
+    assert rc == 2
+    assert "interaction.i" in capsys.readouterr().err
+    assert not out.exists()
+    cfg["interaction"] = {"kind": "cycled"}
+    rc, out = run(tmp_path, "reconstruct", config=cfg)
+    assert rc == 0
 
 
 @pytest.mark.parametrize(

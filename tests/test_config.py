@@ -29,6 +29,10 @@ def minimal(experiment="sequential", **extra):
     return doc
 
 
+# a three-level memory, for configs with d_S = 3
+LADDER3 = {"beta_omega": 1.0, "hamiltonian": {"type": "explicit", "energies": [0, 1, 2]}}
+
+
 # ------------------------------------------------------------------ parsing
 
 
@@ -78,7 +82,7 @@ def test_system_section_validation():
     for section in bad_sections:
         with pytest.raises(ConfigError):
             parse_config(minimal(system=section))
-    cfg = parse_config(minimal(system={"d_S": 3, "state": 2, "seed": 7}))
+    cfg = parse_config(minimal(system={"d_S": 3, "state": 2, "seed": 7}, memory=LADDER3))
     assert cfg.system == SystemConfig(3, 2, 7)
 
 
@@ -114,9 +118,7 @@ def test_hamiltonian_section_validation():
         minimal(memory={"beta_omega": 1.0, "n": 2, "hamiltonian": {"type": "qubit_chain", "omega": 0.5}})
     )
     assert cfg.memory.hamiltonian == HamiltonianConfig("qubit_chain", n=2, omega=0.5)
-    cfg = parse_config(
-        minimal(memory={"beta_omega": 1.0, "hamiltonian": {"type": "explicit", "energies": [0, 1, 2]}})
-    )
+    cfg = parse_config(minimal(system={"d_S": 3}, memory=LADDER3))
     assert cfg.memory.hamiltonian.energies == (0.0, 1.0, 2.0)
 
 
@@ -130,7 +132,9 @@ def test_interaction_section_validation():
     with pytest.raises(ConfigError):
         parse_config(minimal(interaction={"kind": "cycled", "phase": 0}))
     cfg = parse_config(
-        minimal(interaction={"kind": "cycled", "i": 1}, system={"d_S": 3, "state": [0.2, 0.3, 0.5]})
+        minimal(
+            interaction={"kind": "cycled", "i": 1}, system={"d_S": 3, "state": [0.2, 0.3, 0.5]}, memory=LADDER3
+        )
     )
     assert cfg.interaction == InteractionConfig("cycled", 1)
 
@@ -283,15 +287,6 @@ def test_build_memory_array_components_and_state():
     )
     mem = build_memory_array(ground_cfg, None, 2)
     assert np.allclose(mem.units[0].probs, [0.0, 1.0])
-
-
-def test_build_memory_array_reconstruction_layout():
-    mem_cfg = MemoryConfig(1, 1, 1.0, HamiltonianConfig("explicit", energies=(0.0, 1.0, 2.0)))
-    mem = build_memory_array(mem_cfg, None, 3, variants_per_unit=True)
-    assert len(mem.units) == 2
-    assert not np.array_equal(mem.units[0].interaction.table, mem.units[1].interaction.table)
-    assert [u.interaction.kind for u in mem.units] == ["cycled", "cycled"]
-    assert [u.interaction.variant for u in mem.units] == [0, 1]
 
 
 def test_build_memory_array_builds_each_distinct_unit_once():

@@ -407,7 +407,6 @@ def test_sbs_holds_for_pure_memory_copy():
 def evidence(**kw):
     base = dict(
         i_acc_lower=0.0,
-        i_acc_upper=0.0,
         chi=0.0,
         h_x=0.0,
         s_system_final=0.0,
@@ -419,22 +418,22 @@ def evidence(**kw):
 
 def test_classify_rows_from_direct_evidence():
     h = 0.6
-    sbs = evidence(i_acc_lower=h, i_acc_upper=h, chi=h, h_x=h, s_system_final=h, s_system_final_diag=h)
-    assert infotherm.classify_table1(sbs).variant == "sbs"
-    obj = evidence(i_acc_lower=h, i_acc_upper=h, chi=h, h_x=h, s_system_final=0.2, s_system_final_diag=h)
-    assert infotherm.classify_table1(obj).variant == "objectivity"
-    ideal = evidence(i_acc_lower=h, i_acc_upper=h, chi=h, h_x=h, s_system_final=0.9, s_system_final_diag=0.9)
-    assert infotherm.classify_table1(ideal).variant == "ideal"
-    local = evidence(i_acc_lower=0.1, i_acc_upper=0.3, chi=0.3, h_x=h, s_system_final=0.4, s_system_final_diag=h)
-    assert infotherm.classify_table1(local).variant == "local_noninvasive"
-    nothing = evidence(i_acc_lower=0.1, i_acc_upper=0.3, chi=0.3, h_x=h, s_system_final=0.4, s_system_final_diag=0.4)
-    assert infotherm.classify_table1(nothing).variant == "none"
+    sbs = evidence(i_acc_lower=h, chi=h, h_x=h, s_system_final=h, s_system_final_diag=h)
+    assert infotherm.classify_table1(sbs) == "sbs"
+    obj = evidence(i_acc_lower=h, chi=h, h_x=h, s_system_final=0.2, s_system_final_diag=h)
+    assert infotherm.classify_table1(obj) == "objectivity"
+    ideal = evidence(i_acc_lower=h, chi=h, h_x=h, s_system_final=0.9, s_system_final_diag=0.9)
+    assert infotherm.classify_table1(ideal) == "ideal"
+    local = evidence(i_acc_lower=0.1, chi=0.3, h_x=h, s_system_final=0.4, s_system_final_diag=h)
+    assert infotherm.classify_table1(local) == "local_noninvasive"
+    nothing = evidence(i_acc_lower=0.1, chi=0.3, h_x=h, s_system_final=0.4, s_system_final_diag=0.4)
+    assert infotherm.classify_table1(nothing) == "none"
 
 
 def test_classify_requires_certified_accessible_info():
     h = 0.6
-    loose = evidence(i_acc_lower=0.3, i_acc_upper=h, chi=h, h_x=h, s_system_final=h, s_system_final_diag=h)
-    assert infotherm.classify_table1(loose).variant == "local_noninvasive"
+    loose = evidence(i_acc_lower=0.3, chi=h, h_x=h, s_system_final=h, s_system_final_diag=h)
+    assert infotherm.classify_table1(loose) == "local_noninvasive"
 
 
 def test_classify_row_order_is_strongest_first():
@@ -446,16 +445,15 @@ def run_and_classify(rho_s, unit):
     run = broadcast.run_sequential_local(rho_s, broadcast.MemoryArray(2, (unit,)))
     h_x = qcore.shannon_entropy(run.p_initial)
     rho_final = qcore.partial_trace(run.state, (0,))
-    lower, upper = infotherm.accessible_info_bracket(run.ensembles[0])
+    lower, _ = infotherm.accessible_info_bracket(run.ensembles[0])
     ev = infotherm.Table1Evidence(
         i_acc_lower=lower,
-        i_acc_upper=upper,
         chi=infotherm.holevo_chi(run.ensembles[0]),
         h_x=h_x,
         s_system_final=qcore.von_neumann_entropy(rho_final),
         s_system_final_diag=qcore.shannon_entropy(rho_final.matrix.diagonal().real),
     )
-    return infotherm.classify_table1(ev).variant
+    return infotherm.classify_table1(ev)
 
 
 def test_pure_memory_copy_classifies_as_sbs():
