@@ -2,10 +2,11 @@
 
 A memory array is an ordered list of units; each unit carries its own
 Hamiltonian, initial state, sector structure, and interaction with the
-system.  Protocol runs couple the system to each unit and read the pointer
-statistics q^(i) per unit.  This module also hosts the finite-resource
-witness, the exact statistics-reconstruction map, and direct constructors
-for ideal broadcast states.
+system.  A run is a chain of write steps, each a system operator written
+into fresh diagonal memories: one per unit in a sequential run, fed through
+the previous steps' channels on the system, or one into the merged memory
+in a global run.  The module also hosts the finite-resource witness, the
+exact statistics-reconstruction map, and ideal broadcast states.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .infotherm import PROB_FLOOR, Ensemble
 from .interact import ControlledInteraction, build, conjugate, joint_images
-from .qcore import DensityOperator, _check_factors, diag_density, mutual_information, partial_trace, prob_vector
+from .qcore import DensityOperator, diag_density, mutual_information, partial_trace, prob_vector
 from .thermal import (
     EnergyGrouping,
     MemoryHamiltonian,
@@ -41,8 +42,8 @@ from .thermal import (
 COMPLEX_BYTES = np.dtype(complex).itemsize
 INDEX_BYTES = np.dtype(np.intp).itemsize
 # One budget for every array a run allocates at its full size: the dense
-# oracle's D x D state and the structured engine's entry list alike.  It
-# admits a dense complex state of dimension 4096.
+# oracle's D x D state, a write step's entry list and the labelled
+# ensembles alike.  It admits a dense complex state of dimension 4096.
 BYTE_BUDGET = COMPLEX_BYTES * 4096**2
 INVERTIBILITY_TOL = 1e-9
 
@@ -142,7 +143,7 @@ def check_table(d_s: int, d_m: int) -> None:
 
 
 def check_entry_list(d_s: int, levels: int) -> None:
-    """Refuse a joint entry list over `levels` occupied memory levels beyond the budget.
+    """Refuse a write step over `levels` occupied memory levels beyond the budget.
 
     Each of its d_S^2 * levels entries holds a complex value and a row and a column index.
     """
@@ -161,74 +162,75 @@ def _final_joint(rho_s: DensityOperator, mem: MemoryArray, stages) -> np.ndarray
     return joint
 
 
-def _memory_entries(rho_s: DensityOperator, mem: MemoryArray):
-    """Occupied levels m and populations p_m of the product p_1 (x) ... (x) p_N.
+class _WriteStep:
+    """One write of a d_S x d_S system operator into fresh diagonal memories.
 
-    Checks the system dimension and that the joint entry list (a complex
-    value and a row and column index for each of its d_S^2 * nnz entries)
-    fits the byte budget, before allocating it.
+    The memory is one unit (a sequential stage) or the merged memory of a
+    global run, whose level splits into the unit digits `dims`.  Only the
+    occupied levels m_k of `probs` enter: pi(x, m_k) = (y[x, k], mu[x, k]) is
+    read from `table[:, occupied]`, and p[k] is the population of m_k.
+    Tracing out the memory keeps the entries (x, x', k) with
+    mu[x, k] = mu[x', k]; they give the stage's channel on S, the
+    d_S^2 x d_S^2 matrix `phi` on row-major vec(rho), in O(d_S^2 * levels).
     """
-    if rho_s.dim != mem.d_s:
-        raise DimensionMismatch(f"system dim {rho_s.dim} != array d_s {mem.d_s}")
-    occupied = [np.flatnonzero(u.probs) for u in mem.units]
-    check_entry_list(mem.d_s, math.prod(len(a) for a in occupied))
-    levels = np.zeros(1, dtype=np.intp)
-    values = np.ones(1)
-    for u, a in zip(mem.units, occupied):
-        levels = (levels[:, None] * u.dim + a).ravel()
-        values = (values[:, None] * u.probs[a]).ravel()
-    return levels, values
+
+    def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...]):
+        d, occupied = u.d_s, np.flatnonzero(probs)
+        self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
+        self.p, self.dims = probs[occupied], dims
+        same = self.mu[:, None] == self.mu[None]
+        flat = (self.y[:, None] * d + self.y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
+        phi = np.bincount(flat[same], np.broadcast_to(self.p, same.shape)[same], minlength=d**4)
+        self.phi = phi.reshape(d * d, d * d)
+
+    def populations(self, f: int, r: np.ndarray) -> np.ndarray:
+        """Level populations of memory factor f after writing the system diagonal r."""
+        levels = self.mu // math.prod(self.dims[f + 1 :]) % self.dims[f]
+        return np.bincount(levels.ravel(), (r[:, None] * self.p).ravel(), minlength=self.dims[f])
 
 
 class BroadcastRun:
     """Outcome of coupling one system state to a memory array.
 
-    Every write is a joint-basis permutation and every memory is diagonal,
-    p = p_1 (x) ... (x) p_N, so the final state U (rho_S (x) diag p) U^dagger
-    is the list of entries rho_{xx'} p_m at row pi(x, m), column pi(x', m),
-    with m over the occupied levels and pi the composed permutation of the
-    run's stages.  Statistics, input-labelled ensembles and reduced states
-    are scatter-adds over that list.  The dense matrix `state` is built only
-    on request, by the dense oracle, within BYTE_BUDGET.
+    Every memory starts fresh and diagonal and every write is a joint-basis
+    permutation, so a run is a chain of write steps: one per unit for a
+    sequential run, each fed the system state the previous write left
+    behind, or one into the merged memory for a global run; unit i is the
+    i-th memory factor of the chain.  Pointer statistics and input-labelled
+    ensembles need only the system diagonal entering each step; the (S, M_1)
+    marginal follows the whole system operator through the later steps'
+    channels.  The dense matrix `state` is built only on request, by the
+    dense oracle over the run's `stages`, within BYTE_BUDGET.
     """
 
-    def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, memory, stages):
-        levels, values = memory
+    def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, stages, steps):
         d_s = mem.d_s
-        d_m = math.prod(mem.dims)
+        if rho_s.dim != d_s:
+            raise DimensionMismatch(f"system dim {rho_s.dim} != array d_s {d_s}")
         self.mode = mode
         self.dims = (d_s,) + mem.dims
         self.p_initial = rho_s.matrix.diagonal().real.copy()
-        self._rho_s, self._mem, self._stages = rho_s, mem, stages
-        self._values = values
-        # rows[x, k] = pi(x, m_k): the row of entry (x, x', m_k), and its column for x' = x
-        rows = np.arange(d_s)[:, None] * d_m + levels
-        weights = (self.p_initial[:, None] * values).ravel()
-        history = []
-        for stage in stages:
-            rows = joint_images(*stage, rows)
-            history.append(np.bincount((rows // d_m).ravel(), weights, minlength=d_s))
-        self._rows = rows
+        self._rho_s, self._mem, self._stages, self._steps = rho_s, mem, stages, steps
+        self._reads = [(s, f) for s, step in enumerate(steps) for f in range(len(step.dims))]
+        self._labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
+        # row 0: the system diagonal entering each step; row 1 + j: the same from input |labels[j]>
+        diag = np.vstack([self.p_initial, np.eye(d_s)[self._labels]])
+        self._incoming, history = [], []
+        for step in steps:
+            self._incoming.append(diag)
+            # phi's diagonal block (no coherence reaches the diagonal), renormalised: the
+            # rounding of its row sums would otherwise compound over the stages
+            diag = diag @ step.phi[:: d_s + 1, :: d_s + 1].T
+            diag /= diag.sum(axis=1, keepdims=True)
+            history.append(diag[0])
         self.system_diag_history = tuple(history)
         self.q = tuple(
-            u.grouping.readout(self._digits(rows, (i + 1,)).ravel(), weights)
-            for i, u in enumerate(mem.units)
+            u.grouping.readout(np.arange(u.dim), steps[s].populations(f, self._incoming[s][0]))
+            for u, (s, f) in zip(mem.units, self._reads)
         )
-        self._labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
-        if len(self._labels) < d_s:
-            dropped = [x for x in range(d_s) if x not in self._labels]
-            warnings.warn(
-                f"outcomes {dropped} have probability at the floor; dropped",
-                DegenerateOutcomeWarning,
-            )
-
-    def _digits(self, index, factors):
-        """The joint indices `index` read as mixed-radix indices over `factors` alone."""
-        dims = self.dims
-        out = 0
-        for f in factors:
-            out = out * dims[f] + index // math.prod(dims[f + 1 :]) % dims[f]
-        return out
+        dropped = [x for x in range(d_s) if x not in self._labels]
+        if dropped:
+            warnings.warn(f"outcomes {dropped} have probability at the floor; dropped", DegenerateOutcomeWarning)
 
     @cached_property
     def state(self) -> DensityOperator:
@@ -236,59 +238,58 @@ class BroadcastRun:
         return DensityOperator(_final_joint(self._rho_s, self._mem, self._stages), self.dims)
 
     @cached_property
+    def first_marginal(self) -> DensityOperator:
+        """The final (S, M_1) state: the first write, then every later step's channel on S."""
+        d, d1 = self.dims[:2]
+        check_budget(COMPLEX_BYTES * (d * d1) ** 2, "reduced state")
+        after = np.eye(d * d)
+        for step in self._steps[1:]:
+            after = step.phi @ after
+        first = self._steps[0]
+        a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
+        same = rest[:, None] == rest[None]  # the other memory factors agree: traced out
+        weights = self._rho_s.matrix[:, :, None] * first.p  # rho_xx' p_k of entry (x, x', k)
+        values = after[:, (first.y[:, None] * d + first.y[None])[same]] * weights[same]
+        # entry (Y, a; Y', a') of the d * d1 square sits at Y d d1^2 + a d d1 + Y' d1 + a'
+        images = (np.arange(d)[:, None] * d * d1 * d1 + np.arange(d) * d1).reshape(-1, 1)
+        flat = (images + (a[:, None] * d * d1 + a[None])[same]).ravel()
+        n = (d * d1) ** 2
+        real, imag = (np.bincount(flat, part.ravel(), minlength=n) for part in (values.real, values.imag))
+        matrix = (real + 1j * imag).reshape(d * d1, d * d1)
+        # renormalised, as the diagonals are: the trace's rounding compounds over the later steps
+        return DensityOperator(matrix / matrix.trace().real, (d, d1))
+
+    @cached_property
     def ensembles(self) -> tuple[Ensemble, ...]:
         """Per-unit memory ensembles labelled by the basis input written.
 
-        Member x of unit i is the unit's reduced state of U (|x><x| (x) diag p)
-        U^dagger.  The write permutes basis states, so the member is diagonal:
-        each population p_m lands on the unit's level of row pi(x, m).
-        Outcomes at the probability floor are left out.
+        Member x of unit i is the unit's reduced state of the run from
+        |x><x|: diagonal, since the writes permute basis states.  Outcomes at
+        the probability floor are left out.  All members together are
+        checked against the byte budget before the first is built.
         """
-        ensembles = []
-        for i, u in enumerate(self._mem.units):
-            check_budget(COMPLEX_BYTES * u.dim * u.dim, "reduced state")
-            levels = self._digits(self._rows, (i + 1,))  # [x, k]: unit level of row pi(x, m_k)
-            members = [
-                diag_density(np.bincount(levels[x], self._values, minlength=u.dim), (u.dim,))
-                for x in self._labels
-            ]
-            ensembles.append(Ensemble(self.p_initial[self._labels], members))
-        return tuple(ensembles)
-
-    def reduced(self, keep) -> DensityOperator:
-        """Reduced final state on the factors `keep` (0 is the system), in that order.
-
-        Scatter-adds the entries whose traced factors agree between row and column.
-        """
-        keep = _check_factors(self, keep)
-        dims = self.dims
-        kept_dims = tuple(dims[f] for f in keep)
-        d = math.prod(kept_dims)
-        check_budget(COMPLEX_BYTES * d * d, "reduced state")
-        traced = [f for f in range(len(dims)) if f not in keep]
-        rows, cols = self._rows[:, None, :], self._rows[None, :, :]
-        values = self._rho_s.matrix[:, :, None] * self._values
-        shape = np.broadcast_shapes(rows.shape, cols.shape)
-        match = np.broadcast_to(self._digits(rows, traced) == self._digits(cols, traced), shape)
-        flat = np.broadcast_to(self._digits(rows, keep) * d + self._digits(cols, keep), shape)[match]
-        vals = np.broadcast_to(values, shape)[match]
-        matrix = np.bincount(flat, vals.real, minlength=d * d) + 1j * np.bincount(
-            flat, vals.imag, minlength=d * d
+        units = self._mem.units
+        check_budget(COMPLEX_BYTES * len(self._labels) * sum(u.dim**2 for u in units), "labelled ensembles")
+        return tuple(
+            Ensemble(
+                self.p_initial[self._labels],
+                [diag_density(self._steps[s].populations(f, r), (u.dim,)) for r in self._incoming[s][1:]],
+            )
+            for u, (s, f) in zip(units, self._reads)
         )
-        return DensityOperator(matrix.reshape(d, d), kept_dims)
 
 
 def run_sequential_local(rho_s: DensityOperator, mem: MemoryArray) -> BroadcastRun:
     """Couple the system to each unit in order; read pointer statistics per unit.
 
-    The run also holds, per unit, the ensemble of memory states labeled by
-    the input outcome, which is the decomposition the broadcast regime
-    classification refers to.
+    Each distinct unit's write step is built once.  The run also holds, per
+    unit, the ensemble of memory states labeled by the input outcome, which
+    is the decomposition the broadcast regime classification refers to.
     """
-    memory = _memory_entries(rho_s, mem)
+    steps = {u: _WriteStep(u.interaction, u.probs, (u.dim,)) for u in dict.fromkeys(mem.units)}
     dims = (mem.d_s,) + mem.dims
-    stages = tuple((dims, i + 1, unit.interaction) for i, unit in enumerate(mem.units))
-    return BroadcastRun(SEQUENTIAL_LOCAL, rho_s, mem, memory, stages)
+    stages = tuple((dims, i + 1, u.interaction) for i, u in enumerate(mem.units))
+    return BroadcastRun(SEQUENTIAL_LOCAL, rho_s, mem, stages, [steps[u] for u in mem.units])
 
 
 def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", variant: int = 0) -> BroadcastRun:
@@ -296,15 +297,18 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
 
     Pointer statistics are still read out per unit, which is what makes the
     global mode informative: a globally unbiased write need not look unbiased
-    on any single unit.
+    on any single unit.  The merged write entangles the units, so this run
+    alone pays the product space: its table and occupied levels are checked
+    against the byte budget from the units' level counts, before it is built.
     """
-    memory = _memory_entries(rho_s, mem)
+    check_entry_list(mem.d_s, math.prod(int(np.count_nonzero(u.probs)) for u in mem.units))
     check_table(mem.d_s, math.prod(mem.dims))
     # merged levels follow the kron ravel order of the unit levels, so the
     # (system, merged memory) stage acts on the same flat joint index
     merged_h = product_hamiltonian([u.hamiltonian for u in mem.units])
     merged = build(group_energies(merged_h, mem.d_s), kind, variant)
-    return BroadcastRun(GLOBAL, rho_s, mem, memory, (((mem.d_s, merged_h.dim), 1, merged),))
+    step = _WriteStep(merged, reduce(np.kron, [u.probs for u in mem.units]), mem.dims)
+    return BroadcastRun(GLOBAL, rho_s, mem, (((mem.d_s, merged_h.dim), 1, merged),), [step])
 
 
 def ideal_scb_defect(run: BroadcastRun) -> float:

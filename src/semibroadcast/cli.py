@@ -339,7 +339,7 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     else:
         run = broadcast.run_sequential_local(rho_s, mem)
     h_x = qcore.shannon_entropy(run.p_initial)
-    marginal = run.reduced((0, 1))
+    marginal = run.first_marginal
     rho_s_final = qcore.partial_trace(marginal, (0,))
     s_final = qcore.von_neumann_entropy(rho_s_final)
     s_final_diag = qcore.shannon_entropy(rho_s_final.matrix.diagonal().real)

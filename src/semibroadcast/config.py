@@ -332,15 +332,14 @@ def build_memory_array(
     state (the lowest level, ties to the lowest index).  The unit is built
     once and shared by every component.
 
-    The unit's interaction table and the run's entry list (every level of a
-    Gibbs memory is occupied, one level of a ground memory) are checked
+    The unit's interaction table and its write step's entry list (every
+    level of a Gibbs memory is occupied, one of a ground memory) are checked
     against the byte budget from the config's dimensions, before anything
-    is built.
+    is built; a global run checks the product of the units itself.
     """
     d_m = memory_dim(memory)
     check_table(d_s, d_m)
-    # 64 units of two or more occupied levels already exceed any budget
-    check_entry_list(d_s, (d_m if memory.state == "gibbs" else 1) ** min(memory.n_components, 64))
+    check_entry_list(d_s, d_m if memory.state == "gibbs" else 1)
     h = build_unit_hamiltonian(memory)
     if memory.state == "gibbs":
         probs = gibbs(h, unit_beta(memory)).probs

@@ -2,8 +2,8 @@
 
 Every interaction is a basis permutation of the joint space, stored as the
 table of its joint images.  This module owns the one kind dispatch (`build`
-over `KINDS`), the one index kernel (`joint_images`, which also maps indices
-of a larger product space) and the one dense conjugation (`conjugate`).
+over `KINDS`), the one dense conjugation (`conjugate`) and `joint_images`,
+which lifts a table to a product space for the broadcast runs' dense oracle.
 Each kind is a sector map (x, nu) -> (y, mu): the joint level
 |x, groups[nu][s]> goes to |y, groups[mu][s]>, keeping the within-sector
 slot s.
@@ -79,16 +79,12 @@ class ControlledInteraction:
         return UnitaryOperator(m, (self.d_s, self.d_m))
 
 
-def joint_images(
-    dims: tuple[int, ...], axis: int, u: ControlledInteraction, index: np.ndarray | None = None
-) -> np.ndarray:
-    """Images of joint basis indices under `u` acting on factor 0 and factor `axis`.
+def joint_images(dims: tuple[int, ...], axis: int, u: ControlledInteraction) -> np.ndarray:
+    """The joint basis permutation over `dims` of `u` acting on factor 0 and factor `axis`.
 
-    `index` holds flat indices over `dims` (all of them by default); the
-    result has its shape.  |x, m> goes to |y, mu> with y * d_M + mu = table[x, m].
+    |x, m> goes to |y, mu> with y * d_M + mu = table[x, m]; every other factor stays.
     """
-    if index is None:
-        index = np.arange(math.prod(dims))
+    index = np.arange(math.prod(dims))
     block = math.prod(dims[1:])
     stride = math.prod(dims[axis + 1 :])
     # the index shift of each (x, m), worked out once per call from the table, then gathered per index

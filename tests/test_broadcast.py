@@ -15,7 +15,6 @@ from semibroadcast.errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
     InvalidBlocks,
-    InvalidFactorIndex,
     NonPositiveMemoryEntropy,
     NotInvertible,
     WrongKind,
@@ -168,6 +167,18 @@ def test_final_state_rank_is_memory_bound_for_pure_inputs():
     assert int(np.sum(eigs > 1e-12)) == 2
 
 
+def test_a_long_chain_does_not_compound_rounding():
+    # 20,000 writes into 3-qubit memories: each channel keeps the trace only up to
+    # rounding, which unless renormalised compounds past the 1e-12 a DensityOperator allows
+    unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(3), 1.0, 2)
+    p = [0.3, 0.7]
+    run = broadcast.run_sequential_local(qcore.diag_density(p), broadcast.MemoryArray(2, [unit] * 20000))
+    rho_s_final = qcore.partial_trace(run.first_marginal, (0,)).matrix.diagonal().real
+    assert rho_s_final.tolist() == pytest.approx(p, abs=1e-15)
+    assert run.system_diag_history[-1].tolist() == pytest.approx(p, abs=1e-15)
+    assert np.max(np.abs(np.array(run.q) - run.q[0])) <= 1e-15
+
+
 def test_dense_budget_is_enforced():
     # D = 8192: the structured run succeeds, the dense oracle refuses
     big = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(4), 1.0, 2)
@@ -209,8 +220,8 @@ def lifted_permutation(dims, axis, u):
 @settings(max_examples=40, deadline=None)
 @given(
     d_s=st.sampled_from((2, 3, 4)),
-    ranks=st.lists(st.sampled_from((1, 2)), min_size=1, max_size=3),
-    states=st.lists(st.sampled_from(MEMORY_STATES), min_size=3, max_size=3),
+    ranks=st.lists(st.sampled_from((1, 2)), min_size=1, max_size=4),
+    states=st.lists(st.sampled_from(MEMORY_STATES), min_size=4, max_size=4),
     kind=st.sampled_from(("noninvasive", "cycled", "swap")),
     mode=st.sampled_from((broadcast.SEQUENTIAL_LOCAL, broadcast.GLOBAL)),
     pure_input=st.booleans(),
@@ -241,10 +252,9 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
 
     dense = run.state
     n = len(dims)
-    for keep in [(f,) for f in range(n + 1)] + [(0, 1), tuple(range(n + 1))]:
-        np.testing.assert_allclose(
-            run.reduced(keep).matrix, qcore.partial_trace(dense, keep).matrix, rtol=0, atol=1e-12
-        )
+    np.testing.assert_allclose(
+        run.first_marginal.matrix, qcore.partial_trace(dense, (0, 1)).matrix, rtol=0, atol=1e-12
+    )
     for i, unit in enumerate(mem.units):
         want = interact.pointer_distribution(qcore.partial_trace(dense, (0, i + 1)), unit.grouping)
         np.testing.assert_allclose(run.q[i], want, rtol=0, atol=1e-12)
@@ -267,21 +277,10 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
             np.testing.assert_allclose(member.matrix, want, rtol=0, atol=1e-12)
 
 
-def test_reduced_rejects_bad_factor_lists():
-    run = broadcast.run_sequential_local(
-        qcore.diag_density([0.3, 0.7]), broadcast.MemoryArray(2, (qubit_unit(),))
-    )
-    for keep in ((), (0, 0), (2,)):
-        with pytest.raises(InvalidFactorIndex):
-            run.reduced(keep)
-
-
 def test_structured_budget_refuses_before_allocating():
-    # N = 3 copies of an 8-qubit memory: 4 * 2^24 entries, 2 GiB as a list
+    # N = 3 copies of an 8-qubit memory: the global write holds 4 * 2^24 entries, 2 GiB as a list
     big = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(8), 1.0, 2)
     mem = broadcast.MemoryArray(2, (big, big, big))
-    with pytest.raises(DimensionBudgetExceeded):
-        broadcast.run_sequential_local(qcore.diag_density([0.4, 0.6]), mem)
     with pytest.raises(DimensionBudgetExceeded):
         broadcast.run_global(qcore.diag_density([0.4, 0.6]), mem)
 

@@ -202,43 +202,100 @@ def test_classify_global_mode(tmp_path):
 
 
 def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
-    # N = 3 copies of a 4-qubit memory: D = 8192, twice the largest dense state
+    # N = 3 copies of a 4-qubit memory: D = 8192, twice the largest dense state;
+    # N = 256 copies of a 6-qubit memory: D = 2^1537, one write step per copy
+    for n_units, n in ((3, 4), (256, 6)):
+        cfg = {
+            "experiment": "sequential",
+            "system": {"d_S": 2, "state": "random", "seed": 5},
+            "memory": {"N": n_units, "n": n, "beta_omega": 0.7},
+            "interaction": {"kind": "noninvasive"},
+        }
+        rc, out = run(tmp_path, "classify", config=cfg, name=f"cfg-{n_units}.json")
+        assert rc == 0
+        # the noninvasive write keeps p, so component i holds sum_x p_x V_x tau V_x^dagger
+        p = build_system_state(parse_config(cfg).system).matrix.diagonal().real
+        h = thermal.qubit_chain_hamiltonian(n)
+        tau = thermal.gibbs(h, 0.7).probs
+        levels = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2)).table % h.dim
+        mix = np.zeros_like(tau)
+        for x in range(2):
+            mix[levels[x]] += p[x] * tau
+        chi = qcore.shannon_entropy(mix) - qcore.shannon_entropy(tau)
+        components = read_json(out)["components"]
+        assert len(components) == n_units
+        for c in components:
+            assert c["chi"] == pytest.approx(chi, abs=1e-12)
+            # the ensembles are diagonal, so the bracket closes exactly; a thermal
+            # memory keeps chi below H(X), so the write is only locally noninvasive
+            assert c["i_acc_lower"] == pytest.approx(c["chi"], abs=1e-12)
+            assert c["i_acc_upper"] == c["chi"]
+            assert c["class"] == "local_noninvasive"
+
+
+def test_sequential_classify_refuses_ensembles_beyond_the_byte_budget(tmp_path, capsys):
+    # 4096 copies of a 6-qubit memory: each unit's two members hold 2 * 64^2 entries,
+    # all of them 2^25 complex entries, twice the budget
     cfg = {
         "experiment": "sequential",
-        "system": {"d_S": 2, "state": "random", "seed": 5},
-        "memory": {"N": 3, "n": 4, "beta_omega": 0.7},
+        "system": {"d_S": 2, "state": "random"},
+        "memory": {"N": 4096, "n": 6, "beta_omega": 1.0},
         "interaction": {"kind": "noninvasive"},
     }
-    rc, out = run(tmp_path, "classify", config=cfg)
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "classify", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert "ensembles" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+    assert peak < 32 * 2**20
+
+
+def _nogo_512(kind):
+    return {
+        "experiment": "nogo",
+        "system": {"d_S": 2, "state": 0},
+        "memory": {"N": 512, "n": 6, "beta_omega": 1.0},
+        "interaction": {"kind": kind},
+    }
+
+
+def test_long_noninvasive_nogo_reads_the_transition_matrix_on_every_unit(tmp_path):
+    rc, out = run(tmp_path, "nogo", config=_nogo_512("noninvasive"))
     assert rc == 0
-    # the noninvasive write keeps p, so component i holds sum_x p_x V_x tau V_x^dagger
-    p = build_system_state(parse_config(cfg).system).matrix.diagonal().real
-    h = thermal.qubit_chain_hamiltonian(4)
-    tau = thermal.gibbs(h, 0.7).probs
-    levels = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2)).table % h.dim
-    mix = np.zeros_like(tau)
-    for x in range(2):
-        mix[levels[x]] += p[x] * tau
-    chi = qcore.shannon_entropy(mix) - qcore.shannon_entropy(tau)
-    components = read_json(out)["components"]
-    assert len(components) == 3
-    for c in components:
-        assert c["chi"] == pytest.approx(chi, abs=1e-12)
-        # the ensembles are diagonal, so the bracket closes exactly; a thermal
-        # memory keeps chi below H(X), so the write is only locally noninvasive
-        assert c["i_acc_lower"] == pytest.approx(c["chi"], abs=1e-12)
-        assert c["i_acc_upper"] == c["chi"]
-        assert c["class"] == "local_noninvasive"
+    # every unit sees the unchanged input |x>, so it reads row x of the unit's T
+    h = thermal.qubit_chain_hamiltonian(6)
+    u = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2))
+    t = interact.transition_matrix(u, thermal.gibbs(h, 1.0).probs)
+    defects = [r["defect"] for r in read_json(out)["basis_defects"]]
+    want = [float(np.max(np.abs(np.eye(2)[x] - t[x]))) for x in range(2)]
+    assert defects == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("experiment", ["sequential", "global"])
-def test_classify_beyond_the_byte_budget_exits_4_before_allocating(tmp_path, capsys, experiment):
-    # N = 3 copies of an 8-qubit memory: an entry list of 4 * 2^24 entries
+def test_long_swap_nogo_reads_the_sector_weights_after_the_first_unit(tmp_path):
+    rc, out = run(tmp_path, "nogo", config=_nogo_512("swap"))
+    assert rc == 0
+    # unit 1 copies |x> exactly and leaves the memory's sector weights (c_max, 1 - c_max)
+    # on the system, which every later swap reads and leaves again
+    h = thermal.qubit_chain_hamiltonian(6)
+    c = thermal.c_max(thermal.group_energies(h, 2), thermal.gibbs(h, 1.0))
+    defects = [r["defect"] for r in read_json(out)["basis_defects"]]
+    assert defects == pytest.approx([1.0 - c, c], abs=1e-12)
+
+
+@pytest.mark.parametrize("interaction", [None, "noninvasive"], ids=["global", "global-noninvasive"])
+def test_classify_beyond_the_byte_budget_exits_4_before_allocating(tmp_path, capsys, interaction):
+    # N = 3 copies of an 8-qubit memory: a global write of 4 * 2^24 entries, swap by default
     cfg = {
-        "experiment": experiment,
+        "experiment": "global",
         "system": {"d_S": 2, "state": "random"},
         "memory": {"N": 3, "n": 8, "beta_omega": 1.0},
     }
+    if interaction is not None:
+        cfg["interaction"] = {"kind": interaction}
     tracemalloc.start()
     try:
         rc, _ = run(tmp_path, "classify", config=cfg)
@@ -259,10 +316,11 @@ def _memory(**fields):
     [
         _memory(N=1, n=30, beta_omega=1.0),  # a 2^31-index interaction table
         _memory(N=1, n=30, beta_omega=1.0, state="ground"),
-        _memory(N=20000, n=1, beta_omega=1.0),  # an entry list of 4 * 2^20000 entries
+        # a global write of 4 * 2^20000 entries
+        {**_memory(N=20000, n=1, beta_omega=1.0), "experiment": "global"},
         {**_memory(N=25, n=1, beta_omega=1.0, state="ground"), "experiment": "global"},
     ],
-    ids=["n30", "n30-ground", "N20000", "global-ground-N25"],
+    ids=["n30", "n30-ground", "global-N20000", "global-ground-N25"],
 )
 def test_classify_refuses_oversized_memories_before_building_them(tmp_path, capsys, cfg):
     start = time.perf_counter()

@@ -1,9 +1,12 @@
 """Config schema validation and the builders that turn configs into objects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semibroadcast import config as cfgmod
+from semibroadcast.broadcast import run_global
 from semibroadcast.config import (
     HamiltonianConfig,
     InteractionConfig,
@@ -17,6 +20,7 @@ from semibroadcast.config import (
     unit_beta,
 )
 from semibroadcast.errors import ConfigError, DimensionBudgetExceeded
+from semibroadcast.qcore import diag_density
 
 
 def minimal(experiment="sequential", **extra):
@@ -311,10 +315,19 @@ def test_build_memory_array_refuses_an_oversized_table_before_building(state):
         build_memory_array(mem_cfg, None, 2)
 
 
-def test_build_memory_array_bounds_the_entry_list_of_every_occupied_level():
-    # N = 3 copies of an 8-qubit memory: 4 * 2^24 entries for Gibbs units, 4 for ground units
+def test_global_run_bounds_the_entry_list_of_every_occupied_level():
+    # N = 3 copies of an 8-qubit memory: the global write holds 4 * 2^24 entries for Gibbs
+    # units, 4 for ground units; each unit's own write holds 4 * 2^8
     gibbs_cfg = MemoryConfig(3, 8, 1.0, HamiltonianConfig("qubit_chain", n=8))
-    with pytest.raises(DimensionBudgetExceeded):
-        build_memory_array(gibbs_cfg, None, 2)
+    mem = build_memory_array(gibbs_cfg, None, 2)
+    assert mem.dims == (256, 256, 256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetExceeded):
+            run_global(diag_density([0.4, 0.6]), mem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
     ground_cfg = MemoryConfig(3, 8, 1.0, HamiltonianConfig("qubit_chain", n=8), state="ground")
     assert build_memory_array(ground_cfg, None, 2).dims == (256, 256, 256)
