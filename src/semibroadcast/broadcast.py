@@ -168,25 +168,33 @@ class _WriteStep:
     The memory is one unit (a sequential stage) or the merged memory of a
     global run, whose level splits into the unit digits `dims`.  Only the
     occupied levels m_k of `probs` enter: pi(x, m_k) = (y[x, k], mu[x, k]) is
-    read from `table[:, occupied]`, and p[k] is the population of m_k.
-    Tracing out the memory keeps the entries (x, x', k) with
-    mu[x, k] = mu[x', k]; they give the stage's channel on S, the
-    d_S^2 x d_S^2 matrix `phi` on row-major vec(rho), in O(d_S^2 * levels).
+    read from `table[:, occupied]`, and p[k] is the population of m_k.  On
+    the system diagonal the stage acts as the d_S x d_S transition matrix `t`.
     """
 
     def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...]):
         d, occupied = u.d_s, np.flatnonzero(probs)
         self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
         self.p, self.dims = probs[occupied], dims
+        flat = np.arange(d).reshape(d, 1) * d + self.y  # t[x, y]: weight of |x> -> |y> on S
+        self.t = np.bincount(flat.ravel(), np.broadcast_to(self.p, flat.shape).ravel(), minlength=d * d).reshape(d, d)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """The stage's channel on S, d_S^2 x d_S^2 on row-major vec(rho): the entries (x, x', k) with
+        mu[x, k] = mu[x', k] survive tracing out the memory."""
+        d = len(self.y)
         same = self.mu[:, None] == self.mu[None]
         flat = (self.y[:, None] * d + self.y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
         phi = np.bincount(flat[same], np.broadcast_to(self.p, same.shape)[same], minlength=d**4)
-        self.phi = phi.reshape(d * d, d * d)
+        return phi.reshape(d * d, d * d)
 
     def populations(self, f: int, r: np.ndarray) -> np.ndarray:
-        """Level populations of memory factor f after writing the system diagonal r."""
+        """Level populations of memory factor f after writing each system diagonal, a row of r."""
         levels = self.mu // math.prod(self.dims[f + 1 :]) % self.dims[f]
-        return np.bincount(levels.ravel(), (r[:, None] * self.p).ravel(), minlength=self.dims[f])
+        flat = (np.arange(len(r)).reshape(-1, 1, 1) * self.dims[f] + levels).ravel()
+        pops = np.bincount(flat, (r[:, :, None] * self.p).ravel(), minlength=len(r) * self.dims[f])
+        return pops.reshape(len(r), self.dims[f])
 
 
 class BroadcastRun:
@@ -196,11 +204,13 @@ class BroadcastRun:
     permutation, so a run is a chain of write steps: one per unit for a
     sequential run, each fed the system state the previous write left
     behind, or one into the merged memory for a global run; unit i is the
-    i-th memory factor of the chain.  Pointer statistics and input-labelled
-    ensembles need only the system diagonal entering each step; the (S, M_1)
-    marginal follows the whole system operator through the later steps'
-    channels.  The dense matrix `state` is built only on request, by the
-    dense oracle over the run's `stages`, within BYTE_BUDGET.
+    i-th memory factor of the chain.  Pointer statistics need only the
+    system diagonal entering each step.  The same run from every basis input
+    (its labelled ensembles and `basis_defects`) chains one row per input,
+    read out one unit at a time.  The (S, M_1) marginal follows the whole
+    system operator through the later steps' channels.  The dense matrix
+    `state` is built only on request, by the dense oracle over the run's
+    `stages`, within BYTE_BUDGET.
     """
 
     def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, stages, steps):
@@ -211,26 +221,41 @@ class BroadcastRun:
         self.dims = (d_s,) + mem.dims
         self.p_initial = rho_s.matrix.diagonal().real.copy()
         self._rho_s, self._mem, self._stages, self._steps = rho_s, mem, stages, steps
-        self._reads = [(s, f) for s, step in enumerate(steps) for f in range(len(step.dims))]
-        self._labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
-        # row 0: the system diagonal entering each step; row 1 + j: the same from input |labels[j]>
-        diag = np.vstack([self.p_initial, np.eye(d_s)[self._labels]])
-        self._incoming, history = [], []
-        for step in steps:
-            self._incoming.append(diag)
-            # phi's diagonal block (no coherence reaches the diagonal), renormalised: the
-            # rounding of its row sums would otherwise compound over the stages
-            diag = diag @ step.phi[:: d_s + 1, :: d_s + 1].T
-            diag /= diag.sum(axis=1, keepdims=True)
-            history.append(diag[0])
-        self.system_diag_history = tuple(history)
+        self.labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
+        self._basis = np.eye(d_s)[self.labels]  # row j: the basis input |labels[j]>
+        chain = list(self._chain(self.p_initial[None]))
+        self.system_diag_history = tuple(r[0] for r in chain[1:])
         self.q = tuple(
-            u.grouping.readout(np.arange(u.dim), steps[s].populations(f, self._incoming[s][0]))
-            for u, (s, f) in zip(mem.units, self._reads)
+            u.grouping.readout(np.arange(u.dim), step.populations(f, r)[0]) for u, step, f, r in self._writes(chain)
         )
-        dropped = [x for x in range(d_s) if x not in self._labels]
+        dropped = [x for x in range(d_s) if x not in self.labels]
         if dropped:
             warnings.warn(f"outcomes {dropped} have probability at the floor; dropped", DegenerateOutcomeWarning)
+
+    def _chain(self, rows: np.ndarray):
+        """The system diagonals `rows` entering each step, then leaving the last."""
+        yield rows
+        for step in self._steps:
+            rows = rows @ step.t
+            # renormalised: the rounding of t's row sums would otherwise compound over the stages
+            rows = rows / rows.sum(axis=1, keepdims=True)
+            yield rows
+
+    def _writes(self, incoming):
+        """(unit, step, memory factor, system diagonals entering the step) for every unit in order."""
+        units = iter(self._mem.units)
+        for step, rows in zip(self._steps, incoming):
+            for f in range(len(step.dims)):
+                yield next(units), step, f, rows
+
+    @cached_property
+    def basis_defects(self) -> np.ndarray:
+        """Entry j: the worst deviation of any unit's pointer statistics from input |labels[j]>."""
+        worst = np.zeros(len(self.labels))
+        for u, step, f, rows in self._writes(self._chain(self._basis)):
+            q = np.array([u.grouping.readout(np.arange(u.dim), pops) for pops in step.populations(f, rows)])
+            worst = np.maximum(worst, np.abs(self._basis - q).max(axis=1))
+        return worst
 
     @cached_property
     def state(self) -> DensityOperator:
@@ -241,23 +266,24 @@ class BroadcastRun:
     def first_marginal(self) -> DensityOperator:
         """The final (S, M_1) state: the first write, then every later step's channel on S."""
         d, d1 = self.dims[:2]
+        # also bounds each later channel's d_S^4 entries, as d_S divides d_1
         check_budget(COMPLEX_BYTES * (d * d1) ** 2, "reduced state")
-        after = np.eye(d * d)
-        for step in self._steps[1:]:
-            after = step.phi @ after
         first = self._steps[0]
         a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
         same = rest[:, None] == rest[None]  # the other memory factors agree: traced out
-        weights = self._rho_s.matrix[:, :, None] * first.p  # rho_xx' p_k of entry (x, x', k)
-        values = after[:, (first.y[:, None] * d + first.y[None])[same]] * weights[same]
-        # entry (Y, a; Y', a') of the d * d1 square sits at Y d d1^2 + a d d1 + Y' d1 + a'
-        images = (np.arange(d)[:, None] * d * d1 * d1 + np.arange(d) * d1).reshape(-1, 1)
-        flat = (images + (a[:, None] * d * d1 + a[None])[same]).ravel()
-        n = (d * d1) ** 2
-        real, imag = (np.bincount(flat, part.ravel(), minlength=n) for part in (values.real, values.imag))
-        matrix = (real + 1j * imag).reshape(d * d1, d * d1)
-        # renormalised, as the diagonals are: the trace's rounding compounds over the later steps
-        return DensityOperator(matrix / matrix.trace().real, (d, d1))
+        # entry (x, x', k) adds rho_xx' p_k at (y[x, k], a[x, k]; y[x', k], a[x', k])
+        row = first.y * d1 + a
+        flat = (row[:, None] * (d * d1) + row[None])[same]
+        matrix = np.zeros((d, d1, d, d1), dtype=complex)
+        np.add.at(matrix.reshape(-1), flat, (self._rho_s.matrix[:, :, None] * first.p)[same])
+        if len(self._steps) > 1:
+            after = reduce(lambda acc, step: step.phi @ acc, self._steps[2:], self._steps[1].phi)
+            for level in range(d1):  # in place, one level of M_1 at a time
+                block = np.ascontiguousarray(matrix[:, level]).view(float).reshape(d * d, 2 * d1)
+                matrix[:, level] = (after @ block).view(complex).reshape(d, d, d1)
+        matrix = matrix.reshape(d * d1, d * d1)
+        matrix /= matrix.trace().real  # renormalised, as the diagonals are: rounding compounds over the steps
+        return DensityOperator(matrix, (d, d1))
 
     @cached_property
     def ensembles(self) -> tuple[Ensemble, ...]:
@@ -268,14 +294,11 @@ class BroadcastRun:
         the probability floor are left out.  All members together are
         checked against the byte budget before the first is built.
         """
-        units = self._mem.units
-        check_budget(COMPLEX_BYTES * len(self._labels) * sum(u.dim**2 for u in units), "labelled ensembles")
+        n_members = len(self.labels) * sum(u.dim**2 for u in self._mem.units)
+        check_budget(COMPLEX_BYTES * n_members, "labelled ensembles")
         return tuple(
-            Ensemble(
-                self.p_initial[self._labels],
-                [diag_density(self._steps[s].populations(f, r), (u.dim,)) for r in self._incoming[s][1:]],
-            )
-            for u, (s, f) in zip(units, self._reads)
+            Ensemble(self.p_initial[self.labels], [diag_density(pops, (u.dim,)) for pops in step.populations(f, rows)])
+            for u, step, f, rows in self._writes(self._chain(self._basis))
         )
 
 
@@ -370,9 +393,7 @@ def reconstruct_p(q_variants, c_max_value: float, d_s: int) -> np.ndarray:
     if any(q.size != d_s for q in q_variants):
         raise DimensionMismatch("variant distributions must have d_s outcomes")
     if abs(c_max_value - 1.0 / d_s) <= INVERTIBILITY_TOL:
-        raise NotInvertible(
-            f"c_max={c_max_value} within {INVERTIBILITY_TOL} of uninformative 1/{d_s}"
-        )
+        raise NotInvertible(f"c_max={c_max_value} within {INVERTIBILITY_TOL} of uninformative 1/{d_s}")
     q_av = np.mean(q_variants, axis=0)
     c = (1.0 - c_max_value) / (d_s - 1)
     p = (q_av - c) / (c_max_value - c)
@@ -448,8 +469,6 @@ def sweep_cmax_convergence(n_values, beta_omega_values, d_s: int = 2) -> list[tu
 
     Rows are ordered by (beta*omega, n) so output files are reproducible.
     """
-    rows = []
-    for bw in sorted(float(b) for b in beta_omega_values):
-        for n in sorted(int(n) for n in n_values):
-            rows.append((n, bw, c_max_qubits_analytic(n, bw, d_s)))
-    return rows
+    n_values = sorted(int(n) for n in n_values)
+    bw_values = sorted(float(b) for b in beta_omega_values)
+    return [(n, bw, c_max_qubits_analytic(n, bw, d_s)) for bw in bw_values for n in n_values]

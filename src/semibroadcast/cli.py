@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .config import (
     parse_config,
     unit_beta,
 )
-from .errors import ConfigError, DegenerateOutcomeWarning, SemibroadcastError
+from .errors import ConfigError, SemibroadcastError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,19 +67,14 @@ def _threads() -> int:
 
 
 def _write_json(out_dir: Path, payload: dict) -> None:
-    path = out_dir / "results.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "results.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(out_dir: Path, header: list[str], rows: list[list]) -> None:
-    path = out_dir / "results.csv"
-    with path.open("w", newline="") as fh:
+    with (out_dir / "results.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [f"{v:.12g}" if isinstance(v, float) else v for v in row]
-            )
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _entropic(value: float, bits: bool) -> float:
@@ -215,11 +209,7 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         "index", "d_S", "d_M", "beta", "kind", "entropy_production", "chi",
         "beta_delta_f_memory", "gap", "reeb_wolf_residual",
     ]
-    _write_csv(
-        out_dir,
-        header,
-        [[r[k] for k in header] for r in records],
-    )
+    _write_csv(out_dir, header, [[r[k] for k in header] for r in records])
     print(f"{len(records)} instance(s): min gap {min_gap:.3e}, max identity residual {max_rw:.3e}")
     gap_floor = -(GAP_TOL / LN2 if bits else GAP_TOL)
     if min_gap < gap_floor:
@@ -232,13 +222,9 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
 def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     d_s = cfg.system.d_s
     mem = build_memory_array(cfg.memory, cfg.interaction, d_s)
-    defect_rows = []
-    with warnings.catch_warnings():
-        # basis inputs make the unused outcomes degenerate on purpose
-        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
-        for x in range(d_s):
-            run = broadcast.run_sequential_local(qcore.basis_state(d_s, x), mem)
-            defect_rows.append({"input": x, "defect": broadcast.ideal_scb_defect(run)})
+    # one run from the uniform input carries the run from every basis input
+    run = broadcast.run_sequential_local(qcore.diag_density(np.full(d_s, 1.0 / d_s)), mem)
+    defect_rows = [{"input": x, "defect": float(d)} for x, d in zip(run.labels, run.basis_defects)]
     worst = max(r["defect"] for r in defect_rows)
     rho_s = build_system_state(cfg.system)
     s_rho = qcore.von_neumann_entropy(rho_s)
@@ -270,11 +256,7 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         "witness": witness,
     }
     _write_json(out_dir, payload)
-    _write_csv(
-        out_dir,
-        ["input", "defect"],
-        [[r["input"], r["defect"]] for r in defect_rows],
-    )
+    _write_csv(out_dir, ["input", "defect"], [[r["input"], r["defect"]] for r in defect_rows])
     if witness.get("violated"):
         print(
             f"worst statistics defect {worst:.3e}; witness at k={witness['k']}: "
@@ -283,9 +265,7 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     else:
         print(f"worst statistics defect {worst:.3e}; no finite-k witness")
     if cfg.memory.state == "gibbs" and cfg.memory.beta_omega > 0 and worst <= 1e-6:
-        raise InvariantViolation(
-            f"thermal memories should obstruct copying, defect {worst}"
-        )
+        raise InvariantViolation(f"thermal memories should obstruct copying, defect {worst}")
     return payload
 
 
@@ -312,10 +292,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         "max_residual": residual,
     }
     _write_json(out_dir, payload)
-    rows = []
-    for i, q in enumerate(q_variants):
-        for y, val in enumerate(q):
-            rows.append([i, y, float(val)])
+    rows = [[i, y, float(val)] for i, q in enumerate(q_variants) for y, val in enumerate(q)]
     _write_csv(out_dir, ["variant", "outcome", "q"], rows)
     print(f"c_max={cmax:.9f}; reconstruction residual {residual:.3e}")
     if residual > 1e-9:
@@ -328,9 +305,14 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         raise ConfigError("classify needs system and memory sections")
     d_s = cfg.system.d_s
     rho_s = build_system_state(cfg.system)
-    # the dense (S, M_1) marginal read below: refuse it before building the memory
-    d = d_s * memory_dim(cfg.memory)
-    broadcast.check_budget(broadcast.COMPLEX_BYTES * d * d, "reduced state")
+    # the dense (S, M_1) marginal and the labelled ensembles read below: refuse them
+    # before building the memory
+    d_m = memory_dim(cfg.memory)
+    broadcast.check_budget(broadcast.COMPLEX_BYTES * (d_s * d_m) ** 2, "reduced state")
+    labels = int(np.count_nonzero(rho_s.matrix.diagonal().real > infotherm.PROB_FLOOR))
+    broadcast.check_budget(
+        broadcast.COMPLEX_BYTES * labels * cfg.memory.n_components * d_m**2, "labelled ensembles"
+    )
     mem = build_memory_array(cfg.memory, cfg.interaction, d_s)
     if cfg.experiment == "global":
         kind = cfg.interaction.kind if cfg.interaction else "swap"
@@ -380,11 +362,8 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         },
     }
     _write_json(out_dir, payload)
-    _write_csv(
-        out_dir,
-        ["component", "class", "i_acc_lower", "i_acc_upper", "chi"],
-        [[c["component"], c["class"], c["i_acc_lower"], c["i_acc_upper"], c["chi"]] for c in components],
-    )
+    header = ["component", "class", "i_acc_lower", "i_acc_upper", "chi"]
+    _write_csv(out_dir, header, [[c[k] for k in header] for c in components])
     for c in components:
         print(f"component {c['component']}: {c['class']}")
     return payload

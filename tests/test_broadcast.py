@@ -275,6 +275,23 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
         for member, joint in zip(ens.states, basis_states):
             want = qcore.partial_trace(joint, (i + 1,)).matrix
             np.testing.assert_allclose(member.matrix, want, rtol=0, atol=1e-12)
+    assert run.labels == labels
+    want = [
+        max(
+            np.max(np.abs(np.eye(d_s)[x] - interact.pointer_distribution(qcore.partial_trace(joint, (0, i + 1)), unit.grouping)))
+            for i, unit in enumerate(mem.units)
+        )
+        for x, joint in zip(labels, basis_states)
+    ]
+    np.testing.assert_allclose(run.basis_defects, want, rtol=0, atol=1e-12)
+
+
+def test_ensembles_refuse_all_their_members_beyond_the_byte_budget():
+    # 4096 copies of a 6-qubit memory: each unit's two members fit, all 2^25 complex entries do not
+    unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(6), 1.0, 2)
+    run = broadcast.run_sequential_local(qcore.diag_density([0.4, 0.6]), broadcast.MemoryArray(2, [unit] * 4096))
+    with pytest.raises(DimensionBudgetExceeded, match="ensembles"):
+        run.ensembles
 
 
 def test_structured_budget_refuses_before_allocating():

@@ -233,15 +233,20 @@ def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
             assert c["class"] == "local_noninvasive"
 
 
-def test_sequential_classify_refuses_ensembles_beyond_the_byte_budget(tmp_path, capsys):
+def test_sequential_classify_refuses_ensembles_beyond_the_byte_budget(tmp_path, capsys, monkeypatch):
     # 4096 copies of a 6-qubit memory: each unit's two members hold 2 * 64^2 entries,
-    # all of them 2^25 complex entries, twice the budget
+    # all of them 2^25 complex entries, twice the budget; refused from the config
     cfg = {
         "experiment": "sequential",
         "system": {"d_S": 2, "state": "random"},
         "memory": {"N": 4096, "n": 6, "beta_omega": 1.0},
         "interaction": {"kind": "noninvasive"},
     }
+
+    def unreachable(*args):
+        raise AssertionError("the memory was built")
+
+    monkeypatch.setattr(cli, "build_memory_array", unreachable)
     tracemalloc.start()
     try:
         rc, out = run(tmp_path, "classify", config=cfg)
@@ -252,6 +257,48 @@ def test_sequential_classify_refuses_ensembles_beyond_the_byte_budget(tmp_path, 
     assert "ensembles" in capsys.readouterr().err
     assert not (out / "results.json").exists()
     assert peak < 32 * 2**20
+
+
+def test_classify_holds_the_first_marginal_in_a_few_copies(tmp_path):
+    # d_S = 16 over two 6-qubit memories: the (S, M_1) marginal is 1024 x 1024, 16 MiB, and
+    # validating it as a state takes about four copies; the first write and the second
+    # unit's channel add less than one more
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 16, "state": "random", "seed": 3},
+        "memory": {"N": 2, "n": 6, "beta_omega": 1.0},
+    }
+    marginal = broadcast.COMPLEX_BYTES * (16 * 64) ** 2
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "classify", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(read_json(out)["components"]) == 2
+    assert peak < 5 * marginal
+
+
+def test_nogo_over_a_wide_system_holds_no_full_channel(tmp_path):
+    # d_S = 64 over two 6-qubit ground memories: each write copies |x> exactly; the
+    # full channel on S would hold 64^4 entries, 128 MiB
+    cfg = {
+        "experiment": "nogo",
+        "system": {"d_S": 64, "state": 0},
+        "memory": {"N": 2, "n": 6, "beta_omega": 1.0, "state": "ground"},
+    }
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "nogo", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    rows = read_json(out)["basis_defects"]
+    assert [r["input"] for r in rows] == list(range(64))
+    assert all(r["defect"] <= 1e-12 for r in rows)
+    assert peak < 8 * 2**20
 
 
 def _nogo_512(kind):
