@@ -27,9 +27,9 @@ from .errors import (
     NonPositiveMemoryEntropy,
     NotInvertible,
 )
-from .infotherm import PROB_FLOOR, Ensemble
+from .infotherm import PROB_FLOOR, SystemBlocks
 from .interact import ControlledInteraction, build, conjugate, joint_images
-from .qcore import DensityOperator, diag_density, mutual_information, partial_trace, prob_vector
+from .qcore import DensityOperator, mutual_information, partial_trace, prob_vector
 from .thermal import (
     EnergyGrouping,
     MemoryHamiltonian,
@@ -42,8 +42,8 @@ from .thermal import (
 COMPLEX_BYTES = np.dtype(complex).itemsize
 INDEX_BYTES = np.dtype(np.intp).itemsize
 # One budget for every array a run allocates at its full size: the dense
-# oracle's D x D state, a write step's entry list and the labelled
-# ensembles alike.  It admits a dense complex state of dimension 4096.
+# oracle's D x D state, a write step's entry list and the (S, M_1) blocks
+# alike.  It admits a dense complex state of dimension 4096.
 BYTE_BUDGET = COMPLEX_BYTES * 4096**2
 INVERTIBILITY_TOL = 1e-9
 
@@ -206,11 +206,10 @@ class BroadcastRun:
     behind, or one into the merged memory for a global run; unit i is the
     i-th memory factor of the chain.  Pointer statistics need only the
     system diagonal entering each step.  The same run from every basis input
-    (its labelled ensembles and `basis_defects`) chains one row per input,
-    read out one unit at a time.  The (S, M_1) marginal follows the whole
-    system operator through the later steps' channels.  The dense matrix
-    `state` is built only on request, by the dense oracle over the run's
-    `stages`, within BYTE_BUDGET.
+    (`ensembles` and `basis_defects`) chains one row per input, read out one
+    unit at a time.  The (S, M_1) marginal is d_S x d_S blocks over the M_1
+    level pairs the first write occupies, through the later steps' channels.
+    Only the dense oracle's `state` is d_M x d_M, built on request.
     """
 
     def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, stages, steps):
@@ -225,9 +224,7 @@ class BroadcastRun:
         self._basis = np.eye(d_s)[self.labels]  # row j: the basis input |labels[j]>
         chain = list(self._chain(self.p_initial[None]))
         self.system_diag_history = tuple(r[0] for r in chain[1:])
-        self.q = tuple(
-            u.grouping.readout(np.arange(u.dim), step.populations(f, r)[0]) for u, step, f, r in self._writes(chain)
-        )
+        self.q = tuple(u.grouping.readout(np.arange(u.dim), step.populations(f, r))[0] for u, step, f, r in self._writes(chain))
         dropped = [x for x in range(d_s) if x not in self.labels]
         if dropped:
             warnings.warn(f"outcomes {dropped} have probability at the floor; dropped", DegenerateOutcomeWarning)
@@ -252,9 +249,8 @@ class BroadcastRun:
     def basis_defects(self) -> np.ndarray:
         """Entry j: the worst deviation of any unit's pointer statistics from input |labels[j]>."""
         worst = np.zeros(len(self.labels))
-        for u, step, f, rows in self._writes(self._chain(self._basis)):
-            q = np.array([u.grouping.readout(np.arange(u.dim), pops) for pops in step.populations(f, rows)])
-            worst = np.maximum(worst, np.abs(self._basis - q).max(axis=1))
+        for u, rows in zip(self._mem.units, self.ensembles()):
+            worst = np.maximum(worst, np.abs(self._basis - u.grouping.readout(np.arange(u.dim), rows)).max(axis=1))
         return worst
 
     @cached_property
@@ -263,49 +259,39 @@ class BroadcastRun:
         return DensityOperator(_final_joint(self._rho_s, self._mem, self._stages), self.dims)
 
     @cached_property
-    def first_marginal(self) -> DensityOperator:
+    def first_marginal(self) -> SystemBlocks:
         """The final (S, M_1) state: the first write, then every later step's channel on S."""
         d, d1 = self.dims[:2]
-        # also bounds each later channel's d_S^4 entries, as d_S divides d_1
-        check_budget(COMPLEX_BYTES * (d * d1) ** 2, "reduced state")
         first = self._steps[0]
         a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
         same = rest[:, None] == rest[None]  # the other memory factors agree: traced out
-        # entry (x, x', k) adds rho_xx' p_k at (y[x, k], a[x, k]; y[x', k], a[x', k])
-        row = first.y * d1 + a
-        flat = (row[:, None] * (d * d1) + row[None])[same]
-        matrix = np.zeros((d, d1, d, d1), dtype=complex)
-        np.add.at(matrix.reshape(-1), flat, (self._rho_s.matrix[:, :, None] * first.p)[same])
+        # entry (x, x', k) adds rho_xx' p_k at (y[x, k], y[x', k]) of the block (a[x, k], a[x', k])
+        keys, slot = np.unique((a[:, None] * d1 + a[None])[same], return_inverse=True)
+        # each kind writes the d_S inputs at one level to d_S distinct levels, so with a later
+        # step (the first then writes one unit) K >= d_S^2: this also bounds its channel's d_S^4
+        check_budget(COMPLEX_BYTES * d * d * len(keys), "(S, M_1) blocks")
+        blocks = np.zeros((d, d, len(keys)), dtype=complex)
+        flat = (first.y[:, None] * d + first.y[None])[same] * len(keys) + slot
+        np.add.at(blocks.reshape(-1), flat, (self._rho_s.matrix[:, :, None] * first.p)[same])
         if len(self._steps) > 1:
             after = reduce(lambda acc, step: step.phi @ acc, self._steps[2:], self._steps[1].phi)
-            for level in range(d1):  # in place, one level of M_1 at a time
-                block = np.ascontiguousarray(matrix[:, level]).view(float).reshape(d * d, 2 * d1)
-                matrix[:, level] = (after @ block).view(complex).reshape(d, d, d1)
-        matrix = matrix.reshape(d * d1, d * d1)
-        matrix /= matrix.trace().real  # renormalised, as the diagonals are: rounding compounds over the steps
-        return DensityOperator(matrix, (d, d1))
+            blocks = (after @ blocks.view(float).reshape(d * d, -1)).view(complex).reshape(blocks.shape)
+        pairs = np.stack(np.divmod(keys, d1), axis=1)
+        # renormalised, as the diagonals are: rounding compounds over the steps
+        blocks /= blocks[np.arange(d), np.arange(d)].compress(pairs[:, 0] == pairs[:, 1], axis=-1).sum().real
+        return SystemBlocks(pairs, blocks)
 
-    @cached_property
-    def ensembles(self) -> tuple[Ensemble, ...]:
-        """Per-unit memory ensembles labelled by the basis input written.
-
-        Member x of unit i is the unit's reduced state of the run from
-        |x><x|: diagonal, since the writes permute basis states.  Outcomes at
-        the probability floor are left out.  All members together are
-        checked against the byte budget before the first is built.
-        """
-        n_members = len(self.labels) * sum(u.dim**2 for u in self._mem.units)
-        check_budget(COMPLEX_BYTES * n_members, "labelled ensembles")
-        return tuple(
-            Ensemble(self.p_initial[self.labels], [diag_density(pops, (u.dim,)) for pops in step.populations(f, rows)])
-            for u, step, f, rows in self._writes(self._chain(self._basis))
-        )
+    def ensembles(self):
+        """Per unit in turn, its input-labelled ensemble: row j holds the (diagonal) memory
+        state written from |labels[j]>, the member of probability p_initial[labels[j]]."""
+        for _, step, f, rows in self._writes(self._chain(self._basis)):
+            yield step.populations(f, rows)
 
 
 def run_sequential_local(rho_s: DensityOperator, mem: MemoryArray) -> BroadcastRun:
     """Couple the system to each unit in order; read pointer statistics per unit.
 
-    Each distinct unit's write step is built once.  The run also holds, per
+    Each distinct unit's write step is built once.  The run also yields, per
     unit, the ensemble of memory states labeled by the input outcome, which
     is the decomposition the broadcast regime classification refers to.
     """

@@ -303,17 +303,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
 def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     if cfg.system is None or cfg.memory is None:
         raise ConfigError("classify needs system and memory sections")
-    d_s = cfg.system.d_s
     rho_s = build_system_state(cfg.system)
-    # the dense (S, M_1) marginal and the labelled ensembles read below: refuse them
-    # before building the memory
-    d_m = memory_dim(cfg.memory)
-    broadcast.check_budget(broadcast.COMPLEX_BYTES * (d_s * d_m) ** 2, "reduced state")
-    labels = int(np.count_nonzero(rho_s.matrix.diagonal().real > infotherm.PROB_FLOOR))
-    broadcast.check_budget(
-        broadcast.COMPLEX_BYTES * labels * cfg.memory.n_components * d_m**2, "labelled ensembles"
-    )
-    mem = build_memory_array(cfg.memory, cfg.interaction, d_s)
+    mem = build_memory_array(cfg.memory, cfg.interaction, cfg.system.d_s)
     if cfg.experiment == "global":
         kind = cfg.interaction.kind if cfg.interaction else "swap"
         variant = cfg.interaction.variant if cfg.interaction else 0
@@ -321,20 +312,13 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     else:
         run = broadcast.run_sequential_local(rho_s, mem)
     h_x = qcore.shannon_entropy(run.p_initial)
-    marginal = run.first_marginal
-    rho_s_final = qcore.partial_trace(marginal, (0,))
+    rho_s_final = run.first_marginal.system()
     s_final = qcore.von_neumann_entropy(rho_s_final)
     s_final_diag = qcore.shannon_entropy(rho_s_final.matrix.diagonal().real)
     components = []
-    for i, ens in enumerate(run.ensembles):
-        lower, chi = infotherm.accessible_info_bracket(ens)
-        evidence = infotherm.Table1Evidence(
-            i_acc_lower=lower,
-            chi=chi,
-            h_x=h_x,
-            s_system_final=s_final,
-            s_system_final_diag=s_final_diag,
-        )
+    for i, rows in enumerate(run.ensembles()):
+        lower, chi = infotherm.diagonal_bracket(run.p_initial[run.labels], rows)
+        evidence = infotherm.Table1Evidence(lower, chi, h_x, s_final, s_final_diag)
         components.append(
             {
                 "component": i,
@@ -344,7 +328,7 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
                 "chi": _entropic(chi, bits),
             }
         )
-    sbs = infotherm.sbs_test(marginal)
+    sbs = infotherm.sbs_test(run.first_marginal)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "classify",

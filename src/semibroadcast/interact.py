@@ -37,11 +37,11 @@ KINDS = ("noninvasive", "cycled", "swap")
 def _table(grouping: EnergyGrouping, sector_map) -> np.ndarray:
     """Joint images (d_S, d_M): |x, groups[nu][s]> -> |y, groups[mu][s]> for (y, mu) = sector_map(x, nu)."""
     d_s, d_m = grouping.d_s, grouping.dim
+    x = np.arange(d_s).reshape(d_s, 1)
+    y, mu = np.broadcast_arrays(*sector_map(x, x.T))  # the map on every (x, nu) at once
     table = np.empty((d_s, d_m), dtype=int)
-    for x in range(d_s):
-        for nu in range(d_s):
-            y, mu = sector_map(x, nu)
-            table[x, grouping.groups[nu]] = y * d_m + grouping.groups[mu]
+    for row in range(d_s):  # one row of temporaries at a time
+        table[row, grouping.groups] = y[row, :, None] * d_m + grouping.groups[mu[row]]
     table.setflags(write=False)
     return table
 
@@ -136,11 +136,9 @@ def build_cycled_variant(grouping: EnergyGrouping, i: int) -> ControlledInteract
     if not (0 <= i <= d_s - 2):
         raise IndexOutOfRange(f"variant {i} outside 0..{d_s - 2}")
 
-    def sector_map(x: int, nu: int) -> tuple[int, int]:
-        if nu == 0:
-            return x, x
+    def sector_map(x: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s_inv = ((nu - 1 - i) % (d_s - 1)) + 1
-        return x, (x + s_inv) % d_s
+        return x, np.where(nu == 0, x, (x + s_inv) % d_s)
 
     return ControlledInteraction("cycled", grouping, _table(grouping, sector_map), i)
 
@@ -184,7 +182,7 @@ def transition_matrix(u: ControlledInteraction, probs) -> np.ndarray:
         raise WrongKind("transition matrix defined for controlled permutations, not swap")
     if len(probs) != u.d_m:
         raise DimensionMismatch(f"memory populations have {len(probs)} levels, interaction {u.d_m}")
-    return np.array([u.grouping.readout(row % u.d_m, probs) for row in u.table])
+    return u.grouping.readout(u.table % u.d_m, np.broadcast_to(probs, u.table.shape))
 
 
 def test_state_battery(d_s: int, seed: int = 7, n_random: int = 100) -> list[DensityOperator]:

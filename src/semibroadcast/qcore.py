@@ -54,7 +54,9 @@ class DensityOperator:
         dims = (d,) if dims is None else _as_dims(dims, d)
         if not np.isfinite(m).all():
             raise InvalidOperator("matrix has a non-finite entry")
-        herm = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
+        herm = m.conj().T  # M^dagger - M in place, the one full-size temporary; rebinding frees it
+        herm -= m
+        herm = float(np.max(np.abs(herm), initial=0.0))
         if herm > HERMITICITY_TOL:
             raise InvalidOperator(f"Hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
         tr = m.trace()
@@ -65,7 +67,7 @@ class DensityOperator:
         # Positivity through the spectrum, which spectrum() then returns: the
         # sorted diagonal of a diagonal matrix, `eigvalsh` for anything else.
         # Keeps construction cheap for thermal states.
-        if d < 2 or np.max(np.abs(m - np.diag(m.diagonal()))) == 0.0:
+        if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
             spectrum = np.sort(m.diagonal().real)
         else:
             spectrum = np.linalg.eigvalsh(m)

@@ -156,9 +156,13 @@ class EnergyGrouping:
     def readout(self, levels, weights) -> np.ndarray:
         """Pointer distribution: the total of `weights` landing in each sector.
 
-        `levels[k]` is the memory level that carries `weights[k]`.
+        `levels[..., k]` is the memory level that carries `weights[..., k]`.
+        Each row of a 2-D `weights` is read out apart, in one `bincount`.
         """
-        return np.bincount(self.level_to_group[levels], weights, minlength=self.d_s)
+        rows = np.shape(weights)[:-1]
+        n = math.prod(rows)
+        flat = np.broadcast_to(np.arange(n).reshape(rows + (1,)) * self.d_s + self.level_to_group[levels], np.shape(weights))
+        return np.bincount(flat.ravel(), np.ravel(weights), minlength=n * self.d_s).reshape(rows + (self.d_s,))
 
 
 def group_energies(hamiltonian: MemoryHamiltonian, d_s: int) -> EnergyGrouping:

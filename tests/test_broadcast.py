@@ -1,6 +1,7 @@
 """Broadcast runs, the redundancy obstruction, and statistics reconstruction."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semibroadcast import broadcast, interact, qcore, thermal
+from semibroadcast import broadcast, infotherm, interact, qcore, thermal
 from semibroadcast.config import SweepConfig
 from semibroadcast.errors import (
     DegenerateOutcomeWarning,
@@ -153,10 +154,10 @@ def test_swap_chain_disturbs_later_readouts():
 def test_input_label_ensembles_are_the_written_conditionals():
     mem = broadcast.MemoryArray(2, (qubit_unit(),))
     run = broadcast.run_sequential_local(qcore.diag_density([0.3, 0.7]), mem)
-    ens = run.ensembles[0]
-    assert ens.probs.tolist() == pytest.approx([0.3, 0.7], abs=1e-14)
-    assert np.allclose(ens.states[0].matrix, np.diag([W0, W1]), atol=1e-14)
-    assert np.allclose(ens.states[1].matrix, np.diag([W1, W0]), atol=1e-14)
+    (rows,) = run.ensembles()
+    assert run.p_initial[run.labels].tolist() == pytest.approx([0.3, 0.7], abs=1e-14)
+    assert np.allclose(rows[0], [W0, W1], atol=1e-14)
+    assert np.allclose(rows[1], [W1, W0], atol=1e-14)
 
 
 def test_final_state_rank_is_memory_bound_for_pure_inputs():
@@ -173,7 +174,7 @@ def test_a_long_chain_does_not_compound_rounding():
     unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(3), 1.0, 2)
     p = [0.3, 0.7]
     run = broadcast.run_sequential_local(qcore.diag_density(p), broadcast.MemoryArray(2, [unit] * 20000))
-    rho_s_final = qcore.partial_trace(run.first_marginal, (0,)).matrix.diagonal().real
+    rho_s_final = run.first_marginal.system().matrix.diagonal().real
     assert rho_s_final.tolist() == pytest.approx(p, abs=1e-15)
     assert run.system_diag_history[-1].tolist() == pytest.approx(p, abs=1e-15)
     assert np.max(np.abs(np.array(run.q) - run.q[0])) <= 1e-15
@@ -252,9 +253,17 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
 
     dense = run.state
     n = len(dims)
+    marginal = run.first_marginal
+    want = qcore.partial_trace(dense, (0, 1)).matrix.reshape(d_s, dims[0], d_s, dims[0])
+    got = np.zeros_like(want)  # every pair of M_1 levels not listed holds a zero block
+    got.transpose(0, 2, 1, 3)[:, :, marginal.pairs[:, 0], marginal.pairs[:, 1]] = marginal.blocks
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        run.first_marginal.matrix, qcore.partial_trace(dense, (0, 1)).matrix, rtol=0, atol=1e-12
+        marginal.system().matrix, qcore.partial_trace(dense, (0,)).matrix, rtol=0, atol=1e-12
     )
+    verdict, want = infotherm.sbs_test(marginal), infotherm.sbs_test(qcore.partial_trace(dense, (0, 1)))
+    assert verdict.off_diagonal_norm == pytest.approx(want.off_diagonal_norm, abs=1e-12)
+    assert verdict.conditional_overlap == pytest.approx(want.conditional_overlap, abs=1e-12)
     for i, unit in enumerate(mem.units):
         want = interact.pointer_distribution(qcore.partial_trace(dense, (0, i + 1)), unit.grouping)
         np.testing.assert_allclose(run.q[i], want, rtol=0, atol=1e-12)
@@ -269,12 +278,13 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateOutcomeWarning)
         basis_states = [run_on(qcore.basis_state(d_s, x)).state for x in labels]
-    assert len(run.ensembles) == n
-    for i, ens in enumerate(run.ensembles):
-        assert ens.probs.tolist() == run.p_initial[labels].tolist()
-        for member, joint in zip(ens.states, basis_states):
+    ensembles = list(run.ensembles())
+    assert len(ensembles) == n
+    for i, rows in enumerate(ensembles):
+        assert rows.shape == (len(labels), dims[i])
+        for row, joint in zip(rows, basis_states):
             want = qcore.partial_trace(joint, (i + 1,)).matrix
-            np.testing.assert_allclose(member.matrix, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.diag(row), want, rtol=0, atol=1e-12)
     assert run.labels == labels
     want = [
         max(
@@ -286,12 +296,25 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
     np.testing.assert_allclose(run.basis_defects, want, rtol=0, atol=1e-12)
 
 
-def test_ensembles_refuse_all_their_members_beyond_the_byte_budget():
-    # 4096 copies of a 6-qubit memory: each unit's two members fit, all 2^25 complex entries do not
+def test_ensembles_over_4096_memories_are_built_one_unit_at_a_time():
+    # 4096 copies of a 6-qubit memory: all members together are 2 * 4096 * 64 populations, 4 MiB;
+    # the noninvasive writes keep every basis input, so each unit holds the single unit's members
     unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(6), 1.0, 2)
-    run = broadcast.run_sequential_local(qcore.diag_density([0.4, 0.6]), broadcast.MemoryArray(2, [unit] * 4096))
-    with pytest.raises(DimensionBudgetExceeded, match="ensembles"):
-        run.ensembles
+    p = qcore.diag_density([0.4, 0.6])
+    (want,) = broadcast.run_sequential_local(p, broadcast.MemoryArray(2, [unit])).ensembles()
+    run = broadcast.run_sequential_local(p, broadcast.MemoryArray(2, [unit] * 4096))
+    units, worst = 0, 0.0
+    tracemalloc.start()
+    try:
+        for rows in run.ensembles():
+            units += 1
+            worst = max(worst, float(np.max(np.abs(rows - want))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert units == 4096
+    assert worst <= 1e-12
+    assert peak < 2**20
 
 
 def test_structured_budget_refuses_before_allocating():

@@ -201,6 +201,17 @@ def test_classify_global_mode(tmp_path):
     assert read_json(out)["mode"] == "global"
 
 
+def _noninvasive_chi(p, n, beta_omega):
+    """H(sum_x p_x V_x tau V_x^dagger) - H(tau) for the noninvasive write into an n-qubit Gibbs memory."""
+    h = thermal.qubit_chain_hamiltonian(n)
+    tau = thermal.gibbs(h, beta_omega).probs
+    levels = interact.build_noninvasive_maxcorr(thermal.group_energies(h, len(p))).table % h.dim
+    mix = np.zeros_like(tau)
+    for x in range(len(p)):
+        mix[levels[x]] += p[x] * tau
+    return qcore.shannon_entropy(mix) - qcore.shannon_entropy(tau)
+
+
 def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
     # N = 3 copies of a 4-qubit memory: D = 8192, twice the largest dense state;
     # N = 256 copies of a 6-qubit memory: D = 2^1537, one write step per copy
@@ -215,13 +226,7 @@ def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
         assert rc == 0
         # the noninvasive write keeps p, so component i holds sum_x p_x V_x tau V_x^dagger
         p = build_system_state(parse_config(cfg).system).matrix.diagonal().real
-        h = thermal.qubit_chain_hamiltonian(n)
-        tau = thermal.gibbs(h, 0.7).probs
-        levels = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2)).table % h.dim
-        mix = np.zeros_like(tau)
-        for x in range(2):
-            mix[levels[x]] += p[x] * tau
-        chi = qcore.shannon_entropy(mix) - qcore.shannon_entropy(tau)
+        chi = _noninvasive_chi(p, n, 0.7)
         components = read_json(out)["components"]
         assert len(components) == n_units
         for c in components:
@@ -233,36 +238,58 @@ def test_classify_beyond_the_dense_limit_matches_the_closed_form(tmp_path):
             assert c["class"] == "local_noninvasive"
 
 
-def test_sequential_classify_refuses_ensembles_beyond_the_byte_budget(tmp_path, capsys, monkeypatch):
-    # 4096 copies of a 6-qubit memory: each unit's two members hold 2 * 64^2 entries,
-    # all of them 2^25 complex entries, twice the budget; refused from the config
+@pytest.mark.parametrize("n_units, n", [(1, 12), (1, 16), (3, 16)])
+def test_classify_over_large_memories_matches_the_closed_form(tmp_path, n_units, n):
+    # a single 12-qubit memory already puts a dense (S, M_1) marginal past the byte budget
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": "random", "seed": 5},
+        "memory": {"N": n_units, "n": n, "beta_omega": 1.0},
+        "interaction": {"kind": "noninvasive"},
+    }
+    rc, out = run(tmp_path, "classify", config=cfg)
+    assert rc == 0
+    payload = read_json(out)
+    chi = _noninvasive_chi(build_system_state(parse_config(cfg).system).matrix.diagonal().real, n, 1.0)
+    # the write decoheres S completely, so rho_S' = diag(p); its entropy sums 2^n blocks
+    assert payload["s_system_final"] == pytest.approx(payload["h_x"], abs=1e-14)
+    assert len(payload["components"]) == n_units
+    for c in payload["components"]:
+        assert c["chi"] == pytest.approx(chi, abs=1e-12)
+        assert c["i_acc_lower"] <= c["chi"]
+
+
+def test_sequential_classify_over_4096_memories_matches_the_single_unit(tmp_path):
+    # 4096 copies of a 6-qubit memory: the noninvasive writes keep p, so every component
+    # holds the single unit's ensemble; each unit's members are read and dropped in turn
     cfg = {
         "experiment": "sequential",
         "system": {"d_S": 2, "state": "random"},
         "memory": {"N": 4096, "n": 6, "beta_omega": 1.0},
         "interaction": {"kind": "noninvasive"},
     }
-
-    def unreachable(*args):
-        raise AssertionError("the memory was built")
-
-    monkeypatch.setattr(cli, "build_memory_array", unreachable)
+    single = {**cfg, "memory": {**cfg["memory"], "N": 1}}
+    rc, out = run(tmp_path, "classify", config=single, name="single.json")
+    assert rc == 0
+    want = read_json(out)["components"][0]
     tracemalloc.start()
     try:
         rc, out = run(tmp_path, "classify", config=cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 4
-    assert "ensembles" in capsys.readouterr().err
-    assert not (out / "results.json").exists()
+    assert rc == 0
+    components = read_json(out)["components"]
+    assert len(components) == 4096
+    for c in components:
+        assert c["chi"] == pytest.approx(want["chi"], abs=1e-12)
+        assert c["class"] == want["class"]
     assert peak < 32 * 2**20
 
 
 def test_classify_holds_the_first_marginal_in_a_few_copies(tmp_path):
-    # d_S = 16 over two 6-qubit memories: the (S, M_1) marginal is 1024 x 1024, 16 MiB, and
-    # validating it as a state takes about four copies; the first write and the second
-    # unit's channel add less than one more
+    # d_S = 16 over two 6-qubit memories: a dense (S, M_1) marginal would be 1024 x 1024,
+    # 16 MiB; its blocks over the occupied level pairs are at most as large
     cfg = {
         "experiment": "sequential",
         "system": {"d_S": 16, "state": "random", "seed": 3},
@@ -379,11 +406,9 @@ def test_classify_refuses_oversized_memories_before_building_them(tmp_path, caps
 
 
 @pytest.mark.parametrize("experiment", ["sequential", "global"])
-def test_classify_refuses_an_oversized_first_marginal_before_building_the_memory(
-    tmp_path, capsys, experiment
-):
-    # a 2^20-level ground memory fits the table and entry-list budgets, but the dense
-    # (S, M_1) marginal of 2^21 x 2^21 entries does not
+def test_classify_copies_the_statistics_into_a_2_20_level_ground_memory(tmp_path, experiment):
+    # a dense (S, M_1) marginal would hold 2^21 x 2^21 entries; the write holds one level, so
+    # its blocks are a few d_S x d_S matrices.  Either write copies x into the pointer exactly
     cfg = {**_memory(N=1, n=20, beta_omega=1.0, state="ground"), "experiment": experiment}
     tracemalloc.start()
     try:
@@ -391,10 +416,32 @@ def test_classify_refuses_an_oversized_first_marginal_before_building_the_memory
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rc == 0
+    payload = read_json(out)
+    (component,) = payload["components"]
+    assert component["chi"] == pytest.approx(payload["h_x"], abs=1e-12)
+    assert component["i_acc_lower"] == pytest.approx(payload["h_x"], abs=1e-12)
+    assert peak < broadcast.BYTE_BUDGET
+
+
+def test_classify_refuses_the_first_marginal_blocks_before_allocating_them(tmp_path, capsys):
+    # d_S = 128 over a 7-qubit Gibbs memory: the first write occupies all K = 128^2 pairs of
+    # M_1 levels, whose blocks need K * 128^2 complex entries, 4 GiB
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 128, "state": "random"},
+        "memory": {"N": 1, "n": 7, "beta_omega": 1.0},
+    }
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "classify", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rc == 4
-    assert "reduced state" in capsys.readouterr().err
+    assert "(S, M_1) blocks needs 4294967296 bytes" in capsys.readouterr().err
     assert not (out / "results.json").exists()
-    assert peak < 32 * 2**20
+    assert peak < broadcast.BYTE_BUDGET // 2
 
 
 HL_OVERSIZED = {

@@ -1,6 +1,7 @@
 """Information measures, entropy production, and regime classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,44 @@ def test_sbs_fails_for_bell_state_because_of_coherences():
     assert verdict.conditional_overlap == pytest.approx(0.0, abs=1e-15)
 
 
+def _dense_sbs(rho_joint):
+    """(off_diagonal_norm, conditional_overlap) read from the dense matrix and its conditional states."""
+    d_s = rho_joint.dims[0]
+    blocks = rho_joint.matrix.reshape(d_s, rho_joint.dim // d_s, d_s, -1)
+    off = max(float(np.max(np.abs(blocks[x, :, y, :]))) for x in range(d_s) for y in range(d_s) if x != y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+        states = [s.matrix for s in infotherm.conditional_ensemble(rho_joint).states]
+    overlaps = [np.trace(a @ b).real for i, a in enumerate(states) for b in states[i + 1 :]]
+    return off, max(overlaps, default=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_s=st.integers(min_value=2, max_value=4),
+    d_m=st.integers(min_value=1, max_value=5),
+    dropped=st.sets(st.integers(min_value=0, max_value=3), max_size=2),
+    dephased=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_block_sbs_test_matches_the_dense_conditional_states(d_s, d_m, dropped, dephased, seed):
+    # random joint states, some outcomes emptied (dropped as at the floor), some with the
+    # outcome coherences removed so that only the conditional overlaps decide
+    m = qcore.random_density(d_s * d_m, seed).matrix.reshape(d_s, d_m, d_s, d_m).copy()
+    kept = [x for x in range(d_s) if x not in dropped] or [0]
+    mask = np.isin(np.arange(d_s), kept)
+    m *= mask[:, None, None, None] * mask[None, None, :, None]
+    if dephased:
+        m *= np.eye(d_s)[:, None, :, None]
+    m = m.reshape(d_s * d_m, -1)
+    rho = qcore.DensityOperator(m / m.trace().real, (d_s, d_m))
+    verdict = infotherm.sbs_test(rho)
+    off, overlap = _dense_sbs(rho)
+    assert verdict.off_diagonal_norm == pytest.approx(off, abs=1e-12)
+    assert verdict.conditional_overlap == pytest.approx(overlap, abs=1e-12)
+    assert verdict.is_sbs == (off <= infotherm.SBS_TOL and overlap <= infotherm.SBS_TOL)
+
+
 def test_sbs_holds_for_pure_memory_copy():
     h = thermal.qubit_chain_hamiltonian(1)
     g = thermal.group_energies(h, 2)
@@ -445,10 +484,10 @@ def run_and_classify(rho_s, unit):
     run = broadcast.run_sequential_local(rho_s, broadcast.MemoryArray(2, (unit,)))
     h_x = qcore.shannon_entropy(run.p_initial)
     rho_final = qcore.partial_trace(run.state, (0,))
-    lower, _ = infotherm.accessible_info_bracket(run.ensembles[0])
+    lower, chi = infotherm.diagonal_bracket(run.p_initial[run.labels], next(run.ensembles()))
     ev = infotherm.Table1Evidence(
         i_acc_lower=lower,
-        chi=infotherm.holevo_chi(run.ensembles[0]),
+        chi=chi,
         h_x=h_x,
         s_system_final=qcore.von_neumann_entropy(rho_final),
         s_system_final_diag=qcore.shannon_entropy(rho_final.matrix.diagonal().real),

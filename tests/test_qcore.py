@@ -1,6 +1,7 @@
 """Core state tools: constructors, tensor algebra, entropies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,24 @@ def test_non_finite_entries_are_rejected(bad, where):
     p[where[1]] = bad
     with pytest.raises(InvalidOperator, match="non-finite"):
         qcore.prob_vector(p)
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
+def test_density_operator_validates_within_twice_the_matrix(kind):
+    # the stored copy plus one full-size temporary for the Hermiticity defect
+    d = 1024
+    if kind == "dense":
+        m = qcore.random_density(d, seed=4).matrix.copy()
+    else:
+        m = np.diag(np.random.default_rng(4).dirichlet(np.ones(d))).astype(complex)
+    tracemalloc.start()
+    try:
+        rho = qcore.DensityOperator(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rho.matrix, m)
+    assert peak <= 2 * m.nbytes
 
 
 def test_density_operator_rejects_non_square():
