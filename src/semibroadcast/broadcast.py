@@ -40,6 +40,7 @@ from .thermal import (
 )
 
 COMPLEX_BYTES = np.dtype(complex).itemsize
+FLOAT_BYTES = np.dtype(float).itemsize
 INDEX_BYTES = np.dtype(np.intp).itemsize
 # One budget for every array a run allocates at its full size: the dense
 # oracle's D x D state, a write step's entry list and the (S, M_1) blocks
@@ -148,6 +149,15 @@ def check_entry_list(d_s: int, levels: int) -> None:
     Each of its d_S^2 * levels entries holds a complex value and a row and a column index.
     """
     check_budget((COMPLEX_BYTES + 2 * INDEX_BYTES) * d_s**2 * levels, "joint entry list")
+
+
+def check_units(d_s: int, n_units: int) -> None:
+    """Refuse a run over `n_units` memory units whose per-unit records exceed the budget.
+
+    A run keeps, per unit, at least five list entries (the unit, its write step, its
+    stage, its pointer statistics and its system diagonal) and the last two's d_S floats each.
+    """
+    check_budget((5 * INDEX_BYTES + 2 * FLOAT_BYTES * d_s) * n_units, "per-unit run records")
 
 
 def _final_joint(rho_s: DensityOperator, mem: MemoryArray, stages) -> np.ndarray:

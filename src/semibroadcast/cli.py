@@ -3,9 +3,7 @@
 Subcommands: cmax-sweep, hl-bound, nogo, reconstruct, classify.
 Each writes results.json (full report) and, where tabular, results.csv
 (12 significant digits, '.' decimal separator) into --out.  Runs are
-deterministic for a fixed config and seed.  SEMIBROADCAST_THREADS is
-validated (exit 2 on a bad value) but currently has no effect on speed:
-instance sweeps run serially.
+deterministic for a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 invariant violation, 4 domain error.
 """
@@ -16,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,19 +48,6 @@ LN2 = math.log(2.0)
 
 class InvariantViolation(SemibroadcastError):
     """A numerical invariant the command promises did not hold."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("SEMIBROADCAST_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"SEMIBROADCAST_THREADS={raw!r} is not an integer") from exc
-        if n < 1:
-            raise ConfigError(f"SEMIBROADCAST_THREADS must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 def _write_json(out_dir: Path, payload: dict) -> None:
@@ -171,7 +155,6 @@ def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed, bits: 
 
 def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> list[dict]:
     seeds = np.random.SeedSequence(seed).spawn(inst.count)
-    _threads()  # validates SEMIBROADCAST_THREADS; threads gained nothing under the GIL
     return [
         hl_instance_record(i, inst.d_s[i % len(inst.d_s)], inst, seeds[i], bits)
         for i in range(inst.count)
@@ -436,9 +419,11 @@ def main(argv=None) -> int:
             if system is not None and system.state == "random":
                 system = replace(system, seed=args.seed)
             cfg = replace(cfg, seed=args.seed, system=system)
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](cfg, out_dir, args.bits)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
+        COMMANDS[args.command](cfg, args.out, args.bits)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

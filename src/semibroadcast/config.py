@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .broadcast import MemoryArray, check_entry_list, check_table, explicit_unit
+from .broadcast import MemoryArray, check_entry_list, check_table, check_units, explicit_unit
 from .errors import ConfigError
 from .interact import KINDS as INTERACTION_KINDS
-from .qcore import DensityOperator, basis_state, diag_density, random_density
+from .qcore import PROB_SUM_TOL, DensityOperator, basis_state, diag_density, random_density
 from .thermal import MemoryHamiltonian, gibbs, qubit_chain_hamiltonian
 
 EXPERIMENTS = ("sequential", "global", "reconstruct", "nogo", "cmax_sweep")
@@ -25,6 +25,8 @@ DEFAULT_SEED = 2024
 
 
 def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -120,8 +122,9 @@ def _parse_system(section: dict) -> SystemConfig:
         if len(state) != d_s:
             raise ConfigError(f"system.state diagonal needs {d_s} entries, got {len(state)}")
         vals = [_as_real(v, "system.state entry", minimum=0.0) for v in state]
-        if abs(sum(vals) - 1.0) > 1e-9:
-            raise ConfigError(f"system.state diagonal sums to {sum(vals)}, expected 1")
+        total = float(np.sum(vals))  # summed as prob_vector sums it
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ConfigError(f"system.state diagonal sums to {total}, not 1 within {PROB_SUM_TOL}")
     elif isinstance(state, int) and not isinstance(state, bool):
         if not 0 <= state < d_s:
             raise ConfigError(f"system.state index {state} outside 0..{d_s - 1}")
@@ -151,11 +154,10 @@ def _parse_hamiltonian(section: dict, n_qubits: int) -> HamiltonianConfig:
             raise ConfigError("explicit Hamiltonian needs an energies list")
         if "n" in section or "omega" in section:
             raise ConfigError("explicit Hamiltonian takes only energies")
-        energies = tuple(
-            _as_real(e, "memory.hamiltonian.energies entry") for e in section["energies"]
-        )
-        if not energies:
-            raise ConfigError("memory.hamiltonian.energies must be nonempty")
+        energies = section["energies"]
+        if not isinstance(energies, list) or not energies:
+            raise ConfigError("memory.hamiltonian.energies must be a nonempty list")
+        energies = tuple(_as_real(e, "memory.hamiltonian.energies entry") for e in energies)
         return HamiltonianConfig("explicit", energies=energies)
     raise ConfigError(f"memory.hamiltonian.type must be qubit_chain or explicit, got {htype!r}")
 
@@ -230,8 +232,6 @@ def _parse_instances(section: dict) -> InstancesConfig:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document and return the typed configuration."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
     _require_keys(
         doc,
         {"experiment", "seed", "system", "memory", "interaction", "sweep", "instances"},
@@ -332,12 +332,14 @@ def build_memory_array(
     state (the lowest level, ties to the lowest index).  The unit is built
     once and shared by every component.
 
-    The unit's interaction table and its write step's entry list (every
-    level of a Gibbs memory is occupied, one of a ground memory) are checked
-    against the byte budget from the config's dimensions, before anything
-    is built; a global run checks the product of the units itself.
+    The unit's interaction table, its write step's entry list (every level
+    of a Gibbs memory is occupied, one of a ground memory) and what a run
+    keeps per unit are checked against the byte budget from the config's
+    dimensions, before anything is built; a global run checks the product
+    of the units itself.
     """
     d_m = memory_dim(memory)
+    check_units(d_s, memory.n_components)
     check_table(d_s, d_m)
     check_entry_list(d_s, d_m if memory.state == "gibbs" else 1)
     h = build_unit_hamiltonian(memory)

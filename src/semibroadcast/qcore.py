@@ -216,20 +216,13 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims differ: {rho.dim} vs {sigma.dim}")
     svals, svecs = np.linalg.eigh(sigma.matrix)
-    # weight of rho on the kernel of sigma
+    # w_j = <s_j|rho|s_j>: rho's weight on each eigenvector of sigma
+    w = np.sum(svecs.conj() * (rho.matrix @ svecs), axis=0).real
     kernel = svals <= EIG_FLOOR
-    if np.any(kernel):
-        vk = svecs[:, kernel]
-        leak = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, rho.matrix, vk)))
-        if leak > SUPPORT_TOL:
-            raise SupportViolation(f"weight {leak:.3e} of rho outside supp(sigma)")
-    rvals, rvecs = np.linalg.eigh(rho.matrix)
-    term1 = -_entropy_of_spectrum(rvals)
-    overlap = np.abs(rvecs.conj().T @ svecs) ** 2  # |<r_i|s_j>|^2
-    rv = np.where(rvals < 0.0, 0.0, rvals)
-    logs = np.where(kernel, 0.0, np.log(np.where(kernel, 1.0, svals)))
-    term2 = float(rv @ overlap[:, ~kernel] @ logs[~kernel])
-    return term1 - term2
+    leak = float(w[kernel].sum())
+    if leak > SUPPORT_TOL:
+        raise SupportViolation(f"weight {leak:.3e} of rho outside supp(sigma)")
+    return -von_neumann_entropy(rho) - float(w[~kernel] @ np.log(svals[~kernel]))
 
 
 def mutual_information(rho: DensityOperator, cut) -> float:

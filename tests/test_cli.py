@@ -21,11 +21,6 @@ from semibroadcast.errors import SemibroadcastError, WrongKind
 LN2 = math.log(2.0)
 
 
-@pytest.fixture(autouse=True)
-def _no_thread_env(monkeypatch):
-    monkeypatch.delenv("SEMIBROADCAST_THREADS", raising=False)
-
-
 def run(tmp_path, *argv, config=None, name="cfg.json"):
     args = list(argv)
     if config is not None:
@@ -554,17 +549,6 @@ def test_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEMIBROADCAST_THREADS", "1")
-    _, out1 = run(tmp_path, "hl-bound", config=HL_SMALL)
-    monkeypatch.setenv("SEMIBROADCAST_THREADS", "4")
-    rc = cli.main(
-        ["hl-bound", "--config", _write(tmp_path, HL_SMALL), "--out", str(tmp_path / "out4")]
-    )
-    assert rc == 0
-    assert (out1 / "results.json").read_bytes() == (tmp_path / "out4" / "results.json").read_bytes()
-
-
 def test_seed_override_changes_the_sample(tmp_path):
     _, out1 = run(tmp_path, "hl-bound", config=HL_SMALL)
     rc = cli.main(
@@ -638,6 +622,62 @@ def test_missing_cycled_variant_exits_2_and_writes_nothing(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"system": 5}, "system must be an object, got int"),
+        ({"memory": {"N": 1, "beta_omega": 1.0, "hamiltonian": {"type": "explicit", "energies": 5}}},
+         "energies must be a nonempty list"),
+        ({"interaction": "swap"}, "interaction must be an object, got str"),
+    ],
+    ids=["system-int", "energies-int", "interaction-str"],
+)
+def test_a_malformed_section_exits_2_and_writes_nothing(tmp_path, capsys, patch, message):
+    cfg = {**cli.DEFAULT_CONFIGS["classify"], **patch}
+    rc, out = run(tmp_path, "classify", config=cfg)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_a_diagonal_off_the_probability_sum_tolerance_exits_2_and_writes_nothing(
+    tmp_path, capsys, command
+):
+    # sums to 1 - 1e-10: within the old parser slack, outside qcore.PROB_SUM_TOL
+    cfg = {
+        **cli.DEFAULT_CONFIGS[command],
+        "system": {"d_S": 3, "state": [0.3333333333] * 3},
+        "memory": {"N": 1, "n": 1, "beta_omega": 1.0, "hamiltonian": {"type": "explicit", "energies": [0, 1, 2]}},
+    }
+    rc, out = run(tmp_path, command, config=cfg)
+    assert rc == 2
+    assert "system.state diagonal sums to" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = cli.main(["reconstruct", "--out", str(taken)])
+    assert rc == 2
+    assert "cannot create --out" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", ["nogo", "classify"])
+def test_a_huge_unit_count_exits_4_before_building_the_units(tmp_path, capsys, command):
+    # 10^30 units: the per-unit records alone exceed any budget, and nothing is allocated
+    cfg = {
+        **cli.DEFAULT_CONFIGS[command],
+        "memory": {"N": 10**30, "n": 1, "beta_omega": 1.0},
+    }
+    rc, out = run(tmp_path, command, config=cfg)
+    assert rc == 4
+    assert "per-unit run records" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -718,14 +758,6 @@ def test_hl_bound_refuses_a_global_experiment(tmp_path, capsys, cfg):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, HL_SMALL)
-    monkeypatch.setenv("SEMIBROADCAST_THREADS", "many")
-    assert cli.main(["hl-bound", "--config", cfg, "--out", str(tmp_path / "o1")]) == 2
-    monkeypatch.setenv("SEMIBROADCAST_THREADS", "0")
-    assert cli.main(["hl-bound", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
 
 
 def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):

@@ -308,11 +308,38 @@ def test_relative_entropy_support_violation():
         qcore.relative_entropy(rho, sigma)
 
 
+def _log_on_support(m):
+    """ln m on its support and 0 on its kernel, from eigh."""
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.log(np.where(vals > 1e-14, vals, 1.0))) @ vecs.conj().T
+
+
+def _matrix_log_relent(rho, sigma):
+    """Tr rho (ln rho - ln sigma) from matrix logarithms."""
+    return float(np.trace(rho @ (_log_on_support(rho) - _log_on_support(sigma))).real)
+
+
 def test_relative_entropy_nonnegative_on_random_pairs():
+    # non-diagonal full-rank pairs, d = 2..6
     for seed in range(40):
-        rho = qcore.random_density(4, seed=seed)
-        sigma = qcore.random_density(4, seed=1000 + seed)
-        assert qcore.relative_entropy(rho, sigma) >= -1e-10
+        d = 2 + seed % 5
+        rho = qcore.random_density(d, seed=seed)
+        sigma = qcore.random_density(d, seed=1000 + seed)
+        rel = qcore.relative_entropy(rho, sigma)
+        assert rel >= -1e-10
+        assert rel == pytest.approx(_matrix_log_relent(rho.matrix, sigma.matrix), abs=1e-12)
+    # a rank-3 sigma on C^5 in a rotated basis, with rho of rank 2 inside its support
+    v = qcore.random_unitary(5, seed=7).matrix
+    s = np.diag([0.5, 0.3, 0.2, 0.0, 0.0])
+    a = np.zeros((5, 5), dtype=complex)
+    a[:3, :3] = qcore.random_density(3, seed=8).matrix
+    a[:, 2] = a[2, :] = 0.0
+    a /= a.trace()
+    sigma = qcore.DensityOperator(v @ s @ v.conj().T)
+    rho = qcore.DensityOperator(v @ a @ v.conj().T)
+    assert qcore.relative_entropy(rho, sigma) == pytest.approx(
+        _matrix_log_relent(rho.matrix, sigma.matrix), abs=1e-12
+    )
 
 
 def test_mutual_information_of_product_state_is_zero():
