@@ -5,8 +5,9 @@ Hamiltonian, initial state, sector structure, and interaction with the
 system.  A run is a chain of write steps, each a system operator written
 into fresh diagonal memories: one per unit in a sequential run, fed through
 the previous steps' channels on the system, or one into the merged memory
-in a global run.  The module also hosts the finite-resource witness, the
-exact statistics-reconstruction map, and ideal broadcast states.
+in a global run; no run builds the dense joint state of the product space.
+The module also hosts the finite-resource witness, the exact
+statistics-reconstruction map, and ideal broadcast states.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     NotInvertible,
 )
 from .infotherm import PROB_FLOOR, SystemBlocks
-from .interact import ControlledInteraction, build, conjugate, joint_images
+from .interact import ControlledInteraction, build
 from .qcore import DensityOperator, mutual_information, partial_trace, prob_vector
 from .thermal import (
     EnergyGrouping,
@@ -42,9 +43,9 @@ from .thermal import (
 COMPLEX_BYTES = np.dtype(complex).itemsize
 FLOAT_BYTES = np.dtype(float).itemsize
 INDEX_BYTES = np.dtype(np.intp).itemsize
-# One budget for every array a run allocates at its full size: the dense
-# oracle's D x D state, a write step's entry list and the (S, M_1) blocks
-# alike.  It admits a dense complex state of dimension 4096.
+# One budget for every array the program allocates at its full size: a write
+# step's entry list, the (S, M_1) blocks and hl-bound's dense d_S * d_M joint
+# state alike.  It admits a dense complex state of dimension 4096.
 BYTE_BUDGET = COMPLEX_BYTES * 4096**2
 INVERTIBILITY_TOL = 1e-9
 
@@ -154,22 +155,10 @@ def check_entry_list(d_s: int, levels: int) -> None:
 def check_units(d_s: int, n_units: int) -> None:
     """Refuse a run over `n_units` memory units whose per-unit records exceed the budget.
 
-    A run keeps, per unit, at least five list entries (the unit, its write step, its
-    stage, its pointer statistics and its system diagonal) and the last two's d_S floats each.
+    A run keeps, per unit, at least four list entries (the unit, its write step, its
+    pointer statistics and its system diagonal) and the last two's d_S floats each.
     """
-    check_budget((5 * INDEX_BYTES + 2 * FLOAT_BYTES * d_s) * n_units, "per-unit run records")
-
-
-def _final_joint(rho_s: DensityOperator, mem: MemoryArray, stages) -> np.ndarray:
-    """Dense oracle: rho_S (x) diag(p_1) (x) ... (x) diag(p_N) conjugated by every stage."""
-    total = mem.total_dim()
-    check_budget(COMPLEX_BYTES * total * total, "dense joint state")
-    joint = rho_s.matrix
-    for u in mem.units:
-        joint = np.kron(joint, np.diag(u.probs))
-    for stage in stages:
-        joint = conjugate(joint, joint_images(*stage))
-    return joint
+    check_budget((4 * INDEX_BYTES + 2 * FLOAT_BYTES * d_s) * n_units, "per-unit run records")
 
 
 class _WriteStep:
@@ -219,17 +208,17 @@ class BroadcastRun:
     (`ensembles` and `basis_defects`) chains one row per input, read out one
     unit at a time.  The (S, M_1) marginal is d_S x d_S blocks over the M_1
     level pairs the first write occupies, through the later steps' channels.
-    Only the dense oracle's `state` is d_M x d_M, built on request.
+    No d_M x d_M matrix is built.
     """
 
-    def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, stages, steps):
+    def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, steps):
         d_s = mem.d_s
         if rho_s.dim != d_s:
             raise DimensionMismatch(f"system dim {rho_s.dim} != array d_s {d_s}")
         self.mode = mode
         self.dims = (d_s,) + mem.dims
         self.p_initial = rho_s.matrix.diagonal().real.copy()
-        self._rho_s, self._mem, self._stages, self._steps = rho_s, mem, stages, steps
+        self._rho_s, self._mem, self._steps = rho_s, mem, steps
         self.labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
         self._basis = np.eye(d_s)[self.labels]  # row j: the basis input |labels[j]>
         chain = list(self._chain(self.p_initial[None]))
@@ -262,11 +251,6 @@ class BroadcastRun:
         for u, rows in zip(self._mem.units, self.ensembles()):
             worst = np.maximum(worst, np.abs(self._basis - u.grouping.readout(np.arange(u.dim), rows)).max(axis=1))
         return worst
-
-    @cached_property
-    def state(self) -> DensityOperator:
-        """The dense final state, from the dense oracle."""
-        return DensityOperator(_final_joint(self._rho_s, self._mem, self._stages), self.dims)
 
     @cached_property
     def first_marginal(self) -> SystemBlocks:
@@ -313,9 +297,7 @@ def run_sequential_local(rho_s: DensityOperator, mem: MemoryArray) -> BroadcastR
     is the decomposition the broadcast regime classification refers to.
     """
     steps = {u: _WriteStep(u.interaction, u.probs, (u.dim,)) for u in dict.fromkeys(mem.units)}
-    dims = (mem.d_s,) + mem.dims
-    stages = tuple((dims, i + 1, u.interaction) for i, u in enumerate(mem.units))
-    return BroadcastRun(SEQUENTIAL_LOCAL, rho_s, mem, stages, [steps[u] for u in mem.units])
+    return BroadcastRun(SEQUENTIAL_LOCAL, rho_s, mem, [steps[u] for u in mem.units])
 
 
 def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", variant: int = 0) -> BroadcastRun:
@@ -330,11 +312,11 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
     check_entry_list(mem.d_s, math.prod(int(np.count_nonzero(u.probs)) for u in mem.units))
     check_table(mem.d_s, math.prod(mem.dims))
     # merged levels follow the kron ravel order of the unit levels, so the
-    # (system, merged memory) stage acts on the same flat joint index
+    # merged write acts on the same flat joint index as the unit factors
     merged_h = product_hamiltonian([u.hamiltonian for u in mem.units])
     merged = build(group_energies(merged_h, mem.d_s), kind, variant)
     step = _WriteStep(merged, reduce(np.kron, [u.probs for u in mem.units]), mem.dims)
-    return BroadcastRun(GLOBAL, rho_s, mem, (((mem.d_s, merged_h.dim), 1, merged),), [step])
+    return BroadcastRun(GLOBAL, rho_s, mem, [step])
 
 
 def ideal_scb_defect(run: BroadcastRun) -> float:

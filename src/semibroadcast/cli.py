@@ -41,6 +41,9 @@ EXIT_DOMAIN = 4
 
 GAP_TOL = 1e-9
 RW_TOL = 1e-10
+# a lower bound on what an instance sweep keeps per instance before its first write: the
+# list entries of its spawned seed and of its record, and the record's 16 key-value pairs
+RECORD_BYTES = broadcast.INDEX_BYTES * (2 + 2 * 16)
 
 SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
@@ -171,6 +174,7 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         d = cfg.system.d_s * memory_dim(cfg.memory)
     broadcast.check_budget(broadcast.COMPLEX_BYTES * d * d, "dense joint state")
     if inst is not None:
+        broadcast.check_budget(RECORD_BYTES * inst.count, "instance records")
         records = hl_sweep_records(inst, cfg.seed, bits)
     else:
         records = [{**_hl_single(cfg, bits), "index": 0}]
@@ -254,9 +258,10 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
 
 def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     d_s = cfg.system.d_s
+    # the budget checks first: they bound the d_S x d_S system state too
+    unit = build_memory_array(cfg.memory, None, d_s).units[0]
     rho_s = build_system_state(cfg.system)
     p_true = qcore.prob_vector(rho_s.matrix.diagonal().real)
-    unit = build_memory_array(cfg.memory, None, d_s).units[0]
     cmax = thermal.c_max(unit.grouping, unit)
     q_variants = [
         p_true @ interact.transition_matrix(interact.build(unit.grouping, "cycled", i), unit.probs)
@@ -284,10 +289,9 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
 
 
 def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
-    if cfg.system is None or cfg.memory is None:
-        raise ConfigError("classify needs system and memory sections")
-    rho_s = build_system_state(cfg.system)
+    # the budget checks first: they bound the d_S x d_S system state too
     mem = build_memory_array(cfg.memory, cfg.interaction, cfg.system.d_s)
+    rho_s = build_system_state(cfg.system)
     if cfg.experiment == "global":
         kind = cfg.interaction.kind if cfg.interaction else "swap"
         variant = cfg.interaction.variant if cfg.interaction else 0
@@ -408,7 +412,14 @@ def main(argv=None) -> int:
                 f"{args.command} expects experiment in "
                 f"{EXPECTED_EXPERIMENTS[args.command]}, got {cfg.experiment!r}"
             )
-        if args.command == "hl-bound" and cfg.instances is None:
+        if cfg.instances is not None:
+            # only an hl-bound sweep reads instances, and it reads nothing else
+            if args.command != "hl-bound":
+                raise ConfigError(f"{args.command} takes no instances section")
+            ignored = [key for key in ("system", "memory", "interaction") if getattr(cfg, key) is not None]
+            if ignored:
+                raise ConfigError(f"an hl-bound instance sweep takes no {', '.join(ignored)} section")
+        elif args.command == "hl-bound":
             # one instance writes into one Gibbs memory; beta * dE is undefined for a ground one
             if cfg.memory.state != "gibbs" or cfg.memory.n_components != 1:
                 raise ConfigError("single-instance hl-bound needs memory.N = 1 and a gibbs memory")

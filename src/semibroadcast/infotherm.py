@@ -72,13 +72,6 @@ class SystemBlocks:
     pairs: np.ndarray
     blocks: np.ndarray
 
-    @classmethod
-    def of(cls, rho_joint: DensityOperator) -> "SystemBlocks":
-        """Every block of a dense state; the memory is every factor but the first."""
-        blocks = _system_blocks(rho_joint).transpose(0, 2, 1, 3)
-        d_m = blocks.shape[-1]
-        return cls(np.stack(np.divmod(np.arange(d_m * d_m), d_m), axis=1), blocks.reshape(blocks.shape[:2] + (-1,)))
-
     def system(self) -> DensityOperator:
         """rho_S' = Tr_M rho: the blocks on the memory diagonal, summed pairwise along their axis."""
         return DensityOperator(self.blocks.compress(self.pairs[:, 0] == self.pairs[:, 1], axis=-1).sum(axis=-1))
@@ -335,16 +328,13 @@ class SBSVerdict:
 SBS_TOL = 1e-9
 
 
-def sbs_test(state) -> SBSVerdict:
+def sbs_test(state: SystemBlocks) -> SBSVerdict:
     """Check block-diagonality in the outcome basis and conditional orthogonality.
 
-    `state` is a SystemBlocks or a dense DensityOperator, converted first.
     conditional_overlap is the worst pairwise Hilbert-Schmidt overlap
     Tr(rho^x rho^y) between distinct conditional memory states above the
     probability floor; rho is Hermitian, so it sums rho^x[k] conj(rho^y[k]).
     """
-    if isinstance(state, DensityOperator):
-        state = SystemBlocks.of(state)
     b, d = state.blocks, len(state.blocks)
     off = float(np.max(np.abs(b[~np.eye(d, dtype=bool)]), initial=0.0))
     p = state.system().matrix.diagonal().real

@@ -2,9 +2,9 @@
 
 Every interaction is a basis permutation of the joint space, stored as the
 table of its joint images.  This module owns the one kind dispatch (`build`
-over `KINDS`), the one dense conjugation (`conjugate`) and `joint_images`,
-which lifts a table to a product space for the broadcast runs' dense oracle.
-Each kind is a sector map (x, nu) -> (y, mu): the joint level
+over `KINDS`) and the one dense conjugation (`conjugate`); the broadcast
+runs never lift a table to the product space of several memories.  Each
+kind is a sector map (x, nu) -> (y, mu): the joint level
 |x, groups[nu][s]> goes to |y, groups[mu][s]>, keeping the within-sector
 slot s.
 
@@ -22,13 +22,12 @@ and every pointer distribution are read from the diagonal through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, WrongKind
-from .qcore import DensityOperator, UnitaryOperator, basis_state, evolve, random_density, random_unitary
+from .qcore import DensityOperator, basis_state, evolve, random_density, random_unitary
 from .thermal import EnergyGrouping, GibbsState
 
 KINDS = ("noninvasive", "cycled", "swap")
@@ -71,30 +70,6 @@ class ControlledInteraction:
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis."""
         return self.table.ravel()
-
-    def as_unitary(self) -> UnitaryOperator:
-        d = self.d_s * self.d_m
-        m = np.zeros((d, d))
-        m[self.joint_permutation, np.arange(d)] = 1.0
-        return UnitaryOperator(m, (self.d_s, self.d_m))
-
-
-def joint_images(dims: tuple[int, ...], axis: int, u: ControlledInteraction) -> np.ndarray:
-    """The joint basis permutation over `dims` of `u` acting on factor 0 and factor `axis`.
-
-    |x, m> goes to |y, mu> with y * d_M + mu = table[x, m]; every other factor stays.
-    """
-    index = np.arange(math.prod(dims))
-    block = math.prod(dims[1:])
-    stride = math.prod(dims[axis + 1 :])
-    # the index shift of each (x, m), worked out once per call from the table, then gathered per index
-    shift, mu = np.divmod(u.table, dims[axis])
-    shift -= np.arange(dims[0])[:, None]
-    shift *= block
-    mu -= np.arange(dims[axis])
-    mu *= stride
-    shift += mu
-    return index + shift[index // block, index // stride % dims[axis]]
 
 
 def conjugate(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:

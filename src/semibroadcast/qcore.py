@@ -83,10 +83,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def with_dims(self, dims) -> "DensityOperator":
-        """Same matrix, reinterpreted with a different factorization."""
-        return DensityOperator(self.matrix, dims)
-
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in ascending order, as a read-only array."""
         return self._spectrum
@@ -235,21 +231,6 @@ def mutual_information(rho: DensityOperator, cut) -> float:
     sa = von_neumann_entropy(partial_trace(rho, side_a))
     sb = von_neumann_entropy(partial_trace(rho, side_b))
     return sa + sb - von_neumann_entropy(rho)
-
-
-def dephase(rho: DensityOperator, factor: int) -> DensityOperator:
-    """Kill off-diagonal elements of one factor in its computational basis."""
-    (factor,) = _check_factors(rho, (factor,))
-    dims = rho.dims
-    d = dims[factor]
-    k = len(dims)
-    arr = rho.matrix.reshape(dims + dims).copy()
-    idx_row = np.arange(d).reshape((1,) * factor + (d,) + (1,) * (2 * k - factor - 1))
-    idx_col = np.arange(d).reshape(
-        (1,) * (k + factor) + (d,) + (1,) * (k - factor - 1)
-    )
-    arr *= idx_row == idx_col
-    return DensityOperator(arr.reshape(rho.dim, rho.dim), dims)
 
 
 def random_density(dim: int, seed, dims=None) -> DensityOperator:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle import final_state, joints, system_blocks
 
 from semibroadcast import broadcast, infotherm, interact, qcore, thermal
 from semibroadcast.config import SweepConfig
@@ -94,7 +95,7 @@ def test_sequential_run_reads_the_same_statistics_on_every_unit():
     for qi in run.q:
         assert qi.tolist() == pytest.approx(expected.tolist(), abs=1e-13)
     assert run.mode == broadcast.SEQUENTIAL_LOCAL
-    assert run.state.dims == (2, 2, 2)
+    assert run.dims == (2, 2, 2)
 
 
 def test_sequential_defect_matches_closed_form():
@@ -163,8 +164,7 @@ def test_input_label_ensembles_are_the_written_conditionals():
 def test_final_state_rank_is_memory_bound_for_pure_inputs():
     psi = np.array([math.sqrt(0.3), math.sqrt(0.7)])
     rho = qcore.DensityOperator(np.outer(psi, psi))
-    run = broadcast.run_sequential_local(rho, broadcast.MemoryArray(2, (qubit_unit(),)))
-    eigs = np.linalg.eigvalsh(run.state.matrix)
+    eigs = np.linalg.eigvalsh(final_state(rho, broadcast.MemoryArray(2, (qubit_unit(),))).matrix)
     assert int(np.sum(eigs > 1e-12)) == 2
 
 
@@ -178,16 +178,6 @@ def test_a_long_chain_does_not_compound_rounding():
     assert rho_s_final.tolist() == pytest.approx(p, abs=1e-15)
     assert run.system_diag_history[-1].tolist() == pytest.approx(p, abs=1e-15)
     assert np.max(np.abs(np.array(run.q) - run.q[0])) <= 1e-15
-
-
-def test_dense_budget_is_enforced():
-    # D = 8192: the structured run succeeds, the dense oracle refuses
-    big = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(4), 1.0, 2)
-    mem = broadcast.MemoryArray(2, (big, big, big))
-    run = broadcast.run_sequential_local(qcore.diag_density([0.4, 0.6]), mem)
-    assert run.dims == (2, 16, 16, 16)
-    with pytest.raises(DimensionBudgetExceeded):
-        run.state
 
 
 def test_system_dimension_mismatch_is_rejected():
@@ -207,15 +197,6 @@ def random_unit(rng, d_s, d_m, state, kind, variant):
     if state == "gibbs":
         return broadcast.thermal_unit(h, float(rng.uniform(0.1, 2.0)), d_s, kind, variant)
     return broadcast.explicit_unit(h, np.eye(d_m)[0], d_s, kind, variant)
-
-
-def lifted_permutation(dims, axis, u):
-    """One write's permutation of the whole joint basis, from interact's own table."""
-    d = dims[axis]
-    multi = [a.ravel() for a in np.indices(dims)]
-    image = u.joint_permutation[multi[0] * d + multi[axis]]
-    multi[0], multi[axis] = image // d, image % d
-    return np.ravel_multi_index(multi, dims)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,17 +222,16 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
     else:
         rho = qcore.random_density(d_s, int(rng.integers(2**32)))
 
-    def run_on(rho_s):
-        if mode == broadcast.GLOBAL:
-            return broadcast.run_global(rho_s, mem, kind, variant)
-        return broadcast.run_sequential_local(rho_s, mem)
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run = run_on(rho)
+        if mode == broadcast.GLOBAL:
+            run = broadcast.run_global(rho, mem, kind, variant)
+        else:
+            run = broadcast.run_sequential_local(rho, mem)
     assert any(issubclass(w.category, DegenerateOutcomeWarning) for w in caught) == pure_input
 
-    dense = run.state
+    history = list(joints(rho, mem, mode, kind, variant))
+    dense = qcore.DensityOperator(history[-1], run.dims)
     n = len(dims)
     marginal = run.first_marginal
     want = qcore.partial_trace(dense, (0, 1)).matrix.reshape(d_s, dims[0], d_s, dims[0])
@@ -261,23 +241,19 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
     np.testing.assert_allclose(
         marginal.system().matrix, qcore.partial_trace(dense, (0,)).matrix, rtol=0, atol=1e-12
     )
-    verdict, want = infotherm.sbs_test(marginal), infotherm.sbs_test(qcore.partial_trace(dense, (0, 1)))
+    verdict, want = infotherm.sbs_test(marginal), infotherm.sbs_test(system_blocks(qcore.partial_trace(dense, (0, 1))))
     assert verdict.off_diagonal_norm == pytest.approx(want.off_diagonal_norm, abs=1e-12)
     assert verdict.conditional_overlap == pytest.approx(want.conditional_overlap, abs=1e-12)
     for i, unit in enumerate(mem.units):
         want = interact.pointer_distribution(qcore.partial_trace(dense, (0, i + 1)), unit.grouping)
         np.testing.assert_allclose(run.q[i], want, rtol=0, atol=1e-12)
-    assert len(run.system_diag_history) == len(run._stages)
-    for k, stage in enumerate(run._stages):
-        assert np.array_equal(interact.joint_images(*stage), lifted_permutation(*stage))
-        joint = broadcast._final_joint(rho, mem, run._stages[: k + 1])
+    assert len(run.system_diag_history) == len(history)
+    for diag, joint in zip(run.system_diag_history, history):
         want = joint.diagonal().real.reshape(d_s, -1).sum(axis=1)
-        np.testing.assert_allclose(run.system_diag_history[k], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(diag, want, rtol=0, atol=1e-12)
 
     labels = [x for x in range(d_s) if run.p_initial[x] > 1e-14]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
-        basis_states = [run_on(qcore.basis_state(d_s, x)).state for x in labels]
+    basis_states = [final_state(qcore.basis_state(d_s, x), mem, mode, kind, variant) for x in labels]
     ensembles = list(run.ensembles())
     assert len(ensembles) == n
     for i, rows in enumerate(ensembles):
@@ -333,7 +309,7 @@ def test_global_swap_is_not_locally_unbiased():
     run = broadcast.run_global(qcore.diag_density([0.3, 0.7]), mem, kind="swap")
     assert run.mode == broadcast.GLOBAL
     assert broadcast.ideal_scb_defect(run) > 1e-6
-    assert run.state.dims == (2, 2, 2)
+    assert run.dims == (2, 2, 2)
 
 
 def test_global_register_as_a_whole_is_unbiased():
@@ -570,14 +546,15 @@ def test_simulated_coherent_write_assembles_as_ideal_state_with_off_block():
     )
     psi = np.array([math.sqrt(0.3), math.sqrt(0.7)])
     rho = qcore.DensityOperator(np.outer(psi, psi))
-    run = broadcast.run_sequential_local(rho, broadcast.MemoryArray(2, units))
-    assert broadcast.ideal_scb_defect(run) <= 1e-12
+    mem = broadcast.MemoryArray(2, units)
+    assert broadcast.ideal_scb_defect(broadcast.run_sequential_local(rho, mem)) <= 1e-12
+    state = final_state(rho, mem)
 
     conditionals = []
     for x in range(2):
         out = interact.apply(units[0].interaction, qcore.basis_state(2, x), sigma)
         conditionals.append(qcore.partial_trace(out, (1,)).matrix)
-    diag_part = np.zeros_like(run.state.matrix)
+    diag_part = np.zeros_like(state.matrix)
     for x, px in enumerate([0.3, 0.7]):
         term = np.zeros((2, 2))
         term[x, x] = 1.0
@@ -585,11 +562,11 @@ def test_simulated_coherent_write_assembles_as_ideal_state_with_off_block():
     rebuilt = broadcast.ideal_broadcasting_state(
         [0.3, 0.7],
         [conditionals, conditionals],
-        off=run.state.matrix - diag_part,
+        off=state.matrix - diag_part,
     )
-    assert np.allclose(rebuilt.matrix, run.state.matrix, atol=1e-12)
+    assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-12)
     for j in range(2):
-        mi = broadcast.objectivity_mutual_info(run.state, j)
+        mi = broadcast.objectivity_mutual_info(state, j)
         assert mi == pytest.approx(qcore.shannon_entropy([0.3, 0.7]), abs=1e-10)
 
 

@@ -523,6 +523,42 @@ def test_hl_bound_beyond_the_byte_budget_exits_4_before_allocating(tmp_path, cap
     assert peak < 32 * 2**20
 
 
+def test_hl_bound_refuses_an_instance_count_beyond_the_byte_budget_before_spawning(
+    tmp_path, capsys, monkeypatch
+):
+    # 10^9 instances: their seeds and records alone exceed the budget, so no seed is spawned
+    def spawned(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "hl_sweep_records", spawned)
+    cfg = {"experiment": "sequential", "instances": {"count": 10**9}}
+    rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 4
+    assert "instance records needs" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_a_refused_memory_exits_4_before_the_system_state_is_built(tmp_path, capsys, command):
+    # d_S = 1024 over a 10-qubit Gibbs memory: the write's entry list needs 32 GiB, while the
+    # random system state alone would be 16 MiB
+    cfg = {
+        "experiment": "sequential" if command == "classify" else "reconstruct",
+        "system": {"d_S": 1024, "state": "random"},
+        "memory": {"N": 1, "n": 10, "beta_omega": 1.0},
+    }
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, command, config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    assert "joint entry list" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+    assert peak < 4 * 2**20
+
+
 def test_out_directory_is_created(tmp_path):
     nested = tmp_path / "a" / "b"
     rc = cli.main(["cmax-sweep", "--config", _write(tmp_path, SWEEP_CFG), "--out", str(nested)])
@@ -757,6 +793,31 @@ def test_hl_bound_refuses_a_global_experiment(tmp_path, capsys, cfg):
     rc, out = run(tmp_path, "hl-bound", config=cfg)
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["system", "memory", "interaction"])
+def test_an_hl_bound_sweep_refuses_the_sections_it_would_ignore(tmp_path, capsys, section):
+    cfg = {
+        "experiment": "sequential",
+        "instances": {"count": 4},
+        "system": {"d_S": 2, "state": [0.5, 0.5]},
+        "memory": {"N": 1, "n": 1, "beta_omega": 1.0},
+        "interaction": {"kind": "swap"},
+    }
+    cfg = {key: cfg[key] for key in ("experiment", "instances", section)}
+    rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 2
+    assert f"takes no {section} section" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "nogo", "reconstruct"])
+def test_single_run_subcommands_refuse_an_instances_section(tmp_path, capsys, command):
+    cfg = {**cli.DEFAULT_CONFIGS[command], "instances": {"count": 4}}
+    rc, out = run(tmp_path, command, config=cfg)
+    assert rc == 2
+    assert f"{command} takes no instances section" in capsys.readouterr().err
     assert not out.exists()
 
 

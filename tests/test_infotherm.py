@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import system_blocks
 
 from semibroadcast import broadcast, infotherm, interact, qcore, thermal
 from semibroadcast.errors import DegenerateOutcomeWarning, DimensionMismatch
@@ -408,7 +409,7 @@ def test_sbs_holds_for_perfect_classical_correlation():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 0.3
     m[3, 3] = 0.7
-    verdict = infotherm.sbs_test(qcore.DensityOperator(m, (2, 2)))
+    verdict = infotherm.sbs_test(system_blocks(qcore.DensityOperator(m, (2, 2))))
     assert verdict.is_sbs
     assert verdict.off_diagonal_norm == pytest.approx(0.0, abs=1e-15)
     assert verdict.conditional_overlap == pytest.approx(0.0, abs=1e-15)
@@ -416,7 +417,7 @@ def test_sbs_holds_for_perfect_classical_correlation():
 
 def test_sbs_fails_for_thermal_records():
     out, _, _ = cnot_on(qcore.diag_density([0.5, 0.5]))
-    verdict = infotherm.sbs_test(out)
+    verdict = infotherm.sbs_test(system_blocks(out))
     assert not verdict.is_sbs
     assert verdict.off_diagonal_norm <= 1e-15
     assert verdict.conditional_overlap == pytest.approx(OVERLAP_THERMAL, abs=1e-13)
@@ -425,7 +426,7 @@ def test_sbs_fails_for_thermal_records():
 def test_sbs_fails_for_bell_state_because_of_coherences():
     v = np.zeros(4)
     v[0] = v[3] = 1.0 / math.sqrt(2.0)
-    verdict = infotherm.sbs_test(qcore.DensityOperator(np.outer(v, v), (2, 2)))
+    verdict = infotherm.sbs_test(system_blocks(qcore.DensityOperator(np.outer(v, v), (2, 2))))
     assert not verdict.is_sbs
     assert verdict.off_diagonal_norm == pytest.approx(0.5, abs=1e-15)
     assert verdict.conditional_overlap == pytest.approx(0.0, abs=1e-15)
@@ -462,7 +463,7 @@ def test_block_sbs_test_matches_the_dense_conditional_states(d_s, d_m, dropped, 
         m *= np.eye(d_s)[:, None, :, None]
     m = m.reshape(d_s * d_m, -1)
     rho = qcore.DensityOperator(m / m.trace().real, (d_s, d_m))
-    verdict = infotherm.sbs_test(rho)
+    verdict = infotherm.sbs_test(system_blocks(rho))
     off, overlap = _dense_sbs(rho)
     assert verdict.off_diagonal_norm == pytest.approx(off, abs=1e-12)
     assert verdict.conditional_overlap == pytest.approx(overlap, abs=1e-12)
@@ -474,7 +475,7 @@ def test_sbs_holds_for_pure_memory_copy():
     g = thermal.group_energies(h, 2)
     u = interact.build_noninvasive_maxcorr(g)
     out = interact.apply(u, qcore.diag_density([0.3, 0.7]), qcore.basis_state(2, 0))
-    assert infotherm.sbs_test(out).is_sbs
+    assert infotherm.sbs_test(system_blocks(out)).is_sbs
 
 
 # ------------------------------------------------------------ classification
@@ -520,7 +521,7 @@ def test_classify_row_order_is_strongest_first():
 def run_and_classify(rho_s, unit):
     run = broadcast.run_sequential_local(rho_s, broadcast.MemoryArray(2, (unit,)))
     h_x = qcore.shannon_entropy(run.p_initial)
-    rho_final = qcore.partial_trace(run.state, (0,))
+    rho_final = run.first_marginal.system()
     lower, chi = infotherm.diagonal_bracket(run.p_initial[run.labels], next(run.ensembles()))
     ev = infotherm.Table1Evidence(
         i_acc_lower=lower,

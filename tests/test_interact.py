@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import lifted_permutation, permutation_matrix
 
 from semibroadcast import config, interact, qcore, thermal
 from semibroadcast.errors import DimensionMismatch, IndexOutOfRange, WrongKind
@@ -78,7 +79,7 @@ def test_maxcorr_single_qubit_is_cnot():
     g, _ = qubit_setup()
     u = interact.build_noninvasive_maxcorr(g)
     assert u.table.tolist() == [[0, 1], [3, 2]]
-    assert np.array_equal(u.as_unitary().matrix.real, CNOT)
+    assert np.array_equal(permutation_matrix(u), CNOT)
 
 
 def test_maxcorr_two_qubit_chain_shifts_whole_sectors():
@@ -91,7 +92,7 @@ def test_maxcorr_two_qubit_chain_shifts_whole_sectors():
 def test_maxcorr_matches_hand_built_controlled_shift():
     d_s = 3
     g, _ = ladder_setup(d_s)
-    u = interact.build_noninvasive_maxcorr(g).as_unitary().matrix.real
+    u = permutation_matrix(interact.build_noninvasive_maxcorr(g))
     hand = np.zeros((9, 9))
     for x in range(d_s):
         for nu in range(d_s):
@@ -99,13 +100,13 @@ def test_maxcorr_matches_hand_built_controlled_shift():
     assert np.array_equal(u, hand)
 
 
-def test_as_unitary_is_a_permutation_matrix():
+def test_every_table_is_a_joint_permutation():
     for g, _ in (qubit_setup(), ladder_setup(3), chain_setup(2, 4)):
         for u in (
             interact.build_noninvasive_maxcorr(g),
             interact.build_unbiased_swap(g),
         ):
-            m = u.as_unitary().matrix
+            m = permutation_matrix(u)
             assert np.all((m == 0.0) | (m == 1.0))
             assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]))
 
@@ -176,7 +177,7 @@ def test_joint_permutation_matches_hand_built_tables():
                     for s in range(g.r):
                         table[x * d_m + g.groups[nu][s]] = y * d_m + g.groups[mu][s]
             assert np.array_equal(u.joint_permutation, table)
-            assert np.array_equal(interact.joint_images((d_s, d_m), 1, u), table)
+            assert np.array_equal(lifted_permutation((d_s, d_m), 1, u), table)
 
 
 def test_swap_is_an_involution():
@@ -184,7 +185,7 @@ def test_swap_is_an_involution():
         u = interact.build_unbiased_swap(g)
         pi = u.joint_permutation
         assert np.array_equal(pi[pi], np.arange(pi.size))
-        m = u.as_unitary().matrix
+        m = permutation_matrix(u)
         assert np.allclose(m @ m, np.eye(m.shape[0]))
 
 
@@ -204,7 +205,7 @@ def test_apply_matches_dense_conjugation():
         for build in (interact.build_noninvasive_maxcorr, interact.build_unbiased_swap):
             u = build(g)
             fast = interact.apply(u, rho, tau.state)
-            um = u.as_unitary().matrix
+            um = permutation_matrix(u)
             dense = um @ np.kron(rho.matrix, tau.state.matrix) @ um.conj().T
             assert np.allclose(fast.matrix, dense, atol=1e-14)
             assert fast.dims == (g.d_s, g.dim)
@@ -280,7 +281,7 @@ def test_correlation_input_validation():
     g, tau = qubit_setup()
     joint = qcore.tensor(qcore.diag_density([1.0, 0.0]), tau.state)
     with pytest.raises(DimensionMismatch):
-        interact.correlation_c(joint.with_dims((4,)), g)
+        interact.correlation_c(qcore.DensityOperator(joint.matrix, (4,)), g)
     for other, _ in (ladder_setup(3), chain_setup(2, 2)):
         with pytest.raises(DimensionMismatch):
             interact.correlation_c(joint, other)
@@ -291,7 +292,7 @@ def test_correlation_matches_dense_projector_oracle():
         d = g.d_s * g.dim
         basis = qcore.random_unitary(g.d_s, seed=g.d_s).matrix
         for seed in range(3):
-            joint = qcore.random_density(d, seed=seed).with_dims((g.d_s, g.dim))
+            joint = qcore.random_density(d, seed=seed, dims=(g.d_s, g.dim))
             for rho in (joint, qcore.evolve(joint, system_rotation(basis, g.dim))):
                 blocks = rho.matrix.reshape(g.d_s, g.dim, g.d_s, g.dim)
                 want = sum(
@@ -328,7 +329,7 @@ def test_transition_matrix_matches_dense_projector_oracle():
             u = interact.build_cycled_variant(g, i)
             a = interact.transition_matrix(u, tau.probs)
             projs = dense_projectors(g)
-            um = u.as_unitary().matrix
+            um = permutation_matrix(u)
             for x in range(g.d_s):
                 joint = np.kron(qcore.basis_state(g.d_s, x).matrix, tau.state.matrix)
                 final = um @ joint @ um.conj().T
