@@ -41,9 +41,11 @@ EXIT_DOMAIN = 4
 
 GAP_TOL = 1e-9
 RW_TOL = 1e-10
-# a lower bound on what an instance sweep keeps per instance before its first write: the
-# list entries of its spawned seed and of its record, and the record's 16 key-value pairs
-RECORD_BYTES = broadcast.INDEX_BYTES * (2 + 2 * 16)
+# the peak that cmd_hl_bound holds per instance of a sweep: the instance's seed and record,
+# and its share of the JSON text, which json.dumps builds as a list of chunks before joining.
+# tracemalloc measures at most 4,729 B per instance through `main` in a fresh process on
+# 2,000-instance sweeps (the default, --bits, d_S in {2, 3, 4}); the constant is 20% above
+RECORD_BYTES = 5700
 
 SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
@@ -165,7 +167,8 @@ def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> li
 
 
 def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
-    # every write builds dense d_S * d_M joint states: refuse the largest before the first
+    # a haar write builds dense d_S * d_M joint states, a permutation write none; the refusal
+    # of the largest d_S * d_M still covers every kind, before the first write
     # (a sweep draws d_M = d_S * r with r <= max_memory_dim // d_S)
     inst = cfg.instances
     if inst is not None:

@@ -16,10 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateOutcomeWarning, DimensionMismatch
-from .interact import ControlledInteraction, apply
+from .interact import ControlledInteraction
 from .qcore import (
     EIG_FLOOR,
     DensityOperator,
+    entropy_of_spectrum,
     evolve,
     partial_trace,
     relative_entropy,
@@ -272,28 +273,88 @@ class ThermoReport:
         return abs(self.sigma_prod - self.mutual_info - self.rel_entropy_to_thermal)
 
 
+def _write_step(rho_s: DensityOperator, probs: np.ndarray, table: np.ndarray, h_tau: float):
+    """(rho_S', the populations of rho_M', S(rho_M'), chi) after the permutation write `table`
+    of rho_S (x) diag(probs), where h_tau = H(probs).
+
+    The input holds rho_xx' p_m at (x m, x' m), and the write moves it to (table[x, m],
+    table[x', m]) = (y d_M + a, y' d_M + a').  rho_S' sums the entries whose memory images
+    agree (a = a') at (y, y'); member y and rho_M' sum those whose system images agree
+    (y = y') at (a, a').  A write that keeps the system label (y = x) makes member x the
+    populations p permuted to a[x]: rho_M' is one row of populations, every member's entropy
+    is H(tau), and rho_S' = rho_S o O with O[x, x'] the weight of the levels whose images
+    under x and x' agree.  Any other write is scattered once into the d_S members' d_M x d_M
+    blocks; as the write is a permutation, no two entries land on one block entry.
+    Outcomes at the probability floor are dropped from chi with a DegenerateOutcomeWarning,
+    as by conditional_ensemble.
+    """
+    d_s, d_m = table.shape
+    if rho_s.dim != d_s or probs.size != d_m:
+        raise DimensionMismatch(f"interaction is {d_s} x {d_m}, states are {rho_s.dim} x {probs.size}")
+    y, a = np.divmod(table, d_m)
+    rho = rho_s.matrix
+    if (y == np.arange(d_s)[:, None]).all():
+        rho_s_out = rho * ((a[:, None] == a[None]) @ probs)
+        pops = np.bincount(a.ravel(), (rho.diagonal().real[:, None] * probs).ravel(), d_m)
+        s_m_out = entropy_of_spectrum(np.sort(pops))
+        p_out = rho_s_out.diagonal().real
+        member_s = np.full(d_s, h_tau)
+    else:
+        rho_s_out = np.zeros((d_s, d_s), dtype=complex)
+        x, x2, m = np.nonzero(a[:, None] == a[None])
+        np.add.at(rho_s_out, (y[x, m], y[x2, m]), rho[x, x2] * probs[m])
+        blocks = np.zeros((d_s, d_m, d_m), dtype=complex)
+        x, x2, m = np.nonzero(y[:, None] == y[None])
+        blocks[y[x, m], a[x, m], a[x2, m]] = rho[x, x2] * probs[m]
+        rho_m_out = blocks.sum(axis=0)
+        pops = rho_m_out.diagonal().real
+        s_m_out = entropy_of_spectrum(np.linalg.eigvalsh(rho_m_out))
+        p_out = np.trace(blocks, axis1=1, axis2=2).real
+        member_s = np.zeros(d_s)
+        for y_out in np.flatnonzero(p_out > PROB_FLOOR):
+            member_s[y_out] = entropy_of_spectrum(np.linalg.eigvalsh(blocks[y_out] / p_out[y_out]))
+    kept = p_out > PROB_FLOOR
+    for y_out in np.flatnonzero(~kept):
+        warnings.warn(f"outcome {y_out} has probability {p_out[y_out]:.3e}; dropped", DegenerateOutcomeWarning)
+    chi = s_m_out - float(p_out[kept] @ member_s[kept])
+    return DensityOperator(rho_s_out), pops, s_m_out, chi
+
+
 def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
     """Entropy production and its decomposition for one write into a thermal memory.
 
-    `u` may be a ControlledInteraction, applied as an index permutation, or
-    any joint unitary on system (x) memory, applied by conjugation.  The
-    final state and its two marginals are built once; each entropy is taken
-    once and I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
+    `u` may be a ControlledInteraction or any joint unitary on system (x) memory.
+    A ControlledInteraction is a basis permutation: `_write_step` reads rho_S',
+    rho_M' and the members from the d_S^2 d_M entries rho_xx' p_m of the input,
+    S(rho_out) = S(rho_S) + H(tau) because the write keeps the joint spectrum,
+    and D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
+    ln tau_m = -beta E_m - ln Z, finite at every temperature.  No joint-size
+    state is built.  Any other unitary is applied by conjugation of the dense
+    joint state, whose marginals, conditional ensemble and relative entropy
+    follow their library definitions.  Either way I(S:M') = S(rho_S') +
+    S(rho_M') - S(rho_out).
     """
+    energies = tau.hamiltonian.absolute_energies()
+    s_s_in = von_neumann_entropy(rho_s)
+    h_tau = entropy_of_spectrum(np.sort(tau.probs))  # S(tau): its spectrum is the sorted populations
     if isinstance(u, ControlledInteraction):
-        rho_out = apply(u, rho_s, tau.state)
+        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho_s, tau.probs, u.table, h_tau)
+        s_out = s_s_in + h_tau
+        rel_entropy = -s_m_out - float(pops_m_out @ (-tau.beta * energies - tau.log_z))
     else:
         rho_out = evolve(tensor(rho_s, tau.state), u)
-
-    rho_s_out = partial_trace(rho_out, (0,))
-    rho_m_out = partial_trace(rho_out, (1,))
+        rho_s_out = partial_trace(rho_out, (0,))
+        rho_m_out = partial_trace(rho_out, (1,))
+        pops_m_out = rho_m_out.matrix.diagonal().real
+        s_m_out = von_neumann_entropy(rho_m_out)
+        s_out = von_neumann_entropy(rho_out)
+        chi = holevo_chi(conditional_ensemble(rho_out))
+        rel_entropy = relative_entropy(rho_m_out, tau.state)
     s_s_out = von_neumann_entropy(rho_s_out)
-    s_m_out = von_neumann_entropy(rho_m_out)
 
-    energies = tau.hamiltonian.absolute_energies()
-    delta_e_m = float(rho_m_out.matrix.diagonal().real @ energies) - tau.mean_energy()
-    delta_s_system = s_s_out - von_neumann_entropy(rho_s)
-    delta_s_m = s_m_out - von_neumann_entropy(tau.state)
+    delta_e_m = float(pops_m_out @ energies) - tau.mean_energy()
+    delta_s_system = s_s_out - s_s_in
+    delta_s_m = s_m_out - h_tau
     delta_q = tau.beta * delta_e_m
     sigma_prod = delta_q + delta_s_system
     beta_delta_f = delta_q - delta_s_m
@@ -305,9 +366,9 @@ def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
         delta_e_m=delta_e_m,
         delta_s_m=delta_s_m,
         beta_delta_f=beta_delta_f,
-        mutual_info=s_s_out + s_m_out - von_neumann_entropy(rho_out),
-        rel_entropy_to_thermal=relative_entropy(rho_m_out, tau.state),
-        chi=holevo_chi(conditional_ensemble(rho_out)),
+        mutual_info=s_s_out + s_m_out - s_out,
+        rel_entropy_to_thermal=rel_entropy,
+        chi=chi,
     )
 
 

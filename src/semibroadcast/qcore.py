@@ -190,7 +190,8 @@ def evolve(rho: DensityOperator, u) -> DensityOperator:
     return DensityOperator(um @ rho.matrix @ um.conj().T, rho.dims)
 
 
-def _entropy_of_spectrum(vals: np.ndarray) -> float:
+def entropy_of_spectrum(vals) -> float:
+    """-sum v ln v in nats over the values above the floor, negatives read as 0."""
     v = np.asarray(vals, dtype=float)
     v = np.where(v < 0.0, 0.0, v)
     v = v[v > EIG_FLOOR]
@@ -199,12 +200,12 @@ def _entropy_of_spectrum(vals: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-Tr rho ln rho in nats; eigenvalues below the floor contribute zero."""
-    return _entropy_of_spectrum(rho.spectrum())
+    return entropy_of_spectrum(rho.spectrum())
 
 
 def shannon_entropy(p) -> float:
     """-sum p ln p in nats for a probability vector."""
-    return _entropy_of_spectrum(prob_vector(p))
+    return entropy_of_spectrum(prob_vector(p))
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:

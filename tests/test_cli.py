@@ -90,6 +90,27 @@ def test_hl_bound_single_instance(tmp_path):
     assert rec["chi"] == pytest.approx(0.11094407167172737, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind", [{"kind": "noninvasive"}, {"kind": "cycled", "i": 0}, {"kind": "swap"}], ids=lambda k: k["kind"]
+)
+@pytest.mark.parametrize("beta_omega", [20.0, 40.0, 400.0])
+def test_hl_bound_writes_into_cold_memories(tmp_path, kind, beta_omega):
+    # two-qubit memories whose excited Gibbs levels fall below EIG_FLOOR, or underflow to 0
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": [0.5, 0.5]},
+        "memory": {"N": 1, "n": 2, "beta_omega": beta_omega},
+        "interaction": kind,
+    }
+    rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 0
+    rec = read_json(out)["records"][0]
+    # the write copies one bit into a level beta_omega above the ground level
+    assert rec["rel_entropy_to_thermal"] == pytest.approx(beta_omega / 2 - LN2, abs=1e-8)
+    assert abs(rec["gap"]) <= 1e-14
+    assert rec["reeb_wolf_residual"] <= 1e-14
+
+
 def test_nogo_defaults_find_witness(tmp_path, capsys):
     rc, out = run(tmp_path, "nogo")
     assert rc == 0
@@ -536,6 +557,20 @@ def test_hl_bound_refuses_an_instance_count_beyond_the_byte_budget_before_spawni
     assert rc == 4
     assert "instance records needs" in capsys.readouterr().err
     assert not (out / "results.json").exists()
+
+
+def test_an_instance_sweep_peaks_below_its_record_budget(tmp_path):
+    # the whole command, records and JSON text, against the bound its count check assumes
+    count = 2000
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "hl-bound", config={"experiment": "sequential", "instances": {"count": count}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert read_json(out)["summary"]["instances"] == count
+    assert peak / count <= cli.RECORD_BYTES
 
 
 @pytest.mark.parametrize("command", ["classify", "reconstruct"])

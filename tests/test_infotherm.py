@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import system_blocks
+from oracle import permutation_matrix, system_blocks
 
 from semibroadcast import broadcast, infotherm, interact, qcore, thermal
-from semibroadcast.errors import DegenerateOutcomeWarning, DimensionMismatch
+from semibroadcast.errors import DegenerateOutcomeWarning, DimensionMismatch, SupportViolation
 
 LN2 = math.log(2.0)
 E_INV = math.exp(-1.0)
@@ -356,15 +356,16 @@ ORACLE_MEMORIES = {
 @pytest.mark.parametrize("kind", ["noninvasive", "cycled", "swap", "haar"])
 @pytest.mark.parametrize("memory", sorted(ORACLE_MEMORIES))
 def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memory):
+    # the dense branch, for haar and for each permutation kind through its permutation matrix
     d_s, h = ORACLE_MEMORIES[memory]
     tau = thermal.gibbs(h, 0.8)
     rho_s = qcore.random_density(d_s, seed=17 + d_s)
     if kind == "haar":
         u = qcore.random_unitary(d_s * h.dim, seed=23)
-        rho_out = qcore.evolve(qcore.tensor(rho_s, tau.state), u)
     else:
-        u = interact.build(thermal.group_energies(h, d_s), kind, d_s - 2 if kind == "cycled" else 0)
-        rho_out = interact.apply(u, rho_s, tau.state)
+        write = interact.build(thermal.group_energies(h, d_s), kind, d_s - 2 if kind == "cycled" else 0)
+        u = permutation_matrix(write)
+    rho_out = qcore.evolve(qcore.tensor(rho_s, tau.state), u)
     rep = infotherm.thermo_report(rho_s, tau, u)
 
     rho_s_out = qcore.partial_trace(rho_out, (0,))
@@ -384,6 +385,116 @@ def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memo
     delta_e = np.trace(rho_m_out.matrix @ hm).real - np.trace(tau.state.matrix @ hm).real
     assert rep.delta_e_m == pytest.approx(delta_e, abs=1e-12)
     assert rep.reeb_wolf_residual() <= 1e-12
+    if kind != "haar":
+        # the write step reads the same report from the table
+        assert_reports_agree(infotherm.thermo_report(rho_s, tau, write), rep)
+
+
+def assert_reports_agree(got, want, tol=1e-12):
+    for name, value in vars(want).items():
+        assert getattr(got, name) == pytest.approx(value, abs=tol), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(interact.KINDS),
+    d_s=st.sampled_from([2, 3, 4]),
+    chain=st.booleans(),
+    r=st.integers(1, 3),
+    beta=st.floats(0.0, 3.0),
+    coherent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_step_matches_the_dense_branch(kind, d_s, chain, r, beta, coherent, seed):
+    # every field of the write step against thermo_report on the interaction's permutation matrix
+    rng = np.random.default_rng(seed)
+    if chain and d_s != 3:
+        h = thermal.qubit_chain_hamiltonian(d_s.bit_length() - 2 + r)
+    else:  # integer levels give degenerate energies
+        levels = rng.uniform(0.0, 3.0, d_s * r) if rng.random() < 0.5 else rng.integers(0, 3, d_s * r)
+        h = thermal.MemoryHamiltonian(np.sort(levels))
+    tau = thermal.gibbs(h, beta)
+    if coherent:
+        rho_s = qcore.random_density(d_s, rng)
+    else:
+        rho_s = qcore.diag_density(rng.dirichlet(np.ones(d_s)))
+    u = interact.build(thermal.group_energies(h, d_s), kind, int(rng.integers(0, d_s - 1)))
+    dense = infotherm.thermo_report(rho_s, tau, permutation_matrix(u))
+    assert_reports_agree(infotherm.thermo_report(rho_s, tau, u), dense)
+
+
+@pytest.mark.parametrize("kind", interact.KINDS)
+def test_a_permutation_write_builds_no_joint_state(kind, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a joint-state primitive ran")
+
+    for module, name in ((interact, "apply"), (qcore, "partial_trace"), (infotherm, "partial_trace"), (infotherm, "evolve")):
+        monkeypatch.setattr(module, name, refused)
+    built = []
+    init = qcore.DensityOperator.__init__
+
+    def counted(self, matrix, dims=None):
+        init(self, matrix, dims)
+        built.append(self.dim)
+
+    monkeypatch.setattr(qcore.DensityOperator, "__init__", counted)
+    h = thermal.qubit_chain_hamiltonian(3)
+    tau = thermal.gibbs(h, 0.7)
+    u = interact.build(thermal.group_energies(h, 2), kind)
+    rho_s = qcore.DensityOperator(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
+    rep = infotherm.thermo_report(rho_s, tau, u)
+    assert rep.reeb_wolf_residual() <= 1e-12
+    assert max(built) == 2  # rho_S and rho_S' only
+    assert "state" not in vars(tau)  # the dense Gibbs state was never built
+
+
+def test_a_write_refuses_states_of_other_sizes():
+    h = thermal.qubit_chain_hamiltonian(2)
+    u = interact.build(thermal.group_energies(h, 2), "swap")
+    with pytest.raises(DimensionMismatch):
+        infotherm.thermo_report(qcore.diag_density([0.2, 0.3, 0.5]), thermal.gibbs(h, 1.0), u)
+    with pytest.raises(DimensionMismatch):
+        infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), thermal.gibbs(thermal.qubit_chain_hamiltonian(3), 1.0), u)
+
+
+COLD_EXPECTED_D = {20.0: 9.30685282150, 40.0: 19.30685281944, 400.0: 199.30685281944}
+
+
+@pytest.mark.parametrize("kind", interact.KINDS)
+@pytest.mark.parametrize("beta_omega", sorted(COLD_EXPECTED_D))
+def test_cold_memory_relative_entropy_matches_a_50_digit_oracle(kind, beta_omega):
+    # Gibbs levels far below EIG_FLOOR are still in the support of tau: D is finite and
+    # read from the log-weights, D = sum_k q_k ln(q_k / p_k) over the memory populations q
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    h = thermal.qubit_chain_hamiltonian(2)
+    tau = thermal.gibbs(h, beta_omega)
+    u = interact.build(thermal.group_energies(h, 2), kind)
+    weights = [mpmath.exp(-mpmath.mpf(beta_omega) * int(e)) for e in h.energies]
+    p = [w / mpmath.fsum(weights) for w in weights]
+    for rho_diag in ([0.5, 0.5], [0.3, 0.7]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+            rep = infotherm.thermo_report(qcore.diag_density(rho_diag), tau, u)
+        # a diagonal input stays diagonal: q collects rho_xx p_m at each memory image
+        q = [mpmath.mpf(0)] * h.dim
+        for x in range(2):
+            for m in range(h.dim):
+                q[int(u.table[x, m]) % h.dim] += mpmath.mpf(rho_diag[x]) * p[m]
+        oracle = mpmath.fsum(qk * mpmath.log(qk / pk) for qk, pk in zip(q, p) if qk > 0)
+        assert rep.rel_entropy_to_thermal == pytest.approx(float(oracle), abs=1e-12)
+        assert abs(infotherm.holevo_landauer_gap(rep)) <= 1e-12
+        assert rep.reeb_wolf_residual() <= 1e-12
+        if rho_diag == [0.5, 0.5]:
+            assert rep.rel_entropy_to_thermal == pytest.approx(COLD_EXPECTED_D[beta_omega], abs=1e-10)
+
+
+def test_a_haar_write_into_a_cold_memory_still_checks_the_support():
+    # the dense branch keeps qcore.relative_entropy, whose support test drops levels below EIG_FLOOR
+    h = thermal.qubit_chain_hamiltonian(2)
+    u = qcore.random_unitary(8, seed=3)
+    with pytest.raises(SupportViolation):
+        infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), thermal.gibbs(h, 20.0), u)
 
 
 def test_random_instances_respect_bound_and_equality():
