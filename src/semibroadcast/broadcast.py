@@ -29,7 +29,7 @@ from .errors import (
     NotInvertible,
 )
 from .infotherm import PROB_FLOOR, SystemBlocks
-from .interact import ControlledInteraction, build
+from .interact import ControlledInteraction, WriteStep, build
 from .qcore import DensityOperator, mutual_information, partial_trace, prob_vector
 from .thermal import (
     EnergyGrouping,
@@ -44,8 +44,8 @@ COMPLEX_BYTES = np.dtype(complex).itemsize
 FLOAT_BYTES = np.dtype(float).itemsize
 INDEX_BYTES = np.dtype(np.intp).itemsize
 # One budget for every array the program allocates at its full size: a write
-# step's entry list, the (S, M_1) blocks and hl-bound's dense d_S * d_M joint
-# state alike.  It admits a dense complex state of dimension 4096.
+# step's entry list, the (S, M_1) blocks and the dense d_S * d_M joint states of
+# hl-bound's haar writes alike.  It admits a dense complex state of dimension 4096.
 BYTE_BUDGET = COMPLEX_BYTES * 4096**2
 INVERTIBILITY_TOL = 1e-9
 
@@ -161,41 +161,6 @@ def check_units(d_s: int, n_units: int) -> None:
     check_budget((4 * INDEX_BYTES + 2 * FLOAT_BYTES * d_s) * n_units, "per-unit run records")
 
 
-class _WriteStep:
-    """One write of a d_S x d_S system operator into fresh diagonal memories.
-
-    The memory is one unit (a sequential stage) or the merged memory of a
-    global run, whose level splits into the unit digits `dims`.  Only the
-    occupied levels m_k of `probs` enter: pi(x, m_k) = (y[x, k], mu[x, k]) is
-    read from `table[:, occupied]`, and p[k] is the population of m_k.  On
-    the system diagonal the stage acts as the d_S x d_S transition matrix `t`.
-    """
-
-    def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...]):
-        d, occupied = u.d_s, np.flatnonzero(probs)
-        self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
-        self.p, self.dims = probs[occupied], dims
-        flat = np.arange(d).reshape(d, 1) * d + self.y  # t[x, y]: weight of |x> -> |y> on S
-        self.t = np.bincount(flat.ravel(), np.broadcast_to(self.p, flat.shape).ravel(), minlength=d * d).reshape(d, d)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """The stage's channel on S, d_S^2 x d_S^2 on row-major vec(rho): the entries (x, x', k) with
-        mu[x, k] = mu[x', k] survive tracing out the memory."""
-        d = len(self.y)
-        same = self.mu[:, None] == self.mu[None]
-        flat = (self.y[:, None] * d + self.y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
-        phi = np.bincount(flat[same], np.broadcast_to(self.p, same.shape)[same], minlength=d**4)
-        return phi.reshape(d * d, d * d)
-
-    def populations(self, f: int, r: np.ndarray) -> np.ndarray:
-        """Level populations of memory factor f after writing each system diagonal, a row of r."""
-        levels = self.mu // math.prod(self.dims[f + 1 :]) % self.dims[f]
-        flat = (np.arange(len(r)).reshape(-1, 1, 1) * self.dims[f] + levels).ravel()
-        pops = np.bincount(flat, (r[:, :, None] * self.p).ravel(), minlength=len(r) * self.dims[f])
-        return pops.reshape(len(r), self.dims[f])
-
-
 class BroadcastRun:
     """Outcome of coupling one system state to a memory array.
 
@@ -296,7 +261,7 @@ def run_sequential_local(rho_s: DensityOperator, mem: MemoryArray) -> BroadcastR
     unit, the ensemble of memory states labeled by the input outcome, which
     is the decomposition the broadcast regime classification refers to.
     """
-    steps = {u: _WriteStep(u.interaction, u.probs, (u.dim,)) for u in dict.fromkeys(mem.units)}
+    steps = {u: WriteStep(u.interaction, u.probs) for u in dict.fromkeys(mem.units)}
     return BroadcastRun(SEQUENTIAL_LOCAL, rho_s, mem, [steps[u] for u in mem.units])
 
 
@@ -315,7 +280,7 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
     # merged write acts on the same flat joint index as the unit factors
     merged_h = product_hamiltonian([u.hamiltonian for u in mem.units])
     merged = build(group_energies(merged_h, mem.d_s), kind, variant)
-    step = _WriteStep(merged, reduce(np.kron, [u.probs for u in mem.units]), mem.dims)
+    step = WriteStep(merged, reduce(np.kron, [u.probs for u in mem.units]), mem.dims)
     return BroadcastRun(GLOBAL, rho_s, mem, [step])
 
 

@@ -26,9 +26,7 @@ from .config import (
     InstancesConfig,
     build_memory_array,
     build_system_state,
-    build_unit_hamiltonian,
     load_config,
-    memory_dim,
     parse_config,
     unit_beta,
 )
@@ -41,11 +39,11 @@ EXIT_DOMAIN = 4
 
 GAP_TOL = 1e-9
 RW_TOL = 1e-10
-# the peak that cmd_hl_bound holds per instance of a sweep: the instance's seed and record,
-# and its share of the JSON text, which json.dumps builds as a list of chunks before joining.
-# tracemalloc measures at most 4,729 B per instance through `main` in a fresh process on
-# 2,000-instance sweeps (the default, --bits, d_S in {2, 3, 4}); the constant is 20% above
-RECORD_BYTES = 5700
+# the peak that cmd_hl_bound holds per instance of a sweep: the instance's seed, its record
+# and its CSV row (json.dump streams the JSON text).  tracemalloc measures at
+# most 1,794 B per instance through `main` in a fresh process on 2,000-instance sweeps (the
+# default, --bits, d_S in {2}, {3}, {4} and {2, 3, 4}); the constant is 20% above
+RECORD_BYTES = 2160
 
 SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
@@ -56,7 +54,9 @@ class InvariantViolation(SemibroadcastError):
 
 
 def _write_json(out_dir: Path, payload: dict) -> None:
-    (out_dir / "results.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with (out_dir / "results.json").open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_csv(out_dir: Path, header: list[str], rows: list[list]) -> None:
@@ -127,11 +127,10 @@ def _hl_record(rho_s, h, beta: float, kind: str, u, bits: bool) -> dict:
 
 
 def _hl_single(cfg: ExperimentConfig, bits: bool) -> dict:
-    h = build_unit_hamiltonian(cfg.memory)
-    kind = cfg.interaction.kind if cfg.interaction else "noninvasive"
-    variant = cfg.interaction.variant if cfg.interaction else 0
-    u = interact.build(thermal.group_energies(h, cfg.system.d_s), kind, variant)
-    return _hl_record(build_system_state(cfg.system), h, unit_beta(cfg.memory), kind, u, bits)
+    # the budget checks first, as for classify: the unit's table and its write step's entry list
+    unit = build_memory_array(cfg.memory, cfg.interaction, cfg.system.d_s).units[0]
+    u = unit.interaction
+    return _hl_record(build_system_state(cfg.system), unit.hamiltonian, unit_beta(cfg.memory), u.kind, u, bits)
 
 
 def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed, bits: bool = False) -> dict:
@@ -167,16 +166,12 @@ def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> li
 
 
 def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
-    # a haar write builds dense d_S * d_M joint states, a permutation write none; the refusal
-    # of the largest d_S * d_M still covers every kind, before the first write
-    # (a sweep draws d_M = d_S * r with r <= max_memory_dim // d_S)
     inst = cfg.instances
     if inst is not None:
+        # a sweep's haar writes build dense d_S * d_M joint states, refused at the largest d_S * d_M
+        # it can draw (d_M = d_S * r with r <= max_memory_dim // d_S) before the first write
         d = max(d_s * d_s * (inst.max_memory_dim // d_s) for d_s in inst.d_s)
-    else:
-        d = cfg.system.d_s * memory_dim(cfg.memory)
-    broadcast.check_budget(broadcast.COMPLEX_BYTES * d * d, "dense joint state")
-    if inst is not None:
+        broadcast.check_budget(broadcast.COMPLEX_BYTES * d * d, "dense joint state")
         broadcast.check_budget(RECORD_BYTES * inst.count, "instance records")
         records = hl_sweep_records(inst, cfg.seed, bits)
     else:

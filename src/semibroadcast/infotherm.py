@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateOutcomeWarning, DimensionMismatch
-from .interact import ControlledInteraction
+from .interact import ControlledInteraction, WriteStep
 from .qcore import (
     EIG_FLOOR,
     DensityOperator,
@@ -273,46 +273,40 @@ class ThermoReport:
         return abs(self.sigma_prod - self.mutual_info - self.rel_entropy_to_thermal)
 
 
-def _write_step(rho_s: DensityOperator, probs: np.ndarray, table: np.ndarray, h_tau: float):
-    """(rho_S', the populations of rho_M', S(rho_M'), chi) after the permutation write `table`
-    of rho_S (x) diag(probs), where h_tau = H(probs).
+def _write_step(rho_s: DensityOperator, step: WriteStep, h_tau: float):
+    """(rho_S', the populations of rho_M', S(rho_M'), chi) after the write `step` of rho_S
+    into its memory, where h_tau = H(tau).
 
-    The input holds rho_xx' p_m at (x m, x' m), and the write moves it to (table[x, m],
-    table[x', m]) = (y d_M + a, y' d_M + a').  rho_S' sums the entries whose memory images
-    agree (a = a') at (y, y'); member y and rho_M' sum those whose system images agree
-    (y = y') at (a, a').  A write that keeps the system label (y = x) makes member x the
-    populations p permuted to a[x]: rho_M' is one row of populations, every member's entropy
-    is H(tau), and rho_S' = rho_S o O with O[x, x'] the weight of the levels whose images
-    under x and x' agree.  Any other write is scattered once into the d_S members' d_M x d_M
-    blocks; as the write is a permutation, no two entries land on one block entry.
+    rho_S' sums the entries rho_xx' p_k whose memory images agree, member y and rho_M' those
+    whose system images agree.  A write that keeps the system label (y = x) makes member x
+    the populations p permuted to mu[x]: rho_M' is one row of populations, every member's
+    entropy is H(tau), and rho_S' = rho_S o O with O[x, x'] the weight of the levels whose
+    images under x and x' agree.  A write that replaces it (swap: y[:, k] is one outcome
+    nu_k, mu[:, k] the slot of m_k in every sector) puts p_k rho_S on the levels mu[:, k]:
+    rho_S' = diag(P_nu), member nu is the direct sum of p_k rho_S over nu_k = nu, and rho_M'
+    that of w_s rho_S over the slots s, so each spectrum is a product of weights with rho_S's.
     Outcomes at the probability floor are dropped from chi with a DegenerateOutcomeWarning,
     as by conditional_ensemble.
     """
-    d_s, d_m = table.shape
-    if rho_s.dim != d_s or probs.size != d_m:
-        raise DimensionMismatch(f"interaction is {d_s} x {d_m}, states are {rho_s.dim} x {probs.size}")
-    y, a = np.divmod(table, d_m)
-    rho = rho_s.matrix
+    y, mu, p = step.y, step.mu, step.p
+    d_s, rho = len(y), rho_s.matrix
+    pops = step.populations(0, rho.diagonal().real[None])[0]
     if (y == np.arange(d_s)[:, None]).all():
-        rho_s_out = rho * ((a[:, None] == a[None]) @ probs)
-        pops = np.bincount(a.ravel(), (rho.diagonal().real[:, None] * probs).ravel(), d_m)
+        rho_s_out = rho * ((mu[:, None] == mu[None]) @ p)
         s_m_out = entropy_of_spectrum(np.sort(pops))
         p_out = rho_s_out.diagonal().real
         member_s = np.full(d_s, h_tau)
     else:
-        rho_s_out = np.zeros((d_s, d_s), dtype=complex)
-        x, x2, m = np.nonzero(a[:, None] == a[None])
-        np.add.at(rho_s_out, (y[x, m], y[x2, m]), rho[x, x2] * probs[m])
-        blocks = np.zeros((d_s, d_m, d_m), dtype=complex)
-        x, x2, m = np.nonzero(y[:, None] == y[None])
-        blocks[y[x, m], a[x, m], a[x2, m]] = rho[x, x2] * probs[m]
-        rho_m_out = blocks.sum(axis=0)
-        pops = rho_m_out.diagonal().real
-        s_m_out = entropy_of_spectrum(np.linalg.eigvalsh(rho_m_out))
-        p_out = np.trace(blocks, axis1=1, axis2=2).real
-        member_s = np.zeros(d_s)
-        for y_out in np.flatnonzero(p_out > PROB_FLOOR):
-            member_s[y_out] = entropy_of_spectrum(np.linalg.eigvalsh(blocks[y_out] / p_out[y_out]))
+        def entropy(weights):  # of the direct sum of weights[k] rho_S
+            return entropy_of_spectrum(np.sort(np.multiply.outer(weights, rho_s.spectrum()), axis=None))
+
+        member = y[0] == np.arange(d_s)[:, None]  # member[nu, k]: nu_k = nu
+        p_out = member @ p  # a matrix product: a sequential bincount drifts off Tr = 1 over 2^20 levels
+        rho_s_out = np.diag(p_out)
+        w = np.bincount(mu[0], p)  # slot s of sector 0 labels the slot
+        s_m_out = entropy(w[w > 0])
+        q = p / p_out[y[0]]  # each member's own weights; P_nu >= p_k > 0 for nu = nu_k
+        member_s = np.array([entropy(q[row]) for row in member])
     kept = p_out > PROB_FLOOR
     for y_out in np.flatnonzero(~kept):
         warnings.warn(f"outcome {y_out} has probability {p_out[y_out]:.3e}; dropped", DegenerateOutcomeWarning)
@@ -325,7 +319,7 @@ def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
 
     `u` may be a ControlledInteraction or any joint unitary on system (x) memory.
     A ControlledInteraction is a basis permutation: `_write_step` reads rho_S',
-    rho_M' and the members from the d_S^2 d_M entries rho_xx' p_m of the input,
+    rho_M' and the members through its `interact.WriteStep` into tau,
     S(rho_out) = S(rho_S) + H(tau) because the write keeps the joint spectrum,
     and D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
     ln tau_m = -beta E_m - ln Z, finite at every temperature.  No joint-size
@@ -338,7 +332,9 @@ def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
     s_s_in = von_neumann_entropy(rho_s)
     h_tau = entropy_of_spectrum(np.sort(tau.probs))  # S(tau): its spectrum is the sorted populations
     if isinstance(u, ControlledInteraction):
-        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho_s, tau.probs, u.table, h_tau)
+        if rho_s.dim != u.d_s or tau.probs.size != u.d_m:
+            raise DimensionMismatch(f"interaction is {u.d_s} x {u.d_m}, states are {rho_s.dim} x {tau.probs.size}")
+        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho_s, WriteStep(u, tau.probs), h_tau)
         s_out = s_s_in + h_tau
         rel_entropy = -s_m_out - float(pops_m_out @ (-tau.beta * energies - tau.log_z))
     else:

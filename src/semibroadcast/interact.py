@@ -2,9 +2,10 @@
 
 Every interaction is a basis permutation of the joint space, stored as the
 table of its joint images.  This module owns the one kind dispatch (`build`
-over `KINDS`) and the one dense conjugation (`conjugate`); the broadcast
-runs never lift a table to the product space of several memories.  Each
-kind is a sector map (x, nu) -> (y, mu): the joint level
+over `KINDS`), the one dense conjugation (`conjugate`) and the one write step
+(`WriteStep`) of the broadcast runs and `infotherm.thermo_report`; no run
+lifts a table to the product space of several memories.  Each kind is a
+sector map (x, nu) -> (y, mu): the joint level
 |x, groups[nu][s]> goes to |y, groups[mu][s]>, keeping the within-sector
 slot s.
 
@@ -22,7 +23,9 @@ and every pointer distribution are read from the diagonal through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +73,46 @@ class ControlledInteraction:
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis."""
         return self.table.ravel()
+
+
+class WriteStep:
+    """One write of a d_S x d_S system operator into fresh diagonal memories.
+
+    The memory is one unit (a sequential stage or an hl-bound write) or the
+    merged memory of a global run, whose level splits into the unit digits
+    `dims`.  Only the occupied levels m_k of `probs`, p[k] the population of
+    m_k, enter: the input entry rho_xx' p_k at (x m_k, x' m_k) moves to
+    (y[x, k] mu[x, k], y[x', k] mu[x', k]), read from `table[:, occupied]`.
+    """
+
+    def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...] | None = None):
+        occupied = np.flatnonzero(probs)
+        self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
+        self.p, self.dims = probs[occupied], dims or (u.d_m,)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The stage on the system diagonal: the d_S x d_S transition matrix, t[x, y] the weight of |x> -> |y>."""
+        d = len(self.y)
+        flat = np.arange(d).reshape(d, 1) * d + self.y
+        return np.bincount(flat.ravel(), np.broadcast_to(self.p, flat.shape).ravel(), minlength=d * d).reshape(d, d)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """The stage's channel on S, d_S^2 x d_S^2 on row-major vec(rho): the entries (x, x', k) with
+        mu[x, k] = mu[x', k] survive tracing out the memory."""
+        d = len(self.y)
+        same = self.mu[:, None] == self.mu[None]
+        flat = (self.y[:, None] * d + self.y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
+        phi = np.bincount(flat[same], np.broadcast_to(self.p, same.shape)[same], minlength=d**4)
+        return phi.reshape(d * d, d * d)
+
+    def populations(self, f: int, r: np.ndarray) -> np.ndarray:
+        """Level populations of memory factor f after writing each system diagonal, a row of r."""
+        levels = self.mu // math.prod(self.dims[f + 1 :]) % self.dims[f]
+        flat = (np.arange(len(r)).reshape(-1, 1, 1) * self.dims[f] + levels).ravel()
+        pops = np.bincount(flat, (r[:, :, None] * self.p).ravel(), minlength=len(r) * self.dims[f])
+        return pops.reshape(len(r), self.dims[f])
 
 
 def conjugate(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -515,15 +515,11 @@ def test_every_subcommand_and_the_qubit_search_run_without_scipy(tmp_path):
 
 
 HL_OVERSIZED = {
-    # d_S * d_M = 2 * 2050 = 4100 > 4096, the largest dense state the budget admits
+    # a 30-qubit memory: its interaction table alone is 16 GiB
     "single": {
         "experiment": "sequential",
         "system": {"d_S": 2, "state": [0.5, 0.5]},
-        "memory": {
-            "N": 1,
-            "beta_omega": 1.0,
-            "hamiltonian": {"type": "explicit", "energies": list(range(2050))},
-        },
+        "memory": {"N": 1, "n": 30, "beta_omega": 1.0},
     },
     # the sweep may draw d_S = 2 with d_M = 2050
     "sweep": {"experiment": "sequential", "instances": {"count": 3, "d_S": [3, 2], "max_memory_dim": 2050}},
@@ -542,6 +538,26 @@ def test_hl_bound_beyond_the_byte_budget_exits_4_before_allocating(tmp_path, cap
     assert "budget" in capsys.readouterr().err
     assert not (out / "results.json").exists()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("kind", [{"kind": "noninvasive"}, {"kind": "cycled", "i": 0}, {"kind": "swap"}], ids=lambda k: k["kind"])
+@pytest.mark.parametrize(
+    "memory",
+    [
+        {"N": 1, "beta_omega": 1.0, "hamiltonian": {"type": "explicit", "energies": list(range(2050))}},
+        {"N": 1, "n": 20, "beta_omega": 1.0},
+    ],
+    ids=["levels2050", "n20"],
+)
+def test_single_instance_hl_bound_writes_beyond_a_dense_joint_state(tmp_path, kind, memory):
+    # d_S * d_M = 4100 and 2^21: a permutation write reads its table through the write step,
+    # so only the unit's table and entry-list checks bound it
+    cfg = {"experiment": "sequential", "system": {"d_S": 2, "state": "random"}, "memory": memory, "interaction": kind}
+    rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 0
+    rec = read_json(out)["records"][0]
+    assert rec["gap"] >= -cli.GAP_TOL
+    assert rec["reeb_wolf_residual"] <= cli.RW_TOL
 
 
 def test_hl_bound_refuses_an_instance_count_beyond_the_byte_budget_before_spawning(

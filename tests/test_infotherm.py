@@ -1,6 +1,7 @@
 """Information measures, entropy production, and regime classification."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -446,6 +447,23 @@ def test_a_permutation_write_builds_no_joint_state(kind, monkeypatch):
     assert rep.reeb_wolf_residual() <= 1e-12
     assert max(built) == 2  # rho_S and rho_S' only
     assert "state" not in vars(tau)  # the dense Gibbs state was never built
+
+
+def test_a_swap_write_builds_no_memory_sized_matrix():
+    # a 14-qubit memory: d_S * d_M^2 complex member blocks would take 8 GiB
+    h = thermal.qubit_chain_hamiltonian(14)
+    tau = thermal.gibbs(h, 1.0)
+    u = interact.build(thermal.group_energies(h, 2), "swap")
+    rho_s = qcore.random_density(2, seed=5)
+    tracemalloc.start()
+    try:
+        rep = infotherm.thermo_report(rho_s, tau, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**2 * h.dim
+    assert rep.reeb_wolf_residual() <= 1e-10
+    assert infotherm.holevo_landauer_gap(rep) >= -1e-9
 
 
 def test_a_write_refuses_states_of_other_sizes():
