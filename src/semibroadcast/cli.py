@@ -24,8 +24,11 @@ from . import broadcast, infotherm, interact, qcore, thermal
 from .config import (
     ExperimentConfig,
     InstancesConfig,
+    build_interaction,
     build_memory_array,
     build_system_state,
+    build_unit_hamiltonian,
+    check_memory,
     load_config,
     parse_config,
     unit_beta,
@@ -104,13 +107,13 @@ def cmd_cmax_sweep(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     return payload
 
 
-def _hl_record(rho_s, h, beta: float, kind: str, u, bits: bool) -> dict:
-    """The hl-bound record of one write of rho_s into a Gibbs memory of h at beta."""
-    report = infotherm.thermo_report(rho_s, thermal.gibbs(h, beta), u)
+def _hl_record(rho_s, tau: thermal.GibbsState, kind: str, u, bits: bool) -> dict:
+    """The hl-bound record of one write of rho_s into the Gibbs memory tau."""
+    report = infotherm.thermo_report(rho_s, tau, u)
     return {
         "d_S": rho_s.dim,
-        "d_M": h.dim,
-        "beta": beta,
+        "d_M": tau.dim,
+        "beta": tau.beta,
         "kind": kind,
         "entropy_production": _entropic(report.sigma_prod, bits),
         "beta_heat": _entropic(report.delta_q, bits),
@@ -127,10 +130,12 @@ def _hl_record(rho_s, h, beta: float, kind: str, u, bits: bool) -> dict:
 
 
 def _hl_single(cfg: ExperimentConfig, bits: bool) -> dict:
+    d_s = cfg.system.d_s
     # the budget checks first, as for classify: the unit's table and its write step's entry list
-    unit = build_memory_array(cfg.memory, cfg.interaction, cfg.system.d_s).units[0]
-    u = unit.interaction
-    return _hl_record(build_system_state(cfg.system), unit.hamiltonian, unit_beta(cfg.memory), u.kind, u, bits)
+    check_memory(cfg.memory, d_s)
+    tau = thermal.gibbs(build_unit_hamiltonian(cfg.memory), unit_beta(cfg.memory))
+    u = build_interaction(cfg.interaction, tau.hamiltonian, d_s)
+    return _hl_record(build_system_state(cfg.system), tau, u.kind, u, bits)
 
 
 def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed, bits: bool = False) -> dict:
@@ -154,7 +159,7 @@ def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed, bits: 
         variant = int(rng.integers(0, d_s - 1)) if kind == "cycled" else 0
         u = interact.build(thermal.group_energies(h, d_s), kind, variant)
     rho_s = qcore.random_density(d_s, rng.integers(0, 2**63 - 1))
-    return {**_hl_record(rho_s, h, beta, kind, u, bits), "index": index}
+    return {**_hl_record(rho_s, thermal.gibbs(h, beta), kind, u, bits), "index": index}
 
 
 def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> list[dict]:
@@ -302,7 +307,7 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     s_final_diag = qcore.shannon_entropy(rho_s_final.matrix.diagonal().real)
     components = []
     for i, rows in enumerate(run.ensembles()):
-        lower, chi = infotherm.diagonal_bracket(run.p_initial[run.labels], rows)
+        lower, chi = infotherm.accessible_info_bracket(run.p_initial[run.labels], rows)
         evidence = infotherm.Table1Evidence(lower, chi, h_x, s_final, s_final_diag)
         components.append(
             {

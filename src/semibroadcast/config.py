@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .broadcast import MemoryArray, check_entry_list, check_table, check_units, explicit_unit
+from .broadcast import MemoryArray, MemoryUnit, check_entry_list, check_table, check_units
 from .errors import ConfigError
-from .interact import KINDS as INTERACTION_KINDS
+from .interact import KINDS as INTERACTION_KINDS, ControlledInteraction, build
 from .qcore import PROB_SUM_TOL, DensityOperator, basis_state, diag_density, random_density
-from .thermal import MemoryHamiltonian, gibbs, qubit_chain_hamiltonian
+from .thermal import MemoryHamiltonian, gibbs, group_energies, qubit_chain_hamiltonian
 
 EXPERIMENTS = ("sequential", "global", "reconstruct", "nogo", "cmax_sweep")
 MEMORY_STATES = ("gibbs", "ground")
@@ -321,33 +321,39 @@ def unit_beta(cfg: MemoryConfig) -> float:
     return cfg.beta_omega / scale
 
 
+def check_memory(memory: MemoryConfig, d_s: int) -> None:
+    """Refuse, from the config's dimensions and before anything is built, a unit whose table, write-step
+    entry list (every level of a Gibbs memory is occupied, one of a ground memory) or per-unit run state
+    exceeds the byte budget; a global run checks the product of the units itself."""
+    d_m = memory_dim(memory)
+    check_units(d_s, memory.n_components)
+    check_table(d_s, d_m)
+    check_entry_list(d_s, d_m if memory.state == "gibbs" else 1)
+
+
+def build_interaction(interaction: InteractionConfig | None, h: MemoryHamiltonian, d_s: int) -> ControlledInteraction:
+    """The unit's interaction; without an interaction section, the noninvasive one."""
+    kind, variant = (interaction.kind, interaction.variant) if interaction else ("noninvasive", 0)
+    return build(group_energies(h, d_s), kind, variant)
+
+
 def build_memory_array(
     memory: MemoryConfig,
     interaction: InteractionConfig | None,
     d_s: int,
 ) -> MemoryArray:
-    """Assemble the memory array for one scenario.
+    """Assemble the memory array for one scenario, after `check_memory`.
 
     Every unit starts in the same level populations: Gibbs, or the ground
     state (the lowest level, ties to the lowest index).  The unit is built
     once and shared by every component.
-
-    The unit's interaction table, its write step's entry list (every level
-    of a Gibbs memory is occupied, one of a ground memory) and what a run
-    keeps per unit are checked against the byte budget from the config's
-    dimensions, before anything is built; a global run checks the product
-    of the units itself.
     """
-    d_m = memory_dim(memory)
-    check_units(d_s, memory.n_components)
-    check_table(d_s, d_m)
-    check_entry_list(d_s, d_m if memory.state == "gibbs" else 1)
+    check_memory(memory, d_s)
     h = build_unit_hamiltonian(memory)
     if memory.state == "gibbs":
         probs = gibbs(h, unit_beta(memory)).probs
     else:
         probs = np.zeros(h.dim)
         probs[np.argmin(h.energies)] = 1.0
-    kind, variant = (interaction.kind, interaction.variant) if interaction else ("noninvasive", 0)
-    unit = explicit_unit(h, probs, d_s, kind, variant)
+    unit = MemoryUnit(h, probs, build_interaction(interaction, h, d_s))
     return MemoryArray(d_s, [unit] * memory.n_components)

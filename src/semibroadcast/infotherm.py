@@ -8,7 +8,6 @@ All entropic quantities are in nats.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import DegenerateOutcomeWarning, DimensionMismatch
 from .interact import ControlledInteraction, WriteStep
 from .qcore import (
-    EIG_FLOOR,
     DensityOperator,
     entropy_of_spectrum,
     evolve,
@@ -32,7 +30,7 @@ from .thermal import GibbsState
 
 PROB_FLOOR = 1e-14
 TABLE_TOL = 1e-8
-# the qubit search's compass refinement over the polar angles
+# the compass search of minimize
 SEARCH_STEP = 0.1
 SEARCH_TOL = 1e-7
 SEARCH_MAX_POINTS = 2000
@@ -55,10 +53,6 @@ class Ensemble:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "states", states)
-
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
 
     def average_state(self) -> DensityOperator:
         m = sum(p * s.matrix for p, s in zip(self.probs, self.states))
@@ -118,65 +112,13 @@ def holevo_chi(ensemble: Ensemble) -> float:
     )
 
 
-def _classical_mi(joint: np.ndarray) -> float:
-    """Mutual information of a joint probability table, zero cells dropped."""
-    px = joint.sum(axis=1, keepdims=True)
-    qy = joint.sum(axis=0, keepdims=True)
-    mask = joint > PROB_FLOOR
-    terms = joint[mask] * np.log(joint[mask] / (px @ qy)[mask])
-    return float(terms.sum())
-
-
-def _pgm_lower(ensemble: Ensemble) -> float:
-    """Mutual information extracted by the pretty good measurement."""
-    avg = ensemble.average_state().matrix
-    vals, vecs = np.linalg.eigh(avg)
-    inv_sqrt = np.where(vals > EIG_FLOOR, 1.0 / np.sqrt(np.where(vals > EIG_FLOOR, vals, 1.0)), 0.0)
-    root = (vecs * inv_sqrt) @ vecs.conj().T
-    joint = np.zeros((len(ensemble.states), len(ensemble.states)))
-    elements = [
-        p * (root @ s.matrix @ root) for p, s in zip(ensemble.probs, ensemble.states)
-    ]
-    for x, (p, s) in enumerate(zip(ensemble.probs, ensemble.states)):
-        for y, e in enumerate(elements):
-            joint[x, y] = max(float(np.real(np.trace(e @ s.matrix))) * p, 0.0)
-    return _classical_mi(joint)
-
-
-def _bloch(m: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            2 * m[0, 1].real,
-            -2 * m[0, 1].imag,
-            (m[0, 0] - m[1, 1]).real,
-        ]
-    )
-
-
-def _fibonacci_directions(count: int) -> np.ndarray:
-    i = np.arange(count)
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    s = np.sqrt(1.0 - z * z)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
-def _projective_mi(probs: np.ndarray, blochs: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Mutual information of the projective measurement along each unit Bloch vector, a row of
-    `directions`, on the qubit ensemble {probs[x], (1 + blochs[x] . sigma) / 2}; zero cells dropped."""
-    plus = np.clip(0.5 * (1.0 + directions @ blochs.T), 0.0, 1.0)
-    joint = probs[:, None] * np.stack([plus, 1.0 - plus], axis=-1)
-    marginals = joint.sum(axis=2, keepdims=True) * joint.sum(axis=1, keepdims=True)
-    ratio = np.divide(joint, marginals, out=np.ones_like(joint), where=joint > PROB_FLOOR)
-    return (joint * np.log(ratio)).sum(axis=(1, 2))
-
-
 class SearchResult(NamedTuple):
     x: np.ndarray
     fun: float
     nfev: int
 
 
+# no command calls minimize: it stays while perfbench/tracer.py binds it by name, until ROADMAP item 1's tolerant binding
 def minimize(fun, x0) -> SearchResult:
     """Compass search for a local minimum near `x0` of `fun`, which maps each row of a point
     array to its value.
@@ -202,52 +144,22 @@ def minimize(fun, x0) -> SearchResult:
     return SearchResult(x, best, nfev)
 
 
-def _qubit_projective_search(ensemble: Ensemble, n_directions: int = 720) -> float:
-    probs = ensemble.probs
-    blochs = np.array([_bloch(s.matrix) for s in ensemble.states])
-    dirs = _fibonacci_directions(n_directions)
-    scores = _projective_mi(probs, blochs, dirs)
-    best = dirs[int(np.argmax(scores))]
-    theta0 = math.acos(np.clip(best[2], -1.0, 1.0))
-    phi0 = math.atan2(best[1], best[0])
-
-    def neg(angles):
-        t, p = angles.T
-        return -_projective_mi(probs, blochs, np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=1))
-
-    res = minimize(neg, np.array([theta0, phi0]))
-    return max(float(np.max(scores)), -float(res.fun))
-
-
-def diagonal_bracket(probs, rows) -> tuple[float, float]:
+def accessible_info_bracket(probs, rows) -> tuple[float, float]:
     """(lower, upper) accessible-information bracket of the ensemble {probs[x], diag(rows[x])}.
 
-    The members commute, so the computational basis attains chi (Holevo 1973).
-    Each entropy sums the sorted populations, as von_neumann_entropy a spectrum.
+    Every ensemble a run reads has diagonal members: each memory starts
+    diagonal and each write permutes its basis.  Commuting members make the
+    computational basis attain chi (Holevo 1973), so the bracket closes:
+    the lower bound is that measurement's mutual information (zero cells
+    dropped), the upper chi.  Each entropy sums the sorted populations, as
+    von_neumann_entropy a spectrum.
     """
     joint = np.asarray(probs)[:, None] * rows
-    chi = shannon_entropy(np.sort(joint.sum(axis=0))) - float(sum(p * shannon_entropy(np.sort(q)) for p, q in zip(probs, rows)))
-    return min(_classical_mi(joint), chi), chi
-
-
-def accessible_info_bracket(ensemble: Ensemble) -> tuple[float, float]:
-    """(lower, upper) bracket on the accessible information of the ensemble.
-
-    Upper bound is Holevo chi.  An ensemble of exactly diagonal members goes
-    to `diagonal_bracket`, which closes the bracket.  Otherwise the lower
-    bound is the best of the computational-basis measurement, the pretty good
-    measurement and, on a qubit, a projective search (720 directions, then a
-    compass search over the polar angles).
-    """
-    mats = [s.matrix for s in ensemble.states]
-    rows = np.array([m.diagonal().real for m in mats])
-    if all(np.count_nonzero(m) == np.count_nonzero(m.diagonal()) for m in mats):
-        return diagonal_bracket(ensemble.probs, rows)
-    upper = holevo_chi(ensemble)
-    lower = max(_classical_mi(ensemble.probs[:, None] * rows), _pgm_lower(ensemble))
-    if ensemble.dim == 2:
-        lower = max(lower, _qubit_projective_search(ensemble))
-    return min(lower, upper), upper
+    outcomes = joint.sum(axis=0)
+    chi = shannon_entropy(np.sort(outcomes)) - float(sum(p * shannon_entropy(np.sort(q)) for p, q in zip(probs, rows)))
+    cells = joint > PROB_FLOOR
+    mutual_info = float((joint[cells] * np.log(joint[cells] / (joint.sum(axis=1)[:, None] * outcomes)[cells])).sum())
+    return min(mutual_info, chi), chi
 
 
 @dataclass(frozen=True)
