@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +44,15 @@ EXIT_DOMAIN = 4
 GAP_TOL = 1e-9
 RW_TOL = 1e-10
 # the peak that cmd_hl_bound holds per instance of a sweep: the instance's seed, its record
-# and its CSV row (json.dump streams the JSON text).  tracemalloc measures at
-# most 1,794 B per instance through `main` in a fresh process on 2,000-instance sweeps (the
-# default, --bits, d_S in {2}, {3}, {4} and {2, 3, 4}); the constant is 20% above
+# and its CSV row (json.dump streams the JSON text), with one chunk's stacked passes spread
+# over the instances.  tracemalloc measures at most 1,952 B per instance through `main` in a
+# fresh process on 2,000-instance sweeps (the default, --bits, d_S in {2}, {3}, {4} and
+# {2, 3, 4}); the constant is 11% above
 RECORD_BYTES = 2160
+# instances of a sweep drawn, then evaluated together, at a time
+HL_CHUNK = 128
+# the most haar writes in one stacked pass, each holding about 5.3 joint-sized arrays at its peak
+HL_HAAR_DEPTH = 8
 
 SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
@@ -107,26 +113,30 @@ def cmd_cmax_sweep(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     return payload
 
 
-def _hl_record(rho_s, tau: thermal.GibbsState, kind: str, u, bits: bool) -> dict:
-    """The hl-bound record of one write of rho_s into the Gibbs memory tau."""
-    report = infotherm.thermo_report(rho_s, tau, u)
-    return {
-        "d_S": rho_s.dim,
-        "d_M": tau.dim,
-        "beta": tau.beta,
-        "kind": kind,
-        "entropy_production": _entropic(report.sigma_prod, bits),
-        "beta_heat": _entropic(report.delta_q, bits),
-        "delta_s_system": _entropic(report.delta_s_system, bits),
-        "delta_e_memory": report.delta_e_m,
-        "delta_s_memory": _entropic(report.delta_s_m, bits),
-        "beta_delta_f_memory": _entropic(report.beta_delta_f, bits),
-        "mutual_info": _entropic(report.mutual_info, bits),
-        "rel_entropy_to_thermal": _entropic(report.rel_entropy_to_thermal, bits),
-        "chi": _entropic(report.chi, bits),
-        "gap": _entropic(infotherm.holevo_landauer_gap(report), bits),
-        "reeb_wolf_residual": report.reeb_wolf_residual(),
+def _hl_rows(rho: np.ndarray, tau: thermal.GibbsRows, kind: str, u, bits: bool, indices) -> list[dict]:
+    """The hl-bound records of the writes of the stack rho_S into the Gibbs memories tau, one
+    thermo_report for the whole stack; record i carries indices[i]."""
+    report = infotherm.thermo_report(rho, tau, u)
+    entropic = {
+        "entropy_production": report.sigma_prod,
+        "beta_heat": report.delta_q,
+        "delta_s_system": report.delta_s_system,
+        "delta_s_memory": report.delta_s_m,
+        "beta_delta_f_memory": report.beta_delta_f,
+        "mutual_info": report.mutual_info,
+        "rel_entropy_to_thermal": report.rel_entropy_to_thermal,
+        "chi": report.chi,
+        "gap": infotherm.holevo_landauer_gap(report),
     }
+    columns = {name: _entropic(values, bits).tolist() for name, values in entropic.items()}
+    columns["beta"] = tau.beta.tolist()
+    columns["delta_e_memory"] = report.delta_e_m.tolist()
+    columns["reeb_wolf_residual"] = report.reeb_wolf_residual().tolist()
+    d_s, d_m = rho.shape[-1], tau.probs.shape[-1]
+    return [
+        {"d_S": d_s, "d_M": d_m, "kind": kind, **{name: values[i] for name, values in columns.items()}, "index": index}
+        for i, index in enumerate(indices)
+    ]
 
 
 def _hl_single(cfg: ExperimentConfig, bits: bool) -> dict:
@@ -135,13 +145,30 @@ def _hl_single(cfg: ExperimentConfig, bits: bool) -> dict:
     check_memory(cfg.memory, d_s)
     tau = thermal.gibbs(build_unit_hamiltonian(cfg.memory), unit_beta(cfg.memory))
     u = build_interaction(cfg.interaction, tau.hamiltonian, d_s)
-    return _hl_record(build_system_state(cfg.system), tau, u.kind, u, bits)
+    # the sweep's evaluation, on a stack of one
+    return _hl_rows(build_system_state(cfg.system).matrix[None], tau.rows(), u.kind, u, bits, [0])[0]
 
 
-def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed, bits: bool = False) -> dict:
-    """Instance `index` of the random sweep, drawn from its own seed sequence `seed`.
+class HLDraw(NamedTuple):
+    """One drawn instance of the random sweep: its memory, temperature and write, and the
+    seeds of its system state and, for a haar write, of its joint unitary."""
 
-    One call per instance, so that perfbench's tracer can time each by name.
+    index: int
+    d_s: int
+    hamiltonian: thermal.MemoryHamiltonian
+    beta: float
+    kind: str
+    variant: int
+    rho_seed: int
+    u_seed: int | None
+
+
+def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed) -> HLDraw:
+    """Draw instance `index` of the random sweep from its own seed sequence `seed`.
+
+    One call per instance, so that perfbench's tracer can count the draws by
+    name.  It draws and builds nothing beyond the memory Hamiltonian:
+    hl_sweep_records evaluates the draws group by group.
     """
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, inst.max_memory_dim // d_s + 1))
@@ -153,21 +180,66 @@ def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed, bits: 
     beta = float(rng.uniform(*inst.beta_range))
     kinds = interact.KINDS + ("haar",)
     kind = kinds[index % len(kinds)]
+    u_seed, variant = None, 0
     if kind == "haar":
-        u = qcore.random_unitary(d_s * d_m, rng.integers(0, 2**63 - 1))
+        u_seed = rng.integers(0, 2**63 - 1)
+    elif kind == "cycled":
+        variant = int(rng.integers(0, d_s - 1))
+    return HLDraw(index, d_s, h, beta, kind, variant, rng.integers(0, 2**63 - 1), u_seed)
+
+
+def _hl_group(draw: HLDraw) -> tuple:
+    """What the draws of one stacked pass share: a haar write its d_S and d_M, a permutation
+    write its table, fixed by d_S, the kind, the variant and the grouping's level order."""
+    if draw.kind == "haar":
+        return draw.kind, draw.d_s, draw.hamiltonian.dim
+    order = np.argsort(draw.hamiltonian.energies, kind="stable")
+    return draw.kind, draw.d_s, draw.variant, order.tobytes()
+
+
+def _hl_stack(draws: list[HLDraw], bits: bool) -> list[dict]:
+    """The records of draws of one group, in one stacked pass."""
+    first = draws[0]
+    d_s = first.d_s
+    tau = thermal.gibbs_rows(np.stack([d.hamiltonian.absolute_energies() for d in draws]), [d.beta for d in draws])
+    rho = qcore.random_states(d_s, [d.rho_seed for d in draws])
+    if first.kind == "haar":
+        u = qcore.haar_unitaries(d_s * first.hamiltonian.dim, [d.u_seed for d in draws])
     else:
-        variant = int(rng.integers(0, d_s - 1)) if kind == "cycled" else 0
-        u = interact.build(thermal.group_energies(h, d_s), kind, variant)
-    rho_s = qcore.random_density(d_s, rng.integers(0, 2**63 - 1))
-    return {**_hl_record(rho_s, thermal.gibbs(h, beta), kind, u, bits), "index": index}
+        u = interact.build(thermal.group_energies(first.hamiltonian, d_s), first.kind, first.variant)
+    return _hl_rows(rho, tau, first.kind, u, bits, [d.index for d in draws])
+
+
+def _hl_chunk_records(draws: list[HLDraw], bits: bool) -> list[dict]:
+    """The records of `draws`, in their order, one stacked pass per group; a haar group is
+    stacked only as deep as keeps its joint states within the byte budget of one."""
+    groups: dict[tuple, list[int]] = {}
+    for k, draw in enumerate(draws):
+        groups.setdefault(_hl_group(draw), []).append(k)
+    records = [None] * len(draws)
+    for group in groups.values():
+        first, depth = draws[group[0]], len(group)
+        if first.kind == "haar":
+            d = first.d_s * first.hamiltonian.dim
+            depth = min(HL_HAAR_DEPTH, max(1, broadcast.BYTE_BUDGET // (broadcast.COMPLEX_BYTES * d * d)))
+        for i in range(0, len(group), depth):
+            part = group[i : i + depth]
+            for k, record in zip(part, _hl_stack([draws[k] for k in part], bits)):
+                records[k] = record
+    return records
 
 
 def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> list[dict]:
+    """Every record of the random sweep: HL_CHUNK instances are drawn, each from its own
+    spawned seed in index order, and then evaluated together."""
     seeds = np.random.SeedSequence(seed).spawn(inst.count)
-    return [
-        hl_instance_record(i, inst.d_s[i % len(inst.d_s)], inst, seeds[i], bits)
-        for i in range(inst.count)
-    ]
+    records = []
+    for start in range(0, inst.count, HL_CHUNK):
+        stop = min(start + HL_CHUNK, inst.count)
+        records += _hl_chunk_records(
+            [hl_instance_record(i, inst.d_s[i % len(inst.d_s)], inst, seeds[i]) for i in range(start, stop)], bits
+        )
+    return records
 
 
 def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
@@ -180,7 +252,7 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         broadcast.check_budget(RECORD_BYTES * inst.count, "instance records")
         records = hl_sweep_records(inst, cfg.seed, bits)
     else:
-        records = [{**_hl_single(cfg, bits), "index": 0}]
+        records = [_hl_single(cfg, bits)]
     min_gap = min(r["gap"] for r in records)
     max_rw = max(r["reeb_wolf_residual"] for r in records)
     payload = {

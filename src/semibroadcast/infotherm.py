@@ -18,15 +18,14 @@ from .errors import DegenerateOutcomeWarning, DimensionMismatch
 from .interact import ControlledInteraction, WriteStep
 from .qcore import (
     DensityOperator,
-    entropy_of_spectrum,
-    evolve,
-    partial_trace,
-    relative_entropy,
+    check_unitary,
+    density_spectra,
+    entropies,
+    partial_trace,  # noqa: F401  no code here calls it: perfbench's tracer test checks that this alias is rebound
     shannon_entropy,
-    tensor,
     von_neumann_entropy,
 )
-from .thermal import GibbsState
+from .thermal import GibbsRows
 
 PROB_FLOOR = 1e-14
 TABLE_TOL = 1e-8
@@ -80,6 +79,8 @@ def _system_blocks(rho_joint: DensityOperator) -> np.ndarray:
     return rho_joint.matrix.reshape(d_s, d_m, d_s, d_m)
 
 
+# no command calls conditional_ensemble or holevo_chi: the dense reference of tests/oracle.py reads
+# through them, and perfbench/tracer.py binds both by name, as it binds minimize
 def conditional_ensemble(rho_joint: DensityOperator) -> Ensemble:
     """Memory ensemble conditioned on the system's outcome basis.
 
@@ -164,7 +165,7 @@ def accessible_info_bracket(probs, rows) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ThermoReport:
-    """Energetics and information balance of one memory write.
+    """Energetics and information balance of one memory write, or arrays over a stack of writes.
 
     All entropic fields are in nats; delta_e_m is in absolute energy units
     and delta_q = beta * delta_e_m is its dimensionless heat value.
@@ -185,9 +186,22 @@ class ThermoReport:
         return abs(self.sigma_prod - self.mutual_info - self.rel_entropy_to_thermal)
 
 
-def _write_step(rho_s: DensityOperator, step: WriteStep, h_tau: float):
-    """(rho_S', the populations of rho_M', S(rho_M'), chi) after the write `step` of rho_S
-    into its memory, where h_tau = H(tau).
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_m a[i, m] b[i, m] for each row i, one product per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _drop(p_out: np.ndarray) -> np.ndarray:
+    """The outcomes of each row above the probability floor; each one below is named in a DegenerateOutcomeWarning."""
+    kept = p_out > PROB_FLOOR
+    for row, y in zip(*np.nonzero(~kept)):
+        warnings.warn(f"outcome {y} has probability {p_out[row, y]:.3e}; dropped", DegenerateOutcomeWarning)
+    return kept
+
+
+def _write_step(rho: np.ndarray, spectra: np.ndarray, step: WriteStep, h_tau: np.ndarray):
+    """(rho_S', the populations of rho_M', S(rho_M'), chi) after the writes `step` of the stack
+    rho_S (n, d_S, d_S), with its spectra, into their memories, where h_tau = H(tau) per row.
 
     rho_S' sums the entries rho_xx' p_k whose memory images agree, member y and rho_M' those
     whose system images agree.  A write that keeps the system label (y = x) makes member x
@@ -197,87 +211,143 @@ def _write_step(rho_s: DensityOperator, step: WriteStep, h_tau: float):
     nu_k, mu[:, k] the slot of m_k in every sector) puts p_k rho_S on the levels mu[:, k]:
     rho_S' = diag(P_nu), member nu is the direct sum of p_k rho_S over nu_k = nu, and rho_M'
     that of w_s rho_S over the slots s, so each spectrum is a product of weights with rho_S's.
-    Outcomes at the probability floor are dropped from chi with a DegenerateOutcomeWarning,
-    as by conditional_ensemble.
+    Outcomes at the probability floor are dropped from chi with a DegenerateOutcomeWarning.
+    Every product runs one row at a time, so no row's numbers depend on the others.
     """
     y, mu, p = step.y, step.mu, step.p
-    d_s, rho = len(y), rho_s.matrix
-    pops = step.populations(0, rho.diagonal().real[None])[0]
+    n, d_s = rho.shape[:2]
+    pops = step.populations(0, rho.diagonal(axis1=1, axis2=2).real)
     if (y == np.arange(d_s)[:, None]).all():
-        rho_s_out = rho * ((mu[:, None] == mu[None]) @ p)
-        s_m_out = entropy_of_spectrum(np.sort(pops))
-        p_out = rho_s_out.diagonal().real
-        member_s = np.full(d_s, h_tau)
+        same = (mu[:, None] == mu[None]).astype(float)
+        rho_s_out = rho * (same @ p[:, None, :, None])[..., 0]
+        s_m_out = entropies(np.sort(pops, axis=-1))
+        p_out = rho_s_out.diagonal(axis1=1, axis2=2).real
+        member_s = np.broadcast_to(h_tau[:, None], p_out.shape)
     else:
-        def entropy(weights):  # of the direct sum of weights[k] rho_S
-            return entropy_of_spectrum(np.sort(np.multiply.outer(weights, rho_s.spectrum()), axis=None))
+        def entropy(weights):  # of the direct sum of weights[i, k] rho_S[i], per row i
+            return entropies(np.sort((weights[:, :, None] * spectra[:, None, :]).reshape(n, -1), axis=-1))
 
         member = y[0] == np.arange(d_s)[:, None]  # member[nu, k]: nu_k = nu
-        p_out = member @ p  # a matrix product: a sequential bincount drifts off Tr = 1 over 2^20 levels
-        rho_s_out = np.diag(p_out)
-        w = np.bincount(mu[0], p)  # slot s of sector 0 labels the slot
-        s_m_out = entropy(w[w > 0])
-        q = p / p_out[y[0]]  # each member's own weights; P_nu >= p_k > 0 for nu = nu_k
-        member_s = np.array([entropy(q[row]) for row in member])
-    kept = p_out > PROB_FLOOR
-    for y_out in np.flatnonzero(~kept):
-        warnings.warn(f"outcome {y_out} has probability {p_out[y_out]:.3e}; dropped", DegenerateOutcomeWarning)
-    chi = s_m_out - float(p_out[kept] @ member_s[kept])
-    return DensityOperator(rho_s_out), pops, s_m_out, chi
+        p_out = (member.astype(float) @ p[:, :, None])[..., 0]  # a matrix product: a sequential bincount drifts off Tr = 1 over 2^20 levels
+        rho_s_out = p_out[:, :, None] * np.eye(d_s)
+        slots = np.arange(n)[:, None] * step.dims[0] + mu[0]  # slot s of sector 0 labels the slot
+        s_m_out = entropy(np.bincount(slots.ravel(), p.ravel(), minlength=n * step.dims[0]).reshape(n, -1))
+        q = p / p_out[:, y[0]]  # each member's own weights; P_nu >= p_k > 0 for nu = nu_k
+        member_s = np.stack([entropy(q[:, row]) for row in member], axis=1)
+    kept = _drop(p_out)
+    chi = s_m_out - np.where(kept, p_out * member_s, 0.0).sum(axis=1)
+    return rho_s_out, pops, s_m_out, chi
 
 
-def thermo_report(rho_s: DensityOperator, tau: GibbsState, u) -> ThermoReport:
-    """Entropy production and its decomposition for one write into a thermal memory.
+def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
+    """(rho_S', the populations of rho_M', S(rho_M'), S(rho_out), chi) after U (rho_S (x) tau) U^dagger
+    for each row of the stacks rho_S (n, d_S, d_S), tau's populations (n, d_M) and U (n, D, D).
 
-    `u` may be a ControlledInteraction or any joint unitary on system (x) memory.
-    A ControlledInteraction is a basis permutation: `_write_step` reads rho_S',
-    rho_M' and the members through its `interact.WriteStep` into tau,
-    S(rho_out) = S(rho_S) + H(tau) because the write keeps the joint spectrum,
-    and D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
-    ln tau_m = -beta E_m - ln Z, finite at every temperature.  No joint-size
-    state is built.  Any other unitary is applied by conjugation of the dense
-    joint state, whose marginals, conditional ensemble and relative entropy
-    follow their library definitions.  Either way I(S:M') = S(rho_S') +
-    S(rho_M') - S(rho_out).
+    The joint state, its marginals, the conditional members <x|rho_out|x> / p_x and their
+    average are dense and checked as DensityOperator checks one state; outcomes at the
+    probability floor are dropped from chi with a DegenerateOutcomeWarning.
     """
-    energies = tau.hamiltonian.absolute_energies()
-    s_s_in = von_neumann_entropy(rho_s)
-    h_tau = entropy_of_spectrum(np.sort(tau.probs))  # S(tau): its spectrum is the sorted populations
-    if isinstance(u, ControlledInteraction):
-        if rho_s.dim != u.d_s or tau.probs.size != u.d_m:
-            raise DimensionMismatch(f"interaction is {u.d_s} x {u.d_m}, states are {rho_s.dim} x {tau.probs.size}")
-        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho_s, WriteStep(u, tau.probs), h_tau)
-        s_out = s_s_in + h_tau
-        rel_entropy = -s_m_out - float(pops_m_out @ (-tau.beta * energies - tau.log_z))
-    else:
-        rho_out = evolve(tensor(rho_s, tau.state), u)
-        rho_s_out = partial_trace(rho_out, (0,))
-        rho_m_out = partial_trace(rho_out, (1,))
-        pops_m_out = rho_m_out.matrix.diagonal().real
-        s_m_out = von_neumann_entropy(rho_m_out)
-        s_out = von_neumann_entropy(rho_out)
-        chi = holevo_chi(conditional_ensemble(rho_out))
-        rel_entropy = relative_entropy(rho_m_out, tau.state)
-    s_s_out = von_neumann_entropy(rho_s_out)
+    n, d_s = rho.shape[:2]
+    d_m = probs.shape[-1]
+    tau = np.zeros((n, d_m, d_m), dtype=complex)
+    tau[:, np.arange(d_m), np.arange(d_m)] = probs
+    joint = (rho[:, :, None, :, None] * tau[:, None, :, None, :]).reshape(n, d_s * d_m, d_s * d_m)
+    out = u @ joint @ u.conj().swapaxes(-1, -2)
+    del tau, joint  # before the check's temporaries
+    s_out = entropies(density_spectra(out))
+    blocks = out.reshape(n, d_s, d_m, d_s, d_m)
+    rho_s_out = np.trace(blocks, axis1=2, axis2=4)
+    rho_m_out = np.trace(blocks, axis1=1, axis2=3)
+    members = np.moveaxis(blocks.diagonal(axis1=1, axis2=3), -1, 1)  # <x|rho_out|x>: (n, d_S, d_M, d_M)
+    p = np.trace(members, axis1=2, axis2=3).real
+    kept = _drop(p)
+    states = members / np.where(kept, p, 1.0)[..., None, None]
+    member_s = np.zeros(p.shape)
+    member_s[kept] = entropies(density_spectra(states[kept]))
+    weights = np.where(kept, p, 0.0)
+    average = (weights[..., None, None] * states).sum(axis=1)
+    chi = entropies(density_spectra(average)) - (weights * member_s).sum(axis=1)
+    pops = rho_m_out.diagonal(axis1=1, axis2=2).real
+    return rho_s_out, pops, entropies(density_spectra(rho_m_out)), s_out, chi
 
-    delta_e_m = float(pops_m_out @ energies) - tau.mean_energy()
+
+def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
+    n, d_s = rho.shape[:2]
+    d_m = tau.probs.shape[-1]
+    s_s_in = entropies(spectra)
+    h_tau = entropies(np.sort(tau.probs, axis=-1))  # S(tau): its spectrum is the sorted populations
+    if isinstance(u, ControlledInteraction):
+        if d_s != u.d_s or d_m != u.d_m:
+            raise DimensionMismatch(f"interaction is {u.d_s} x {u.d_m}, states are {d_s} x {d_m}")
+        occupied = tau.probs > 0
+        if (occupied != occupied[0]).any():  # a write step reads the levels its rows share
+            return _by_occupied_levels(rho, spectra, tau, u, occupied)
+        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho, spectra, WriteStep(u, tau.probs), h_tau)
+        s_out = s_s_in + h_tau
+    else:
+        if u.shape[-1] != d_s * d_m:
+            raise DimensionMismatch(f"unitary dim {u.shape[-1]} != state dim {d_s * d_m}")
+        check_unitary(u)
+        rho_s_out, pops_m_out, s_m_out, s_out, chi = _conjugated(rho, tau.probs, u)
+    s_s_out = entropies(density_spectra(rho_s_out))
+    log_tau = -tau.beta[:, None] * tau.energies - tau.log_z[:, None]
+
+    delta_e_m = _row_dot(pops_m_out, tau.energies) - _row_dot(tau.probs, tau.energies)
     delta_s_system = s_s_out - s_s_in
     delta_s_m = s_m_out - h_tau
     delta_q = tau.beta * delta_e_m
-    sigma_prod = delta_q + delta_s_system
-    beta_delta_f = delta_q - delta_s_m
-
     return ThermoReport(
-        sigma_prod=sigma_prod,
+        sigma_prod=delta_q + delta_s_system,
         delta_q=delta_q,
         delta_s_system=delta_s_system,
         delta_e_m=delta_e_m,
         delta_s_m=delta_s_m,
-        beta_delta_f=beta_delta_f,
+        beta_delta_f=delta_q - delta_s_m,
         mutual_info=s_s_out + s_m_out - s_out,
-        rel_entropy_to_thermal=rel_entropy,
+        rel_entropy_to_thermal=-s_m_out - _row_dot(pops_m_out, log_tau),
         chi=chi,
     )
+
+
+def _by_occupied_levels(rho, spectra, tau: GibbsRows, u: ControlledInteraction, occupied) -> ThermoReport:
+    """The report of a stack whose rows occupy different levels: each set of rows that agree is written as its own stack."""
+    _, part = np.unique(occupied, axis=0, return_inverse=True)
+    part = part.ravel()
+    fields = {name: np.empty(len(rho)) for name in ThermoReport.__dataclass_fields__}
+    for j in range(part.max() + 1):
+        rows = part == j
+        rep = _thermo_rows(rho[rows], spectra[rows], GibbsRows(*(a[rows] for a in tau)), u)
+        for name, values in fields.items():
+            values[rows] = getattr(rep, name)
+    return ThermoReport(**fields)
+
+
+def thermo_report(rho_s, tau, u) -> ThermoReport:
+    """Entropy production and its decomposition for a stack of writes into thermal memories.
+
+    A stack is rho_S as an (n, d_S, d_S) array, checked here as DensityOperator
+    checks one matrix, tau as thermal.GibbsRows of n rows, and `u` either one
+    ControlledInteraction for every row or an (n, D, D) stack of joint
+    unitaries, checked for unitarity; every report field is then an array of n.
+    One write (rho_S a DensityOperator, tau a GibbsState, `u` a
+    ControlledInteraction or one joint unitary) is the stack of one, and its
+    fields are floats.  No row's numbers depend on the other rows.
+
+    A ControlledInteraction is a basis permutation: `_write_step` reads rho_S',
+    rho_M' and the members through its `interact.WriteStep` into tau, and
+    S(rho_out) = S(rho_S) + H(tau) because the write keeps the joint spectrum.
+    No joint-size state is built.  Any other unitary is applied by conjugation
+    of the dense joint states (`_conjugated`).  Either way
+    D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
+    ln tau_m = -beta E_m - ln Z, finite at every temperature, and
+    I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
+    """
+    if isinstance(rho_s, DensityOperator):
+        if not isinstance(u, ControlledInteraction):
+            u = np.asarray(getattr(u, "matrix", u), dtype=complex)[None]
+        rep = _thermo_rows(rho_s.matrix[None], rho_s.spectrum()[None], tau.rows(), u)
+        return ThermoReport(**{name: float(values[0]) for name, values in vars(rep).items()})
+    return _thermo_rows(rho_s, density_spectra(rho_s), tau, u)
 
 
 def holevo_landauer_gap(report: ThermoReport) -> float:

@@ -80,15 +80,22 @@ class WriteStep:
 
     The memory is one unit (a sequential stage or an hl-bound write) or the
     merged memory of a global run, whose level splits into the unit digits
-    `dims`.  Only the occupied levels m_k of `probs`, p[k] the population of
-    m_k, enter: the input entry rho_xx' p_k at (x m_k, x' m_k) moves to
-    (y[x, k] mu[x, k], y[x', k] mu[x', k]), read from `table[:, occupied]`.
+    `dims`.  Only the occupied levels m_k of `probs`, p[..., k] the population
+    of m_k, enter: the input entry rho_xx' p_k at (x m_k, x' m_k) moves to
+    (y[x, k] mu[x, k], y[x', k] mu[x', k]), read from `table[:, occupied]`, or
+    from the whole table when every level is occupied.  `probs` may be a stack
+    of population rows (n, d_M), one per write, that occupy the same levels.
     """
 
     def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...] | None = None):
-        occupied = np.flatnonzero(probs)
-        self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
-        self.p, self.dims = probs[occupied], dims or (u.d_m,)
+        occupied = np.flatnonzero(probs.reshape(-1, u.d_m)[0])
+        if occupied.size == u.d_m:
+            self.y, self.mu = np.divmod(u.table, u.d_m)
+            self.p = probs
+        else:
+            self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
+            self.p = probs[..., occupied]
+        self.dims = dims or (u.d_m,)
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -108,11 +115,14 @@ class WriteStep:
         return phi.reshape(d * d, d * d)
 
     def populations(self, f: int, r: np.ndarray) -> np.ndarray:
-        """Level populations of memory factor f after writing each system diagonal, a row of r."""
-        levels = self.mu // math.prod(self.dims[f + 1 :]) % self.dims[f]
-        flat = (np.arange(len(r)).reshape(-1, 1, 1) * self.dims[f] + levels).ravel()
-        pops = np.bincount(flat, (r[:, :, None] * self.p).ravel(), minlength=len(r) * self.dims[f])
-        return pops.reshape(len(r), self.dims[f])
+        """Level populations of memory factor f after writing each system diagonal, a row of r;
+        with a stack of population rows, row i of r is written with row i of p."""
+        d = self.dims[f]
+        levels = self.mu if len(self.dims) == 1 else self.mu // math.prod(self.dims[f + 1 :]) % d
+        if len(r) > 1:  # row i counts into bins i * d ... i * d + d - 1
+            levels = np.arange(len(r)).reshape(-1, 1, 1) * d + levels
+        pops = np.bincount(levels.ravel(), (r[:, :, None] * self.p[..., None, :]).ravel(), minlength=len(r) * d)
+        return pops.reshape(len(r), d)
 
 
 def conjugate(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -39,6 +39,43 @@ def _as_dims(dims, total: int) -> tuple[int, ...]:
     return dims
 
 
+def density_spectra(m: np.ndarray) -> np.ndarray:
+    """The spectra, ascending, of a stack (..., d, d) of density matrices, after checking each.
+
+    Every matrix must be finite, Hermitian, of unit trace and positive
+    semidefinite; InvalidOperator names the first defect.  Positivity is read
+    from the spectrum: `eigvalsh`'s, or the sorted diagonal of a single
+    diagonal matrix, which keeps thermal states cheap.  Each matrix's spectrum
+    depends on that matrix alone, whatever else the stack holds.
+    """
+    if not np.isfinite(m).all():
+        raise InvalidOperator("matrix has a non-finite entry")
+    herm = np.conjugate(m).swapaxes(-1, -2)  # M^dagger - M in place, the one full-size temporary; rebinding frees it
+    herm -= m
+    herm = float(np.max(np.abs(herm), initial=0.0))
+    if herm > HERMITICITY_TOL:
+        raise InvalidOperator(f"Hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if np.max(off, initial=0.0) > TRACE_TOL:
+        raise InvalidOperator(f"trace {tr.flat[np.argmax(off)]} is not 1 within {TRACE_TOL}")
+    if m.ndim == 2 and np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+        spectra = np.sort(m.diagonal().real)
+    else:
+        spectra = np.linalg.eigvalsh(m)
+    lo = float(np.min(spectra, initial=0.0))
+    if lo < -POSITIVITY_TOL:
+        raise InvalidOperator(f"negative eigenvalue {lo:.3e} below -{POSITIVITY_TOL}")
+    return spectra
+
+
+def check_unitary(m: np.ndarray) -> None:
+    """Refuse a stack (..., d, d) holding a matrix whose U^dagger U is off the identity by more than UNITARITY_TOL."""
+    defect = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])), initial=0.0))
+    if defect > UNITARITY_TOL:
+        raise InvalidOperator(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace positive semidefinite matrix on a factorized space."""
@@ -52,29 +89,10 @@ class DensityOperator:
             raise InvalidOperator(f"expected a square matrix, got shape {m.shape}")
         d = m.shape[0]
         dims = (d,) if dims is None else _as_dims(dims, d)
-        if not np.isfinite(m).all():
-            raise InvalidOperator("matrix has a non-finite entry")
-        herm = m.conj().T  # M^dagger - M in place, the one full-size temporary; rebinding frees it
-        herm -= m
-        herm = float(np.max(np.abs(herm), initial=0.0))
-        if herm > HERMITICITY_TOL:
-            raise InvalidOperator(f"Hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidOperator(f"trace {tr} is not 1 within {TRACE_TOL}")
+        spectrum = density_spectra(m)
+        spectrum.setflags(write=False)
         m = m.copy()
         m.setflags(write=False)
-        # Positivity through the spectrum, which spectrum() then returns: the
-        # sorted diagonal of a diagonal matrix, `eigvalsh` for anything else.
-        # Keeps construction cheap for thermal states.
-        if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
-            spectrum = np.sort(m.diagonal().real)
-        else:
-            spectrum = np.linalg.eigvalsh(m)
-        lo = float(np.min(spectrum))
-        if lo < -POSITIVITY_TOL:
-            raise InvalidOperator(f"negative eigenvalue {lo:.3e} below -{POSITIVITY_TOL}")
-        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_spectrum", spectrum)
@@ -101,9 +119,7 @@ class UnitaryOperator:
             raise InvalidOperator(f"expected a square matrix, got shape {m.shape}")
         d = m.shape[0]
         dims = (d,) if dims is None else _as_dims(dims, d)
-        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
-        if defect > UNITARITY_TOL:
-            raise InvalidOperator(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
+        check_unitary(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -198,6 +214,16 @@ def entropy_of_spectrum(vals) -> float:
     return float(-np.sum(v * np.log(v)))
 
 
+def entropies(spectra: np.ndarray) -> np.ndarray:
+    """-sum v ln v in nats along the last axis, each row over its values above the floor (negatives read as 0).
+
+    A row sums its dropped values as zeros where entropy_of_spectrum sums
+    only the kept ones, so the two may differ in the last bits.
+    """
+    v = np.where(spectra > EIG_FLOOR, spectra, 1.0)  # 1 ln 1 = 0 exactly
+    return -(v * np.log(v)).sum(axis=-1)
+
+
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-Tr rho ln rho in nats; eigenvalues below the floor contribute zero."""
     return entropy_of_spectrum(rho.spectrum())
@@ -234,19 +260,35 @@ def mutual_information(rho: DensityOperator, cut) -> float:
     return sa + sb - von_neumann_entropy(rho)
 
 
+def _ginibre(dim: int, seeds) -> np.ndarray:
+    """A square complex Ginibre matrix from each seed, stacked."""
+    g = np.empty((len(seeds), dim, dim), dtype=complex)
+    for out, seed in zip(g, seeds):
+        rng = np.random.default_rng(seed)
+        out.real = rng.standard_normal((dim, dim))
+        out.imag = rng.standard_normal((dim, dim))
+    return g
+
+
+def random_states(dim: int, seeds) -> np.ndarray:
+    """Full-rank Hilbert-Schmidt random states G G^dagger / Tr, one per seed, stacked and unchecked."""
+    g = _ginibre(dim, seeds)
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def haar_unitaries(dim: int, seeds) -> np.ndarray:
+    """Haar-distributed unitaries, one per seed, stacked and unchecked: QR of a Ginibre matrix with phase correction."""
+    q, r = np.linalg.qr(_ginibre(dim, seeds))
+    d = r.diagonal(axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def random_density(dim: int, seed, dims=None) -> DensityOperator:
     """Full-rank Hilbert-Schmidt random state from a square Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityOperator(m / m.trace().real, dims)
+    return DensityOperator(random_states(dim, [seed])[0], dims)
 
 
 def random_unitary(dim: int, seed) -> UnitaryOperator:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase correction."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return UnitaryOperator(q)
+    return UnitaryOperator(haar_unitaries(dim, [seed])[0])

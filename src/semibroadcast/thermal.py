@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,10 @@ class GibbsState:
     def mean_energy(self) -> float:
         return float(self.probs @ self.hamiltonian.absolute_energies())
 
+    def rows(self) -> GibbsRows:
+        """This state as a stack of one row."""
+        return GibbsRows(self.hamiltonian.absolute_energies()[None], np.array([self.beta]), np.array([self.log_z]), self.probs[None])
+
 
 def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) of a nonempty 1-d float array, bit-identical to scipy's logsumexp.
@@ -117,13 +122,31 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + a_max)
 
 
+class GibbsRows(NamedTuple):
+    """Gibbs states on one set of d_M levels, one per row: absolute energies (n, d_M), beta (n,),
+    ln Z (n,) and the populations (n, d_M).  ln tau_m = -beta E_m - ln Z is finite at every temperature."""
+
+    energies: np.ndarray
+    beta: np.ndarray
+    log_z: np.ndarray
+    probs: np.ndarray
+
+
+def gibbs_rows(energies: np.ndarray, beta) -> GibbsRows:
+    """The Gibbs state of each row of absolute energies (n, d_M) at its beta >= 0 (log-domain normalization)."""
+    beta = np.asarray(beta, dtype=float)
+    bad = beta[~(np.isfinite(beta) & (beta >= 0.0))]
+    if bad.size:
+        raise DimensionMismatch(f"beta must be finite and >= 0, got {bad[0]}")
+    logw = -beta[:, None] * energies
+    log_z = np.array([_logsumexp(row) for row in logw])
+    return GibbsRows(energies, beta, log_z, np.exp(logw - log_z[:, None]))
+
+
 def gibbs(hamiltonian: MemoryHamiltonian, beta: float) -> GibbsState:
     """Gibbs state at inverse temperature beta >= 0 (log-domain normalization)."""
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise DimensionMismatch(f"beta must be finite and >= 0, got {beta}")
-    logw = -beta * hamiltonian.absolute_energies()
-    log_z = _logsumexp(logw)
-    return GibbsState(hamiltonian, beta, np.exp(logw - log_z), log_z)
+    rows = gibbs_rows(hamiltonian.absolute_energies()[None], [beta])
+    return GibbsState(hamiltonian, beta, rows.probs[0], rows.log_z[0])
 
 
 @dataclass(frozen=True, eq=False)

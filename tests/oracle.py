@@ -7,6 +7,8 @@
 * `system_blocks`: a dense (system, memory...) state as the `SystemBlocks` that
   `infotherm.sbs_test` reads.
 * `permutation_matrix`: an interaction's unitary as a dense 0/1 matrix.
+* `thermo_report`: the report of one write into a thermal memory, read from the dense joint
+  state through the library's definitions.
 
 Every array here is D x D for the joint dimension D, so callers keep D small.
 """
@@ -15,8 +17,8 @@ from functools import reduce
 
 import numpy as np
 
-from semibroadcast import broadcast, interact, qcore, thermal
-from semibroadcast.infotherm import SystemBlocks
+from semibroadcast import broadcast, infotherm, interact, qcore, thermal
+from semibroadcast.infotherm import SystemBlocks, ThermoReport
 
 
 def lifted_permutation(dims, axis, u):
@@ -69,3 +71,34 @@ def permutation_matrix(u):
     m = np.zeros((d, d))
     m[u.joint_permutation, np.arange(d)] = 1.0
     return m
+
+
+def thermo_report(rho_s, tau, u):
+    """The report of one write of rho_S into the Gibbs memory tau by `u`, a joint unitary or a
+    ControlledInteraction (through its permutation matrix), from U (rho_S (x) tau) U^dagger:
+    its marginals by partial_trace, chi from conditional_ensemble and holevo_chi, every entropy
+    by von_neumann_entropy, and D(rho_M' || tau) = -S(rho_M') - Tr rho_M' ln tau with the exact
+    ln tau = -beta H - ln Z of a Gibbs state, finite at every temperature."""
+    if isinstance(u, interact.ControlledInteraction):
+        u = permutation_matrix(u)
+    s = qcore.von_neumann_entropy
+    energies = tau.hamiltonian.absolute_energies()
+    rho_out = qcore.evolve(qcore.tensor(rho_s, tau.state), u)
+    rho_s_out = qcore.partial_trace(rho_out, (0,))
+    rho_m_out = qcore.partial_trace(rho_out, (1,))
+    pops = rho_m_out.matrix.diagonal().real
+    delta_e_m = float(pops @ energies) - tau.mean_energy()
+    delta_s_system = s(rho_s_out) - s(rho_s)
+    delta_s_m = s(rho_m_out) - s(tau.state)
+    delta_q = tau.beta * delta_e_m
+    return ThermoReport(
+        sigma_prod=delta_q + delta_s_system,
+        delta_q=delta_q,
+        delta_s_system=delta_s_system,
+        delta_e_m=delta_e_m,
+        delta_s_m=delta_s_m,
+        beta_delta_f=delta_q - delta_s_m,
+        mutual_info=qcore.mutual_information(rho_out, (0,)),
+        rel_entropy_to_thermal=-s(rho_m_out) - float(pops @ (-tau.beta * energies - tau.log_z)),
+        chi=infotherm.holevo_chi(infotherm.conditional_ensemble(rho_out)),
+    )

@@ -7,16 +7,18 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import oracle
 import pytest
 
 import semibroadcast
-from semibroadcast import broadcast, cli, interact, qcore, thermal
-from semibroadcast.config import InteractionConfig, build_system_state, parse_config
-from semibroadcast.errors import SemibroadcastError, WrongKind
+from semibroadcast import broadcast, cli, infotherm, interact, qcore, thermal
+from semibroadcast.config import InstancesConfig, InteractionConfig, build_system_state, parse_config
+from semibroadcast.errors import DegenerateOutcomeWarning, SemibroadcastError, WrongKind
 
 LN2 = math.log(2.0)
 
@@ -596,6 +598,94 @@ def test_an_instance_sweep_peaks_below_its_record_budget(tmp_path):
     assert rc == 0
     assert read_json(out)["summary"]["instances"] == count
     assert peak / count <= cli.RECORD_BYTES
+
+
+def test_a_sweep_over_wide_memories_peaks_within_its_records_and_a_stack_of_joints(tmp_path):
+    # max_memory_dim = 64 draws haar joints up to D = 3 * 3 * 21 = 189.  Beyond the records, a sweep holds
+    # one chunk of draws and one stacked pass at a time: a haar pass writes at most HL_HAAR_DEPTH = 8
+    # instances and holds about 5.3 joint-sized arrays per write (6 allowed here), so 48 joints bound it
+    count, d = 500, 189
+    joints = 6 * cli.HL_HAAR_DEPTH
+    cfg = {"experiment": "sequential", "instances": {"count": count, "max_memory_dim": 64}}
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "hl-bound", config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert read_json(out)["summary"]["instances"] == count
+    assert peak <= cli.RECORD_BYTES * count + joints * broadcast.COMPLEX_BYTES * d * d
+
+
+HL_WIDE = {"d_s": (2, 3, 4), "max_memory_dim": 16}
+
+
+@pytest.mark.parametrize("inst", [{}, HL_WIDE, {"beta_range": (0.0, 20.0)}], ids=["default", "wide", "cold"])
+def test_the_first_records_of_a_sweep_do_not_depend_on_its_count(inst):
+    # k = 37 and 200 cut through a chunk of HL_CHUNK = 128 draws and through its groups
+    full = cli.hl_sweep_records(InstancesConfig(count=300, **inst), seed=11)
+    for k in (37, 200):
+        assert cli.hl_sweep_records(InstancesConfig(count=k, **inst), seed=11) == full[:k]
+    # each record is bit-identical to its instance evaluated alone, as a group of one
+    cfg = InstancesConfig(count=300, **inst)
+    seeds = np.random.SeedSequence(11).spawn(cfg.count)
+    for i in range(0, cfg.count, 7):
+        draw = cli.hl_instance_record(i, cfg.d_s[i % len(cfg.d_s)], cfg, seeds[i])
+        assert cli._hl_stack([draw], False) == [full[i]]
+
+
+def test_a_wide_sweep_writes_byte_identical_results(tmp_path):
+    cfg = {"experiment": "sequential", "instances": {"d_S": [2, 3, 4], "max_memory_dim": 16}}
+    outs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["hl-bound", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        outs.append([(tmp_path / name / f).read_bytes() for f in ("results.json", "results.csv")])
+    assert outs[0] == outs[1]
+
+
+ORACLE_FIELDS = {
+    "entropy_production": "sigma_prod",
+    "beta_heat": "delta_q",
+    "delta_s_system": "delta_s_system",
+    "delta_s_memory": "delta_s_m",
+    "beta_delta_f_memory": "beta_delta_f",
+    "mutual_info": "mutual_info",
+    "rel_entropy_to_thermal": "rel_entropy_to_thermal",
+    "chi": "chi",
+}
+
+
+@pytest.mark.parametrize(
+    "inst, bits",
+    [({}, False), ({}, True), (HL_WIDE, False), ({"beta_range": (0.0, 20.0)}, False)],
+    ids=["default", "bits", "wide", "cold"],
+)
+def test_every_sweep_record_matches_the_dense_oracle(inst, bits):
+    # each instance rebuilt from its draw and written through the dense joint state of tests/oracle.py
+    cfg = InstancesConfig(**inst)
+    records = cli.hl_sweep_records(cfg, seed=20240814, bits=bits)
+    seeds = np.random.SeedSequence(20240814).spawn(cfg.count)
+    scale = 1 / LN2 if bits else 1.0
+    for i, rec in enumerate(records):
+        draw = cli.hl_instance_record(i, cfg.d_s[i % len(cfg.d_s)], cfg, seeds[i])
+        h, d_s = draw.hamiltonian, draw.d_s
+        if draw.kind == "haar":
+            u = qcore.random_unitary(d_s * h.dim, draw.u_seed)
+        else:
+            u = interact.build(thermal.group_energies(h, d_s), draw.kind, draw.variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+            want = oracle.thermo_report(qcore.random_density(d_s, draw.rho_seed), thermal.gibbs(h, draw.beta), u)
+        expected = {name: scale * getattr(want, field) for name, field in ORACLE_FIELDS.items()}
+        expected["gap"] = scale * infotherm.holevo_landauer_gap(want)
+        expected["delta_e_memory"] = want.delta_e_m
+        expected["reeb_wolf_residual"] = want.reeb_wolf_residual()
+        assert (rec["index"], rec["kind"], rec["d_S"], rec["d_M"], rec["beta"]) == (i, draw.kind, d_s, h.dim, draw.beta)
+        for name, value in expected.items():
+            assert rec[name] == pytest.approx(value, abs=1e-12), (i, name)
 
 
 @pytest.mark.parametrize("command", ["classify", "reconstruct"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracle
 from oracle import permutation_matrix, system_blocks
 
 from semibroadcast import broadcast, infotherm, interact, qcore, thermal
@@ -290,7 +291,8 @@ ORACLE_MEMORIES = {
 @pytest.mark.parametrize("kind", ["noninvasive", "cycled", "swap", "haar"])
 @pytest.mark.parametrize("memory", sorted(ORACLE_MEMORIES))
 def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memory):
-    # the dense branch, for haar and for each permutation kind through its permutation matrix
+    # the dense oracle reads the library definitions; the report agrees with it for haar and for
+    # each permutation kind, through its permutation matrix and through its table
     d_s, h = ORACLE_MEMORIES[memory]
     tau = thermal.gibbs(h, 0.8)
     rho_s = qcore.random_density(d_s, seed=17 + d_s)
@@ -300,7 +302,7 @@ def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memo
         write = interact.build(thermal.group_energies(h, d_s), kind, d_s - 2 if kind == "cycled" else 0)
         u = permutation_matrix(write)
     rho_out = qcore.evolve(qcore.tensor(rho_s, tau.state), u)
-    rep = infotherm.thermo_report(rho_s, tau, u)
+    rep = oracle.thermo_report(rho_s, tau, u)
 
     rho_s_out = qcore.partial_trace(rho_out, (0,))
     rho_m_out = qcore.partial_trace(rho_out, (1,))
@@ -308,17 +310,19 @@ def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memo
     # same float sequence as the library definitions: exact
     assert rep.mutual_info == qcore.mutual_information(rho_out, (0,))
     assert rep.chi == infotherm.holevo_chi(infotherm.conditional_ensemble(rho_out))
-    assert rep.rel_entropy_to_thermal == qcore.relative_entropy(rho_m_out, tau.state)
     assert rep.delta_s_system == s(rho_s_out) - s(rho_s)
     assert rep.delta_s_m == s(rho_m_out) - s(tau.state)
     assert rep.delta_q == tau.beta * rep.delta_e_m
     assert rep.sigma_prod == rep.delta_q + rep.delta_s_system
     assert rep.beta_delta_f == rep.delta_q - rep.delta_s_m
+    # ln tau from the Gibbs log-weights, ln of tau's eigenvalues in relative_entropy: another float sequence
+    assert rep.rel_entropy_to_thermal == pytest.approx(qcore.relative_entropy(rho_m_out, tau.state), abs=1e-12)
     # Tr[rho_M' H] - Tr[tau H] through matrix products: another float sequence
     hm = np.diag(h.absolute_energies())
     delta_e = np.trace(rho_m_out.matrix @ hm).real - np.trace(tau.state.matrix @ hm).real
     assert rep.delta_e_m == pytest.approx(delta_e, abs=1e-12)
     assert rep.reeb_wolf_residual() <= 1e-12
+    assert_reports_agree(infotherm.thermo_report(rho_s, tau, u), rep)
     if kind != "haar":
         # the write step reads the same report from the table
         assert_reports_agree(infotherm.thermo_report(rho_s, tau, write), rep)
@@ -340,7 +344,7 @@ def assert_reports_agree(got, want, tol=1e-12):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_write_step_matches_the_dense_branch(kind, d_s, chain, r, beta, coherent, seed):
-    # every field of the write step against thermo_report on the interaction's permutation matrix
+    # every field of the write step against the dense oracle and the dense branch, on the interaction's permutation matrix
     rng = np.random.default_rng(seed)
     if chain and d_s != 3:
         h = thermal.qubit_chain_hamiltonian(d_s.bit_length() - 2 + r)
@@ -353,8 +357,9 @@ def test_write_step_matches_the_dense_branch(kind, d_s, chain, r, beta, coherent
     else:
         rho_s = qcore.diag_density(rng.dirichlet(np.ones(d_s)))
     u = interact.build(thermal.group_energies(h, d_s), kind, int(rng.integers(0, d_s - 1)))
-    dense = infotherm.thermo_report(rho_s, tau, permutation_matrix(u))
+    dense = oracle.thermo_report(rho_s, tau, u)
     assert_reports_agree(infotherm.thermo_report(rho_s, tau, u), dense)
+    assert_reports_agree(infotherm.thermo_report(rho_s, tau, permutation_matrix(u)), dense)
 
 
 @pytest.mark.parametrize("kind", interact.KINDS)
@@ -362,7 +367,7 @@ def test_a_permutation_write_builds_no_joint_state(kind, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a joint-state primitive ran")
 
-    for module, name in ((interact, "apply"), (qcore, "partial_trace"), (infotherm, "partial_trace"), (infotherm, "evolve")):
+    for module, name in ((interact, "apply"), (qcore, "partial_trace"), (infotherm, "partial_trace"), (qcore, "evolve")):
         monkeypatch.setattr(module, name, refused)
     built = []
     init = qcore.DensityOperator.__init__
@@ -378,7 +383,7 @@ def test_a_permutation_write_builds_no_joint_state(kind, monkeypatch):
     rho_s = qcore.DensityOperator(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
     rep = infotherm.thermo_report(rho_s, tau, u)
     assert rep.reeb_wolf_residual() <= 1e-12
-    assert max(built) == 2  # rho_S and rho_S' only
+    assert built == [2]  # the input rho_S only: rho_S' is checked as a stack of one
     assert "state" not in vars(tau)  # the dense Gibbs state was never built
 
 
@@ -397,6 +402,54 @@ def test_a_swap_write_builds_no_memory_sized_matrix():
     assert peak < 32 * 2**2 * h.dim
     assert rep.reeb_wolf_residual() <= 1e-10
     assert infotherm.holevo_landauer_gap(rep) >= -1e-9
+
+
+def stacked_rows(taus):
+    """The GibbsRows of several Gibbs states on one set of levels, one row each."""
+    return thermal.GibbsRows(*(np.concatenate(fields) for fields in zip(*(t.rows() for t in taus))))
+
+
+@pytest.mark.parametrize("kind", interact.KINDS)
+def test_a_stacked_write_names_each_dropped_outcome_and_keeps_every_row_apart(kind):
+    # three qutrit inputs in one stack, the middle one the basis state |0><0|: a label-keeping
+    # write leaves its outcomes 1 and 2 at probability 0, and each is named in its own warning
+    h = thermal.MemoryHamiltonian([0.0, 0.4, 1.0, 1.7, 2.0, 3.1])
+    u = interact.build(thermal.group_energies(h, 3), kind)
+    taus = [thermal.gibbs(h, beta) for beta in (0.5, 1.0, 2.0)]
+    rhos = [qcore.random_density(3, seed=1), qcore.basis_state(3, 0), qcore.random_density(3, seed=2)]
+    stack = stacked_rows(taus)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = infotherm.thermo_report(np.stack([r.matrix for r in rhos]), stack, u)
+    dropped = [str(w.message) for w in caught if issubclass(w.category, DegenerateOutcomeWarning)]
+    if kind == "swap":  # the swap copies the sector weights of tau, never 0
+        assert dropped == []
+    else:
+        assert [m.split(" has")[0] for m in dropped] == ["outcome 1", "outcome 2"]
+    for i, (rho, tau) in enumerate(zip(rhos, taus)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+            alone = infotherm.thermo_report(rho, tau, u)
+        for name, value in vars(alone).items():
+            assert getattr(rep, name)[i] == value, (i, name)
+
+
+@pytest.mark.parametrize("kind", interact.KINDS)
+def test_rows_whose_memories_occupy_other_levels_are_written_apart(kind):
+    # at beta = 400 the top level of the two-qubit chain underflows to 0: the write step of that row reads
+    # three levels, the warm rows four, and each row still equals its write alone
+    h = thermal.qubit_chain_hamiltonian(2)
+    u = interact.build(thermal.group_energies(h, 2), kind)
+    taus = [thermal.gibbs(h, beta) for beta in (1.0, 400.0, 2.0)]
+    assert [int(np.count_nonzero(t.probs)) for t in taus] == [4, 3, 4]
+    rhos = [qcore.random_density(2, seed=s) for s in (4, 5, 6)]
+    stack = stacked_rows(taus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+        rep = infotherm.thermo_report(np.stack([r.matrix for r in rhos]), stack, u)
+        for i, (rho, tau) in enumerate(zip(rhos, taus)):
+            for name, value in vars(infotherm.thermo_report(rho, tau, u)).items():
+                assert getattr(rep, name)[i] == value, (i, name)
 
 
 def test_a_write_refuses_states_of_other_sizes():
@@ -440,12 +493,20 @@ def test_cold_memory_relative_entropy_matches_a_50_digit_oracle(kind, beta_omega
             assert rep.rel_entropy_to_thermal == pytest.approx(COLD_EXPECTED_D[beta_omega], abs=1e-10)
 
 
-def test_a_haar_write_into_a_cold_memory_still_checks_the_support():
-    # the dense branch keeps qcore.relative_entropy, whose support test drops levels below EIG_FLOOR
+def test_a_haar_write_into_a_cold_memory_reads_d_from_the_log_weights():
+    # the excited levels fall below EIG_FLOOR, yet tau has full support: D is finite and follows
+    # the oracle's -S(rho_M') - Tr rho_M' ln tau with ln tau = -beta H - ln Z
     h = thermal.qubit_chain_hamiltonian(2)
+    tau = thermal.gibbs(h, 20.0)
     u = qcore.random_unitary(8, seed=3)
-    with pytest.raises(SupportViolation):
-        infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), thermal.gibbs(h, 20.0), u)
+    rho_s = qcore.diag_density([0.5, 0.5])
+    rep = infotherm.thermo_report(rho_s, tau, u)
+    with pytest.raises(SupportViolation):  # the eigenvalue route drops those levels from the support
+        qcore.relative_entropy(qcore.partial_trace(qcore.evolve(qcore.tensor(rho_s, tau.state), u), (1,)), tau.state)
+    assert 10.0 < rep.rel_entropy_to_thermal < 40.0
+    assert_reports_agree(rep, oracle.thermo_report(rho_s, tau, u), tol=1e-10)
+    assert rep.reeb_wolf_residual() <= 1e-10
+    assert infotherm.holevo_landauer_gap(rep) >= -1e-9
 
 
 def test_random_instances_respect_bound_and_equality():

@@ -548,3 +548,28 @@ def test_haar_probe_comes_close_to_cmax_on_a_qubit_pair():
     g, tau = qubit_setup()
     best = interact.haar_correlation_max(g, tau, n_samples=150, seed=8)
     assert best > thermal.c_max(g, tau) - 0.2
+
+
+@pytest.mark.parametrize("kind", interact.KINDS)
+def test_a_stacked_write_step_reads_each_row_as_alone(kind):
+    # one write step over three rows of Gibbs populations: each row's populations, bit for bit,
+    # and the whole table read when every level is occupied
+    h = thermal.MemoryHamiltonian([0.0, 0.4, 1.0, 1.7, 2.0, 3.1])
+    u = interact.build(thermal.group_energies(h, 3), kind)
+    probs = np.stack([thermal.gibbs(h, beta).probs for beta in (0.5, 1.0, 2.0)])
+    diags = np.random.default_rng(3).dirichlet(np.ones(3), size=3)
+    step = interact.WriteStep(u, probs)
+    assert step.p is probs and np.array_equal(step.mu, u.table % u.d_m)
+    stacked = step.populations(0, diags)
+    for row, (p, r) in enumerate(zip(probs, diags)):
+        assert np.array_equal(stacked[row], interact.WriteStep(u, p).populations(0, r[None])[0])
+
+
+def test_a_write_step_reads_only_the_occupied_levels():
+    # a ground memory occupies one level: the step gathers its column of the table
+    h = thermal.qubit_chain_hamiltonian(2)
+    u = interact.build(thermal.group_energies(h, 2), "noninvasive")
+    step = interact.WriteStep(u, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert step.p.tolist() == [1.0]
+    assert np.array_equal(step.mu, u.table[:, :1] % u.d_m)
+    assert np.array_equal(step.populations(0, np.array([[0.3, 0.7]]))[0], [0.3, 0.0, 0.7, 0.0])

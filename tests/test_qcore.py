@@ -124,6 +124,53 @@ def test_unitary_operator_rejects_non_unitary():
         qcore.UnitaryOperator(np.ones((2, 2), dtype=complex))
 
 
+def test_a_stack_is_checked_as_each_matrix_alone():
+    # the stacked generators give each seed's matrix, and the stacked check each matrix's spectrum, bit for bit
+    seeds = [3, 4, 5]
+    states = qcore.random_states(3, seeds)
+    unitaries = qcore.haar_unitaries(6, seeds)
+    qcore.check_unitary(unitaries)
+    for i, seed in enumerate(seeds):
+        alone = qcore.random_density(3, seed)
+        assert np.array_equal(states[i], alone.matrix)
+        assert np.array_equal(unitaries[i], qcore.random_unitary(6, seed).matrix)
+        assert np.array_equal(qcore.density_spectra(states)[i], alone.spectrum())
+        assert np.array_equal(qcore.density_spectra(states[i : i + 1])[0], alone.spectrum())
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-6), "Hermiticity"),
+        (lambda m: m.__imul__(0.9), "trace"),
+        (lambda m: m.__setitem__((0, 0), np.nan), "non-finite"),
+        (lambda m: m.__setitem__(slice(None), np.diag([1.5, -0.5, 0.0])), "negative eigenvalue"),
+    ],
+    ids=["hermiticity", "trace", "non-finite", "negative"],
+)
+def test_a_stack_with_one_defective_matrix_is_refused(defect, message):
+    stack = qcore.random_states(3, [1, 2, 3])
+    defect(stack[1])
+    with pytest.raises(InvalidOperator, match=message):
+        qcore.density_spectra(stack)
+    with pytest.raises(InvalidOperator, match=message):
+        qcore.DensityOperator(stack[1])
+
+
+def test_a_stack_with_one_non_unitary_matrix_is_refused():
+    stack = qcore.haar_unitaries(4, [1, 2])
+    stack[1, 0, 0] += 1e-6
+    with pytest.raises(InvalidOperator, match="unitarity defect"):
+        qcore.check_unitary(stack)
+
+
+def test_entropies_of_a_stack_follow_entropy_of_spectrum():
+    rows = np.array([[0.0, 1e-15, 0.25, 0.75], [-1e-16, 0.5, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4]])
+    got = qcore.entropies(rows)
+    for row, value in zip(rows, got):
+        assert value == pytest.approx(qcore.entropy_of_spectrum(row), abs=1e-15)
+
+
 def test_prob_vector_validation():
     p = qcore.prob_vector([0.3, 0.7])
     assert p.sum() == pytest.approx(1.0)
