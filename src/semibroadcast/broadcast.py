@@ -3,8 +3,8 @@
 A memory array is an ordered list of units; each unit carries its own
 Hamiltonian, initial state, sector structure, and interaction with the
 system.  A run is a chain of write steps, each a system operator written
-into fresh diagonal memories: one per unit in a sequential run, fed through
-the previous steps' channels on the system, or one into the merged memory
+into fresh diagonal memories: one per unit in a sequential run, fed the
+system diagonal the previous steps leave, or one into the merged memory
 in a global run; no run builds the dense joint state of the product space.
 The module also hosts the finite-resource witness, the exact
 statistics-reconstruction map, and ideal broadcast states.
@@ -172,8 +172,8 @@ class BroadcastRun:
     system diagonal entering each step.  The same run from every basis input
     (`ensembles` and `basis_defects`) chains one row per input, read out one
     unit at a time.  The (S, M_1) marginal is d_S x d_S blocks over the M_1
-    level pairs the first write occupies, through the later steps' channels.
-    No d_M x d_M matrix is built.
+    level pairs the first write occupies; the later steps dephase S and move
+    its diagonal by their transition matrices.  No d_M x d_M matrix is built.
     """
 
     def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, steps):
@@ -219,29 +219,29 @@ class BroadcastRun:
 
     @cached_property
     def first_marginal(self) -> SystemBlocks:
-        """The final (S, M_1) state: the first write, then every later step's channel on S."""
+        """The final (S, M_1) state: the first write, then each later step's channel T o Delta on S."""
         d, d1 = self.dims[:2]
-        first = self._steps[0]
+        first, later = self._steps[0], self._steps[1:]
         per_a = math.prod(first.dims[1:])  # merged levels per M_1 level
-        # a lower bound on K, checked before the d_S^2 * levels entry keys are sorted.  Each kind
-        # writes the d_S inputs at one level to d_S distinct levels, so a write into one unit
-        # fills K >= d_S^2 level pairs.  The d_S * levels images of a merged write are distinct,
-        # so they reach >= levels merged levels, hence >= levels / per_a diagonal pairs
-        k_min = d * d if len(first.dims) == 1 else -(-len(first.p) // per_a)
+        # a lower bound on K, checked before the entry keys are sorted.  Each kind writes the d_S
+        # inputs at one level to d_S distinct levels, so the entries (x, x) of a write into one
+        # unit fill K >= d_S diagonal pairs.  The d_S * levels images of a merged write are
+        # distinct, so they reach >= levels merged levels, hence >= levels / per_a diagonal pairs
+        k_min = d if len(first.dims) == 1 else -(-len(first.p) // per_a)
         check_budget(COMPLEX_BYTES * d * d * k_min, "(S, M_1) blocks")
         a, rest = np.divmod(first.mu, per_a)
         same = rest[:, None] == rest[None]  # the other memory factors agree: traced out
+        if later:  # complete records, they dephase S: only entries whose S images agree survive
+            same &= first.y[:, None] == first.y[None]
         # entry (x, x', k) adds rho_xx' p_k at (y[x, k], y[x', k]) of the block (a[x, k], a[x', k])
         keys, slot = np.unique((a[:, None] * d1 + a[None])[same], return_inverse=True)
-        # the exact check; with a later step (the first then writes one unit) K >= d_S^2 also
-        # bounds that step's d_S^4 channel
-        check_budget(COMPLEX_BYTES * d * d * len(keys), "(S, M_1) blocks")
+        check_budget(COMPLEX_BYTES * d * d * len(keys), "(S, M_1) blocks")  # the exact check
         blocks = np.zeros((d, d, len(keys)), dtype=complex)
         flat = (first.y[:, None] * d + first.y[None])[same] * len(keys) + slot
         np.add.at(blocks.reshape(-1), flat, (self._rho_s.matrix[:, :, None] * first.p)[same])
-        if len(self._steps) > 1:
-            after = reduce(lambda acc, step: step.phi @ acc, self._steps[2:], self._steps[1].phi)
-            blocks = (after @ blocks.view(float).reshape(d * d, -1)).view(complex).reshape(blocks.shape)
+        if later:  # (T_2 ... T_N)^T on the S diagonal, its real and imaginary parts alike
+            diag = blocks[np.arange(d), np.arange(d)].view(float)
+            blocks[np.arange(d), np.arange(d)] = (reduce(np.matmul, [step.t for step in later]).T @ diag).view(complex)
         pairs = np.stack(np.divmod(keys, d1), axis=1)
         # renormalised, as the diagonals are: rounding compounds over the steps
         blocks /= blocks[np.arange(d), np.arange(d)].compress(pairs[:, 0] == pairs[:, 1], axis=-1).sum().real

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateOutcomeWarning, DimensionMismatch
 from .interact import ControlledInteraction, WriteStep
 from .qcore import (
+    EIG_FLOOR,
     DensityOperator,
     check_unitary,
     density_spectra,
@@ -158,7 +159,7 @@ def accessible_info_bracket(probs, rows) -> tuple[float, float]:
     joint = np.asarray(probs)[:, None] * rows
     outcomes = joint.sum(axis=0)
     chi = shannon_entropy(np.sort(outcomes)) - float(sum(p * shannon_entropy(np.sort(q)) for p, q in zip(probs, rows)))
-    cells = joint > PROB_FLOOR
+    cells = joint > 0.0
     mutual_info = float((joint[cells] * np.log(joint[cells] / (joint.sum(axis=1)[:, None] * outcomes)[cells])).sum())
     return min(mutual_info, chi), chi
 
@@ -206,11 +207,11 @@ def _write_step(rho: np.ndarray, spectra: np.ndarray, step: WriteStep, h_tau: np
     rho_S' sums the entries rho_xx' p_k whose memory images agree, member y and rho_M' those
     whose system images agree.  A write that keeps the system label (y = x) makes member x
     the populations p permuted to mu[x]: rho_M' is one row of populations, every member's
-    entropy is H(tau), and rho_S' = rho_S o O with O[x, x'] the weight of the levels whose
-    images under x and x' agree.  A write that replaces it (swap: y[:, k] is one outcome
-    nu_k, mu[:, k] the slot of m_k in every sector) puts p_k rho_S on the levels mu[:, k]:
-    rho_S' = diag(P_nu), member nu is the direct sum of p_k rho_S over nu_k = nu, and rho_M'
-    that of w_s rho_S over the slots s, so each spectrum is a product of weights with rho_S's.
+    entropy is H(tau), and rho_S' = Delta(rho_S) sum_k p_k: the write is a complete record.
+    A write that replaces it (swap: y[:, k] is one outcome nu_k, mu[:, k] the slot of m_k in
+    every sector) puts p_k rho_S on the levels mu[:, k]: rho_S' = diag(P_nu), member nu is the
+    direct sum of p_k rho_S over nu_k = nu, and rho_M' that of w_s rho_S over the slots s, so
+    each spectrum is a product of exact weights with rho_S's, of which only rho_S's is floored.
     Outcomes at the probability floor are dropped from chi with a DegenerateOutcomeWarning.
     Every product runs one row at a time, so no row's numbers depend on the others.
     """
@@ -218,14 +219,15 @@ def _write_step(rho: np.ndarray, spectra: np.ndarray, step: WriteStep, h_tau: np
     n, d_s = rho.shape[:2]
     pops = step.populations(0, rho.diagonal(axis1=1, axis2=2).real)
     if (y == np.arange(d_s)[:, None]).all():
-        same = (mu[:, None] == mu[None]).astype(float)
-        rho_s_out = rho * (same @ p[:, None, :, None])[..., 0]
-        s_m_out = entropies(np.sort(pops, axis=-1))
+        rho_s_out = rho * (np.eye(d_s) * p.sum(axis=-1)[:, None, None])
+        s_m_out = entropies(np.sort(pops, axis=-1), 0.0)
         p_out = rho_s_out.diagonal(axis1=1, axis2=2).real
         member_s = np.broadcast_to(h_tau[:, None], p_out.shape)
     else:
+        spectra = np.where(spectra > EIG_FLOOR, spectra, 0.0)[:, None, :]  # the weights are exact
+
         def entropy(weights):  # of the direct sum of weights[i, k] rho_S[i], per row i
-            return entropies(np.sort((weights[:, :, None] * spectra[:, None, :]).reshape(n, -1), axis=-1))
+            return entropies(np.sort((weights[:, :, None] * spectra).reshape(n, -1), axis=-1), 0.0)
 
         member = y[0] == np.arange(d_s)[:, None]  # member[nu, k]: nu_k = nu
         p_out = (member.astype(float) @ p[:, :, None])[..., 0]  # a matrix product: a sequential bincount drifts off Tr = 1 over 2^20 levels
@@ -275,7 +277,7 @@ def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> The
     n, d_s = rho.shape[:2]
     d_m = tau.probs.shape[-1]
     s_s_in = entropies(spectra)
-    h_tau = entropies(np.sort(tau.probs, axis=-1))  # S(tau): its spectrum is the sorted populations
+    h_tau = entropies(np.sort(tau.probs, axis=-1), 0.0)  # S(tau): its spectrum is the sorted populations
     if isinstance(u, ControlledInteraction):
         if d_s != u.d_s or d_m != u.d_m:
             raise DimensionMismatch(f"interaction is {u.d_s} x {u.d_m}, states are {d_s} x {d_m}")

@@ -7,7 +7,9 @@ over `KINDS`), the one dense conjugation (`conjugate`) and the one write step
 lifts a table to the product space of several memories.  Each kind is a
 sector map (x, nu) -> (y, mu): the joint level
 |x, groups[nu][s]> goes to |y, groups[mu][s]>, keeping the within-sector
-slot s.
+slot s.  Every kind is a complete record of the outcome (`_table` checks
+it): for each nu the d_S sectors mu(x, nu) differ, so a write's channel on S
+dephases it in the outcome basis, then moves its diagonal by `WriteStep.t`.
 
 * noninvasive and cycled: controlled sector shifts, y = x.  These never
   disturb the system's outcome-basis diagonal.
@@ -41,6 +43,8 @@ def _table(grouping: EnergyGrouping, sector_map) -> np.ndarray:
     d_s, d_m = grouping.d_s, grouping.dim
     x = np.arange(d_s).reshape(d_s, 1)
     y, mu = np.broadcast_arrays(*sector_map(x, x.T))  # the map on every (x, nu) at once
+    if (np.sort(mu, axis=0) != x).any():  # a complete record: for every nu the d_S sectors mu(x, nu) differ
+        raise WrongKind("the sector map writes two outcomes of one memory sector into one sector")
     table = np.empty((d_s, d_m), dtype=int)
     for row in range(d_s):  # one row of temporaries at a time
         table[row, grouping.groups] = y[row, :, None] * d_m + grouping.groups[mu[row]]
@@ -103,16 +107,6 @@ class WriteStep:
         d = len(self.y)
         flat = np.arange(d).reshape(d, 1) * d + self.y
         return np.bincount(flat.ravel(), np.broadcast_to(self.p, flat.shape).ravel(), minlength=d * d).reshape(d, d)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """The stage's channel on S, d_S^2 x d_S^2 on row-major vec(rho): the entries (x, x', k) with
-        mu[x, k] = mu[x', k] survive tracing out the memory."""
-        d = len(self.y)
-        same = self.mu[:, None] == self.mu[None]
-        flat = (self.y[:, None] * d + self.y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
-        phi = np.bincount(flat[same], np.broadcast_to(self.p, same.shape)[same], minlength=d**4)
-        return phi.reshape(d * d, d * d)
 
     def populations(self, f: int, r: np.ndarray) -> np.ndarray:
         """Level populations of memory factor f after writing each system diagonal, a row of r;

@@ -206,21 +206,20 @@ def evolve(rho: DensityOperator, u) -> DensityOperator:
     return DensityOperator(um @ rho.matrix @ um.conj().T, rho.dims)
 
 
-def entropy_of_spectrum(vals) -> float:
-    """-sum v ln v in nats over the values above the floor, negatives read as 0."""
+def entropy_of_spectrum(vals, floor: float = EIG_FLOOR) -> float:
+    """-sum v ln v in nats over the values above `floor`, an eigensolver's rounding (negatives read as 0)."""
     v = np.asarray(vals, dtype=float)
-    v = np.where(v < 0.0, 0.0, v)
-    v = v[v > EIG_FLOOR]
+    v = v[v > floor]
     return float(-np.sum(v * np.log(v)))
 
 
-def entropies(spectra: np.ndarray) -> np.ndarray:
-    """-sum v ln v in nats along the last axis, each row over its values above the floor (negatives read as 0).
+def entropies(spectra: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
+    """-sum v ln v in nats along the last axis, each row over its values above `floor` (negatives read as 0).
 
     A row sums its dropped values as zeros where entropy_of_spectrum sums
     only the kept ones, so the two may differ in the last bits.
     """
-    v = np.where(spectra > EIG_FLOOR, spectra, 1.0)  # 1 ln 1 = 0 exactly
+    v = np.where(spectra > floor, spectra, 1.0)  # 1 ln 1 = 0 exactly
     return -(v * np.log(v)).sum(axis=-1)
 
 
@@ -230,8 +229,8 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def shannon_entropy(p) -> float:
-    """-sum p ln p in nats for a probability vector."""
-    return entropy_of_spectrum(prob_vector(p))
+    """-sum p ln p in nats for a probability vector: exact populations, so every positive entry counts."""
+    return entropy_of_spectrum(prob_vector(p), 0.0)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:

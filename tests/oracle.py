@@ -6,13 +6,17 @@
   define them.
 * `system_blocks`: a dense (system, memory...) state as the `SystemBlocks` that
   `infotherm.sbs_test` reads.
+* `channel` and `channel_blocks`: a write step's general channel on S, d_S^2 x d_S^2, and a
+  run's (S, M_1) blocks through the channels of its later writes, with no appeal to the
+  complete-record property that `broadcast.BroadcastRun.first_marginal` rests on.
 * `permutation_matrix`: an interaction's unitary as a dense 0/1 matrix.
 * `thermo_report`: the report of one write into a thermal memory, read from the dense joint
   state through the library's definitions.
 
-Every array here is D x D for the joint dimension D, so callers keep D small.
+Every array here is D x D for the joint dimension D, or d_S^4, so callers keep both small.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -102,3 +106,35 @@ def thermo_report(rho_s, tau, u):
         rel_entropy_to_thermal=-s(rho_m_out) - float(pops @ (-tau.beta * energies - tau.log_z)),
         chi=infotherm.holevo_chi(infotherm.conditional_ensemble(rho_out)),
     )
+
+
+def channel(step):
+    """The channel on S of an `interact.WriteStep`, d_S^2 x d_S^2 on row-major vec(rho): the entry
+    (x, x', k) of rho_S (x) diag(p) moves to (y[x, k] mu[x, k], y[x', k] mu[x', k]), and it survives
+    tracing out the memory when mu[x, k] = mu[x', k]."""
+    d = len(step.y)
+    same = step.mu[:, None] == step.mu[None]
+    flat = (step.y[:, None] * d + step.y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
+    phi = np.bincount(flat[same], np.broadcast_to(step.p, same.shape)[same], minlength=d**4)
+    return phi.reshape(d * d, d * d)
+
+
+def channel_blocks(rho_s, mem, mode=broadcast.SEQUENTIAL_LOCAL, kind="swap", variant=0):
+    """The run's (S, M_1) state as (d_S, d_S, d_1^2) blocks over the level pairs a * d_1 + a': every
+    entry of the first write, with the other memory factors of a merged write traced out, then
+    the product Phi_N ... Phi_2 of the later writes' channels."""
+    d, d1 = mem.d_s, mem.dims[0]
+    if mode == broadcast.SEQUENTIAL_LOCAL:
+        steps = [interact.WriteStep(u.interaction, u.probs) for u in mem.units]
+    else:
+        merged_h = thermal.product_hamiltonian([u.hamiltonian for u in mem.units])
+        merged = interact.build(thermal.group_energies(merged_h, d), kind, variant)
+        steps = [interact.WriteStep(merged, reduce(np.kron, [u.probs for u in mem.units]), mem.dims)]
+    first = steps[0]
+    a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
+    same = rest[:, None] == rest[None]
+    flat = ((first.y[:, None] * d + first.y[None]) * d1 * d1 + a[:, None] * d1 + a[None])[same]
+    blocks = np.zeros(d * d * d1 * d1, dtype=complex)
+    np.add.at(blocks, flat, (rho_s.matrix[:, :, None] * first.p)[same])
+    after = reduce(lambda acc, step: channel(step) @ acc, steps[1:], np.eye(d * d))
+    return (after @ blocks.reshape(d * d, -1)).reshape(d, d, -1)

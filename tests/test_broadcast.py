@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import final_state, joints, system_blocks
+from oracle import channel_blocks, final_state, joints, system_blocks
 
 from semibroadcast import broadcast, infotherm, interact, qcore, thermal
 from semibroadcast.config import SweepConfig
@@ -270,6 +270,33 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
         for x, joint in zip(labels, basis_states)
     ]
     np.testing.assert_allclose(run.basis_defects, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("state", MEMORY_STATES)
+@pytest.mark.parametrize("mode", (broadcast.SEQUENTIAL_LOCAL, broadcast.GLOBAL))
+@pytest.mark.parametrize("n_units", (2, 3, 4))
+def test_first_marginal_matches_the_product_of_the_later_channels(n_units, mode, state):
+    # the run pushes only the S diagonal through T_2 ... T_N; the oracle keeps every entry of
+    # the first write and multiplies the general channels Phi_N ... Phi_2
+    rng = np.random.default_rng([n_units, len(mode), len(state)])
+    for _ in range(6):
+        d_s = int(rng.integers(2, 5))
+        kind = str(rng.choice(interact.KINDS))
+        variant = int(rng.integers(d_s - 1)) if kind == "cycled" else 0
+        dims = [d_s * int(rng.integers(1, 3)) for _ in range(n_units)]
+        if mode == broadcast.GLOBAL:
+            dims = [d_s] * n_units  # the merged memory holds d_S^N levels
+        states = [state] + [str(rng.choice(MEMORY_STATES)) for _ in dims[1:]]
+        mem = broadcast.MemoryArray(d_s, [random_unit(rng, d_s, d, s, kind, variant) for d, s in zip(dims, states)])
+        rho = qcore.random_density(d_s, int(rng.integers(2**32)))
+        if mode == broadcast.GLOBAL:
+            run = broadcast.run_global(rho, mem, kind, variant)
+        else:
+            run = broadcast.run_sequential_local(rho, mem)
+        marginal = run.first_marginal
+        got = np.zeros((d_s, d_s, dims[0] ** 2), dtype=complex)
+        got[:, :, marginal.pairs[:, 0] * dims[0] + marginal.pairs[:, 1]] = marginal.blocks
+        np.testing.assert_allclose(got, channel_blocks(rho, mem, mode, kind, variant), rtol=0, atol=1e-12)
 
 
 def test_ensembles_over_4096_memories_are_built_one_unit_at_a_time():

@@ -467,24 +467,73 @@ def test_classify_refuses_the_first_marginal_blocks_before_allocating_them(tmp_p
     assert peak < broadcast.BYTE_BUDGET // 2
 
 
-def test_sequential_classify_refuses_the_blocks_before_sorting_the_first_write(tmp_path, capsys):
-    # the first write fills one 7-qubit unit, so its K >= d_S^2 level pairs need at least
-    # 128^4 complex entries: refused before the d_S^2 * 128 entry keys are sorted
-    cfg = {
+def _wide_sequential(d_s, n, **memory):
+    return {
         "experiment": "sequential",
-        "system": {"d_S": 128, "state": "random"},
-        "memory": {"N": 2, "n": 7, "beta_omega": 1.0},
+        "system": {"d_S": d_s, "state": "random"},
+        "memory": {"N": 2, "n": n, "beta_omega": 1.0, **memory},
     }
+
+
+def test_sequential_classify_at_d_s_128_keeps_only_the_s_diagonal_of_the_blocks(tmp_path):
+    # d_S = 128 over two 7-qubit Gibbs memories: the second write is a complete record, so it
+    # dephases S, and of the first write only the entries (x, x) survive, on the K = 128 diagonal
+    # level pairs: 32 MiB of blocks, where all 128^2 pairs of the first write needed 4 GiB
     tracemalloc.start()
     try:
-        rc, out = run(tmp_path, "classify", config=cfg)
+        rc, out = run(tmp_path, "classify", config=_wide_sequential(128, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert read_json(out)["sbs_first_component"]["off_diagonal_norm"] == 0.0
+    assert peak < 128 * 2**20
+
+
+def test_sequential_classify_refuses_the_blocks_before_sorting_the_first_write(tmp_path, capsys):
+    # d_S = 512 over two 9-qubit ground memories: the first write holds one level and fills
+    # K >= d_S diagonal level pairs, so its blocks need at least 512^3 complex entries, 2 GiB:
+    # refused before the d_S^2 entry keys are sorted, with the table and the system state built
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "classify", config=_wide_sequential(512, 9, state="ground"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 4
-    assert "(S, M_1) blocks needs 4294967296 bytes" in capsys.readouterr().err
+    assert "(S, M_1) blocks needs 2147483648 bytes" in capsys.readouterr().err
     assert not (out / "results.json").exists()
-    assert peak < 16 * 2**20
+    assert peak < 32 * 2**20
+
+
+def test_the_largest_admitted_sequential_classify_peaks_within_three_budgets(tmp_path):
+    # d_S = 256 over two 8-qubit ground memories: the K = 256 diagonal pairs of the first write
+    # need blocks of exactly BYTE_BUDGET, the largest N >= 2 run admitted.  c = 3 covers the blocks,
+    # sbs_test's copy of their S-off-diagonal part and its absolute values (2.5 budgets measured)
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "classify", config=_wide_sequential(256, 8, state="ground"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert read_json(out)["sbs_first_component"]["off_diagonal_norm"] == 0.0
+    assert peak <= 3 * broadcast.BYTE_BUDGET
+
+
+def test_single_instance_hl_bound_on_a_cold_16_qubit_memory(tmp_path):
+    # at beta*omega = 3, 6,885 of the 2^16 Gibbs levels lie below 1e-14 and together carry 3.2e-10
+    # nats: every one counts in S(rho_M') and H(tau), as in D(rho_M' || tau), so the Reeb-Wolf
+    # identity closes far below RW_TOL
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": "random"},
+        "memory": {"N": 1, "n": 16, "beta_omega": 3.0},
+        "interaction": {"kind": "noninvasive"},
+    }
+    rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 0
+    assert read_json(out)["records"][0]["reeb_wolf_residual"] <= 1e-12
 
 
 NO_SCIPY = """

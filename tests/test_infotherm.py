@@ -493,6 +493,29 @@ def test_cold_memory_relative_entropy_matches_a_50_digit_oracle(kind, beta_omega
             assert rep.rel_entropy_to_thermal == pytest.approx(COLD_EXPECTED_D[beta_omega], abs=1e-10)
 
 
+@pytest.mark.parametrize("beta_omega", [1.0, 3.0])
+@pytest.mark.parametrize("n", [12, 16])
+def test_entropy_of_gibbs_populations_matches_a_50_digit_oracle(n, beta_omega):
+    # populations are exact, so no value is floored: at beta*omega = 3 the levels below 1e-14
+    # carry 1.1e-12 nats at n = 12 and 3.2e-10 at n = 16.  tau is n independent qubits,
+    # H(tau) = n h(q) with q the excited population of one
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        q = 1 / (1 + mpmath.exp(mpmath.mpf(beta_omega)))
+        exact = float(-n * (q * mpmath.log(q) + (1 - q) * mpmath.log(1 - q)))
+    tau = thermal.gibbs(thermal.qubit_chain_hamiltonian(n), beta_omega)
+    populations = np.sort(tau.probs)
+    assert qcore.shannon_entropy(populations) == pytest.approx(exact, rel=1e-12)
+    assert qcore.entropies(populations, 0.0) == pytest.approx(exact, rel=1e-12)
+    # writing |0> leaves tau in place: D(rho_M' || tau) = ln-weight H(tau) - level H(tau) = 0
+    u = interact.build(thermal.group_energies(tau.hamiltonian, 2), "noninvasive")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateOutcomeWarning)  # outcome 1 has probability 0
+        rep = infotherm.thermo_report(qcore.basis_state(2, 0), tau, u)
+    assert abs(rep.rel_entropy_to_thermal) <= 1e-12 * exact
+    assert rep.reeb_wolf_residual() <= 1e-12 * exact
+
+
 def test_a_haar_write_into_a_cold_memory_reads_d_from_the_log_weights():
     # the excited levels fall below EIG_FLOOR, yet tau has full support: D is finite and follows
     # the oracle's -S(rho_M') - Tr rho_M' ln tau with ln tau = -beta H - ln Z

@@ -1,10 +1,11 @@
 """Measurement interactions: construction, contracts, transition statistics."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
-from oracle import lifted_permutation, permutation_matrix
+from oracle import channel, lifted_permutation, permutation_matrix
 
 from semibroadcast import config, interact, qcore, thermal
 from semibroadcast.errors import DimensionMismatch, IndexOutOfRange, WrongKind
@@ -573,3 +574,56 @@ def test_a_write_step_reads_only_the_occupied_levels():
     assert step.p.tolist() == [1.0]
     assert np.array_equal(step.mu, u.table[:, :1] % u.d_m)
     assert np.array_equal(step.populations(0, np.array([[0.3, 0.7]]))[0], [0.3, 0.0, 0.7, 0.0])
+
+
+def random_factor(rng, d_s):
+    """A memory factor grouped for d_S: a qubit chain, or an explicit spectrum with degenerate
+    energies; Gibbs, ground, or random populations with empty levels."""
+    if d_s in (2, 4) and rng.random() < 0.5:
+        h = thermal.qubit_chain_hamiltonian(int(rng.integers(d_s // 2, 4)))
+    else:
+        h = thermal.MemoryHamiltonian(np.sort(rng.integers(0, 3, d_s * int(rng.integers(1, 4)))).astype(float))
+    which = rng.integers(3)
+    if which == 0:
+        return h, thermal.gibbs(h, float(rng.uniform(0.1, 3.0))).probs
+    if which == 1:
+        return h, np.eye(h.dim)[0]
+    probs = rng.random(h.dim) * (rng.random(h.dim) < 0.7)
+    probs[0] += 0.1
+    return h, probs / probs.sum()
+
+
+def test_every_write_channel_is_dephasing_then_its_transition_matrix():
+    # a write is a complete record: the general channel on S (the oracle's, from every entry)
+    # equals Delta followed by T, bit for bit, for each kind and variant over one memory, or over
+    # the merged memory of two factors, as a global run writes it
+    rng = np.random.default_rng(13)
+    writes = 0
+    for _ in range(120):
+        d_s = int(rng.integers(2, 7))
+        factors = [random_factor(rng, d_s) for _ in range(int(rng.integers(1, 3)))]
+        h = thermal.product_hamiltonian([f[0] for f in factors])
+        probs = reduce(np.kron, [f[1] for f in factors])
+        dims = tuple(f[0].dim for f in factors)
+        grouping = thermal.group_energies(h, d_s)
+        for kind, variant in [("noninvasive", 0), ("swap", 0)] + [("cycled", i) for i in range(d_s - 1)]:
+            step = interact.WriteStep(interact.build(grouping, kind, variant), probs, dims)
+            want = np.zeros((d_s * d_s, d_s * d_s))
+            diag = np.arange(d_s) * (d_s + 1)  # the flat index of (x, x)
+            want[np.ix_(diag, diag)] = step.t.T
+            assert np.array_equal(channel(step), want)
+            writes += 1
+    assert writes > 500
+
+
+@pytest.mark.parametrize(
+    "sector_map",
+    [lambda x, nu: (x, nu + 0 * x), lambda x, nu: (x, np.where(nu == 0, 0, (x + nu) % 3))],
+    ids=["identity", "one-sector-kept"],
+)
+def test_a_sector_map_that_is_not_a_complete_record_is_refused(sector_map):
+    # each map writes two outcomes of one memory sector into one sector, so tracing out the
+    # memory would keep a coherence of S
+    g, _ = ladder_setup(3)
+    with pytest.raises(WrongKind, match="into one sector"):
+        interact._table(g, sector_map)

@@ -171,6 +171,20 @@ def test_entropies_of_a_stack_follow_entropy_of_spectrum():
         assert value == pytest.approx(qcore.entropy_of_spectrum(row), abs=1e-15)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 8), kernel=st.integers(1, 56), seed=st.integers(0, 2**32 - 1))
+def test_a_floored_spectrum_entropy_ignores_eigensolver_noise(rank, kernel, seed):
+    # rho of known rank in a random basis: eigvalsh puts rounding of either sign on its kernel,
+    # which the floor drops, so the entropy is that of the exact eigenvalues
+    lam = np.random.default_rng(seed).uniform(0.1, 1.0, rank)
+    lam /= lam.sum()
+    v = qcore.random_unitary(rank + kernel, seed).matrix[:, :rank]
+    spectrum = qcore.density_spectra(((v * lam) @ v.conj().T)[None])[0]
+    exact = float(-np.sum(lam * np.log(lam)))
+    assert qcore.entropies(spectrum) == pytest.approx(exact, abs=1e-13)
+    assert qcore.entropy_of_spectrum(spectrum) == pytest.approx(exact, abs=1e-13)
+
+
 def test_prob_vector_validation():
     p = qcore.prob_vector([0.3, 0.7])
     assert p.sum() == pytest.approx(1.0)
