@@ -421,4 +421,5 @@ def sweep_cmax_convergence(n_values, beta_omega_values, d_s: int = 2) -> list[tu
     """
     n_values = sorted(int(n) for n in n_values)
     bw_values = sorted(float(b) for b in beta_omega_values)
-    return [(n, bw, c_max_qubits_analytic(n, bw, d_s)) for bw in bw_values for n in n_values]
+    c = c_max_qubits_analytic(n_values, bw_values, d_s).tolist()
+    return [(n, bw, value) for bw, row in zip(bw_values, c) for n, value in zip(n_values, row)]

@@ -377,7 +377,8 @@ def sbs_test(state: SystemBlocks) -> SBSVerdict:
     probability floor; rho is Hermitian, so it sums rho^x[k] conj(rho^y[k]).
     """
     b, d = state.blocks, len(state.blocks)
-    off = float(np.max(np.abs(b[~np.eye(d, dtype=bool)]), initial=0.0))
+    # one row of blocks at a time, so no copy of every S-off-diagonal entry is made
+    off = float(np.max([np.abs(np.delete(b[x], x, axis=0)).max(initial=0.0) for x in range(d)], initial=0.0))
     p = state.system().matrix.diagonal().real
     conditional = b[np.arange(d), np.arange(d)][p > PROB_FLOOR] / p[p > PROB_FLOOR, None]  # rho^x, one entry per pair
     overlap = float(np.max(np.triu((conditional @ conditional.conj().T).real, 1), initial=0.0))

@@ -103,23 +103,25 @@ class GibbsState:
         return GibbsRows(self.hamiltonian.absolute_energies()[None], np.array([self.beta]), np.array([self.log_z]), self.probs[None])
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a nonempty 1-d float array, bit-identical to scipy's logsumexp.
+def _segment_logsumexp(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """log(sum(exp(segment))) of each nonempty segment of the 1-d float `a` cut by `lengths`.
 
-    It follows scipy's float sequence: the m maximal elements are set aside,
-    the rest summed as exp(a - a_max) (the same pairwise sum over the same
-    array, zeros at the maxima), and the result is log1p(s/m) + log(m) + a_max.
-    A plain max-shift would change the last bits.
+    Each follows scipy's float sequence, so it is bit-identical to scipy's logsumexp of the
+    segment: the m maximal elements are set aside, the rest summed as exp(a - a_max) (zeros at
+    the maxima), and the result is log1p(s/m) + log(m) + a_max; a plain max-shift would change
+    the last bits.  `add.reduceat` starts a segment from its first element, so each is led by an
+    inserted 0.0: the sum is then the segment's own pairwise `.sum()`, which starts from 0.
     """
-    a_max = a.max()
-    top = a == a_max
-    m = np.count_nonzero(top)
-    e = np.exp(a - a_max)
+    starts = np.cumsum(lengths) - lengths
+    a_max = np.maximum.reduceat(a, starts)
+    shift = np.repeat(a_max, lengths)
+    top = a == shift
+    m = np.add.reduceat(top, starts, dtype=np.intp)
+    e = np.exp(a - shift)
     e[top] = 0.0
-    s = e.sum()
-    if s != 0:
-        s = s / m
-    return float(np.log1p(s) + np.log(m) + a_max)
+    s = np.add.reduceat(np.insert(e, starts, 0.0), starts + np.arange(starts.size))
+    # scipy divides only when s != 0; s = 0 stays 0 under s / m either way
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
 class GibbsRows(NamedTuple):
@@ -139,7 +141,7 @@ def gibbs_rows(energies: np.ndarray, beta) -> GibbsRows:
     if bad.size:
         raise DimensionMismatch(f"beta must be finite and >= 0, got {bad[0]}")
     logw = -beta[:, None] * energies
-    log_z = np.array([_logsumexp(row) for row in logw])
+    log_z = _segment_logsumexp(logw.ravel(), np.full(logw.shape[0], logw.shape[1]))
     return GibbsRows(energies, beta, log_z, np.exp(logw - log_z[:, None]))
 
 
@@ -210,10 +212,36 @@ def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:
     return float(tau.probs[grouping.groups[0]].sum())
 
 
+def _ceiling_pass(walks, ns: np.ndarray, bws: np.ndarray) -> np.ndarray:
+    """c_max (len bws, len ns) from the class walks (half row, b, take, C(n, b)) of ns, in one array pass.
+
+    Each n lays out its classes 0..n, b twice when take > 0, as one head and one tail segment.
+    """
+    b, has_take = np.array([w[1] for w in walks]), np.array([w[2] > 0 for w in walks])
+    # each C(n, m) is rounded to float once, then mirrored by C(n, m) = C(n, n - m)
+    log_half = np.log(np.array([c for w in walks for c in w[0]], dtype=float))
+    first = np.cumsum(ns + 1) - (ns + 1)
+    m = np.arange(first[-1] + ns[-1] + 1) - np.repeat(first, ns + 1)
+    log_c = log_half[np.repeat(np.cumsum(ns // 2 + 1) - (ns // 2 + 1), ns + 1) + np.minimum(m, np.repeat(ns, ns + 1) - m)]
+    reps = 1 + np.bincount((first + b)[has_take], minlength=m.size)
+    m, log_c = np.repeat(m, reps), np.repeat(log_c, reps)
+    lengths = np.column_stack([b + has_take, ns + 1 - b]).ravel()
+    tail_at = (np.cumsum(lengths) - lengths)[1::2]
+    log_c[tail_at] = [math.log(w[3] - w[2]) for w in walks]
+    log_c[tail_at[has_take] - 1] = [math.log(w[2]) for w in walks if w[2] > 0]
+    log_z1 = np.logaddexp(0.0, -bws)[:, None]  # ln Z of one qubit; ln Z^n = n of it
+    log_w = log_c - bws[:, None] * m - np.repeat(ns, ns + 1 + has_take) * log_z1
+    lse = _segment_logsumexp(log_w.ravel(), np.tile(lengths, bws.size)).reshape(bws.size, ns.size, 2)
+    head = np.exp(lse[..., 0])
+    # Near saturation the complement sum is far more accurate.
+    return np.where(head <= 0.5, head, 1.0 - np.exp(lse[..., 1]))
+
+
 ANALYTIC_N_MAX = 1029  # beyond it C(n, n // 2) overflows a float
+CLASS_BLOCK = 2**12  # (beta omega, class) log-weights per array pass, which bounds its temporaries
 
 
-def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
+def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     """c_max for an n-qubit chain memory without building the 2^n-level state.
 
     The C(n, m) levels with m excitations each weigh e^{-beta omega m} / Z^n.
@@ -225,44 +253,42 @@ def c_max_qubits_analytic(n: int, beta_omega: float, d_s: int = 2) -> float:
     of a 50-digit oracle for every n <= 409 and d_s <= 8; C(n, m) stays
     finite as a float up to n = ANALYTIC_N_MAX = 1029, the largest n taken.
     d_s must be a power of two dividing 2^n.
+
+    `n` and `beta_omega` are each a number or a 1-d sequence: two numbers give a float, else a
+    (len beta_omega, len n) array, each value bit-identical to its scalar call.  The class walk
+    runs once per n for every beta omega, and the float part is one array pass per block of n
+    values (about CLASS_BLOCK weights, or one n's classes when they alone exceed it).
     """
-    if not 1 <= n <= ANALYTIC_N_MAX:
-        raise DimensionMismatch(f"need 1 <= n <= {ANALYTIC_N_MAX}, got n={n}")
-    if not (math.isfinite(beta_omega) and beta_omega >= 0.0):
-        raise DimensionMismatch(f"beta_omega must be finite and >= 0, got {beta_omega}")
+    ns, bws = np.ravel(n).tolist(), np.ravel(np.asarray(beta_omega, dtype=float))
+    for k in ns:
+        if not 1 <= k <= ANALYTIC_N_MAX:
+            raise DimensionMismatch(f"need 1 <= n <= {ANALYTIC_N_MAX}, got n={k}")
+    bad = bws[~(np.isfinite(bws) & (bws >= 0.0))]
+    if bad.size:
+        raise DimensionMismatch(f"beta_omega must be finite and >= 0, got {bad[0]}")
     if d_s < 2 or (d_s & (d_s - 1)) != 0:
         raise DimensionMismatch(f"d_s must be a power of two >= 2, got {d_s}")
     log_r = d_s.bit_length() - 1
-    if n < log_r:
-        raise DimensionMismatch(f"d_s={d_s} does not divide 2^{n}")
-    r = 2 ** (n - log_r)  # exact int, may be huge
-    log_z_n = n * float(np.logaddexp(0.0, -beta_omega))
-    # walk the classes with C(n, m+1) = C(n, m)(n - m)/(m + 1) in exact integers up to n // 2,
-    # keeping each size and noting the first class b that does not fit whole below r levels
-    half, count, below, b = [], 1, 0, None
-    for m in range(n // 2 + 1):
-        half.append(count)
-        if b is None:
-            if below + count > r:
-                b = m
-            else:
-                below += count
-        count = count * (n - m) // (m + 1)
-    if b is None:  # the classes m <= n // 2 fill r exactly; count is now C(n, b)
-        b = n // 2 + 1
-    else:
-        count = half[b]
-    # each C(n, m) is rounded to float once, then mirrored by C(n, m) = C(n, n - m)
-    log_half = np.log(np.array(half, dtype=float))
-    log_c = np.concatenate([log_half, log_half[n - n // 2 - 1 :: -1]])
-    log_w = log_c - beta_omega * np.arange(n + 1) - log_z_n
-    take = r - below
-    head = log_w[:b]
-    if take > 0:
-        head = np.append(head, math.log(take) - beta_omega * b - log_z_n)
-    head_val = float(np.exp(_logsumexp(head)))
-    if head_val <= 0.5:
-        return head_val
-    # Near saturation the complement sum is far more accurate.
-    rest = math.log(count - take) - beta_omega * b - log_z_n
-    return 1.0 - float(np.exp(_logsumexp(np.append(rest, log_w[b + 1 :]))))
+    if ns and min(ns) < log_r:
+        raise DimensionMismatch(f"d_s={d_s} does not divide 2^{min(ns)}")
+    out, walks, size = np.empty((bws.size, len(ns))), [], 0
+    for i, k in enumerate(ns):
+        r = 2 ** (k - log_r)  # exact int, may be huge
+        # walk the classes with C(n, m+1) = C(n, m)(n - m)/(m + 1) in exact integers up to n // 2,
+        # keeping each size and noting the first class b that does not fit whole below r levels
+        half, count, below, b = [], 1, 0, None
+        for m in range(k // 2 + 1):
+            half.append(count)
+            if b is None:
+                if below + count > r:
+                    b = m
+                else:
+                    below += count
+            count = count * (k - m) // (m + 1)
+        # if the classes m <= n // 2 fill r exactly, b = n // 2 + 1 and count is now C(n, b)
+        walks.append((half, k // 2 + 1, 0, count) if b is None else (half, b, r - below, half[b]))
+        size += (k + 2) * bws.size
+        if size >= CLASS_BLOCK or i == len(ns) - 1:
+            out[:, i + 1 - len(walks) : i + 1] = _ceiling_pass(walks, np.array(ns[i + 1 - len(walks) : i + 1]), bws)
+            walks, size = [], 0
+    return float(out[0, 0]) if np.ndim(n) == 0 and np.ndim(beta_omega) == 0 else out

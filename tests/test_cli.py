@@ -506,10 +506,10 @@ def test_sequential_classify_refuses_the_blocks_before_sorting_the_first_write(t
     assert peak < 32 * 2**20
 
 
-def test_the_largest_admitted_sequential_classify_peaks_within_three_budgets(tmp_path):
+def test_the_largest_admitted_sequential_classify_peaks_within_2_25_budgets(tmp_path):
     # d_S = 256 over two 8-qubit ground memories: the K = 256 diagonal pairs of the first write
-    # need blocks of exactly BYTE_BUDGET, the largest N >= 2 run admitted.  c = 3 covers the blocks,
-    # sbs_test's copy of their S-off-diagonal part and its absolute values (2.5 budgets measured)
+    # need blocks of exactly BYTE_BUDGET, the largest N >= 2 run admitted.  sbs_test reads the
+    # S-off-diagonal part one row of blocks at a time, with no copy of it: 2.02 budgets measured
     tracemalloc.start()
     try:
         rc, out = run(tmp_path, "classify", config=_wide_sequential(256, 8, state="ground"))
@@ -518,7 +518,7 @@ def test_the_largest_admitted_sequential_classify_peaks_within_three_budgets(tmp
         tracemalloc.stop()
     assert rc == 0
     assert read_json(out)["sbs_first_component"]["off_diagonal_norm"] == 0.0
-    assert peak <= 3 * broadcast.BYTE_BUDGET
+    assert peak <= 2.25 * broadcast.BYTE_BUDGET
 
 
 def test_single_instance_hl_bound_on_a_cold_16_qubit_memory(tmp_path):

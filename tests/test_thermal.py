@@ -1,5 +1,6 @@
 """Thermal memories: Hamiltonians, Gibbs states, sector grouping, c_max."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -120,50 +121,84 @@ def test_gibbs_probs_ordering_follows_energies():
 # ---------------------------------------------------------------- log-sum-exp
 
 
-def assert_logsumexp_is_scipys(a):
-    assert thermal._logsumexp(a) == float(scipy.special.logsumexp(a))
+def assert_segments_are_scipys(a, lengths):
+    """Each segment's log-sum-exp from the kernel is scipy's on that segment alone, bit for bit."""
+    a = np.asarray(a, dtype=float)
+    got = thermal._segment_logsumexp(a, np.asarray(lengths))
+    want = [float(scipy.special.logsumexp(seg)) for seg in np.split(a, np.cumsum(lengths)[:-1])]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
-    st.integers(min_value=1, max_value=400),
+    st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=8),
     st.sampled_from([1e-3, 1.0, 30.0, 300.0, 1e4]),
     st.integers(min_value=0, max_value=400),
 )
-def test_logsumexp_is_bit_identical_to_scipy(seed, size, spread, ties):
+def test_logsumexp_is_bit_identical_to_scipy(seed, lengths, spread, ties):
+    # random segments between a length-1 segment at each end, each with its own offset and
+    # forced ties at its maximum
     rng = np.random.default_rng(seed)
-    a = spread * rng.standard_normal(size) + rng.uniform(-50.0, 50.0)
-    a[rng.integers(size, size=min(ties, size))] = a.max()  # forced ties at the maximum
-    assert_logsumexp_is_scipys(a)
+    lengths = [1, *lengths, 1]
+    a = spread * rng.standard_normal(sum(lengths)) + np.repeat(rng.uniform(-50.0, 50.0, len(lengths)), lengths)
+    for seg in np.split(a, np.cumsum(lengths)[:-1]):  # views into a
+        seg[rng.integers(seg.size, size=min(ties, seg.size))] = seg.max()
+    assert_segments_are_scipys(a, lengths)
+
+
+def test_gibbs_rows_take_each_ln_z_as_scipy_takes_its_row():
+    rng = np.random.default_rng(11)
+    energies = np.cumsum(rng.uniform(0.0, 2.0, (64, 12)), axis=1)
+    beta = np.concatenate([[0.0, 745.0], rng.uniform(0.0, 40.0, 62)])
+    log_z = thermal.gibbs_rows(energies, beta).log_z
+    want = [float(scipy.special.logsumexp(-b * e)).hex() for b, e in zip(beta, energies)]
+    assert [v.hex() for v in log_z.tolist()] == want
+
+
+EDGE_CASES = [[0.0], [-3.7], [712.5], [2.5] * 7, [-1e300] * 3, [0.0, -800.0], [5.0, 5.0, -745.0, 4.0]]
 
 
 @pytest.mark.parametrize(
-    "a",
-    [[0.0], [-3.7], [712.5], [2.5] * 7, [-1e300] * 3, [0.0, -800.0], [5.0, 5.0, -745.0, 4.0]],
-    ids=["one-zero", "one-negative", "one-large", "all-equal", "all-equal-tiny", "underflow", "ties"],
+    "a", EDGE_CASES, ids=["one-zero", "one-negative", "one-large", "all-equal", "all-equal-tiny", "underflow", "ties"]
 )
 def test_logsumexp_edge_cases_are_bit_identical_to_scipy(a):
-    # a single element or all elements equal leave s = 0: the result is log(m) + a_max
-    assert_logsumexp_is_scipys(np.array(a))
+    # a single element or all elements equal leave s = 0: the result is log(m) + a_max.  The case
+    # alone, between length-1 segments, and among every other case gives the same bits
+    assert_segments_are_scipys(a, [len(a)])
+    assert_segments_are_scipys([-2.0, *a, 1e3], [1, len(a), 1])
+    assert_segments_are_scipys([*a, *sum(EDGE_CASES, [])], [len(a), *map(len, EDGE_CASES)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.lists(st.integers(min_value=1, max_value=1100), min_size=1, max_size=40),
+)
+def test_zero_led_reduceat_is_each_segments_own_sum(seed, lengths):
+    # the kernel's sum: add.reduceat over segments each led by an inserted 0.0 equals numpy's
+    # pairwise .sum() of each segment; plain reduceat, started from each first element, does not
+    rng = np.random.default_rng(seed)
+    e = np.exp(rng.uniform(-40.0, 0.0, sum(lengths)))
+    starts = np.cumsum(lengths) - lengths
+    got = np.add.reduceat(np.insert(e, starts, 0.0), starts + np.arange(len(lengths)))
+    assert [v.hex() for v in got.tolist()] == [float(seg.sum()).hex() for seg in np.split(e, starts[1:])]
 
 
 def test_logsumexp_matches_scipy_on_every_analytic_cmax_input(monkeypatch):
-    seen, logsumexp = [], thermal._logsumexp
+    seen, kernel = [], thermal._segment_logsumexp
 
-    def recording(a):
-        seen.append(a.copy())
-        return logsumexp(a)
+    def recording(a, lengths):
+        seen.append((a.copy(), lengths.copy()))
+        return kernel(a, lengths)
 
-    monkeypatch.setattr(thermal, "_logsumexp", recording)
-    for bw in (0.0, 1.0, 8.0):
-        for d_s in (2, 4, 8):
-            for n in range(max(1, d_s.bit_length() - 1), 410):
-                thermal.c_max_qubits_analytic(n, bw, d_s)
+    monkeypatch.setattr(thermal, "_segment_logsumexp", recording)
+    for d_s in (2, 4, 8):
+        thermal.c_max_qubits_analytic(range(d_s.bit_length() - 1, thermal.ANALYTIC_N_MAX + 1), [0.0, 1.0, 8.0], d_s)
     monkeypatch.undo()
-    assert len(seen) > 3 * 3 * 407
-    for a in seen:
-        assert_logsumexp_is_scipys(a)
+    assert sum(lengths.size for _, lengths in seen) == 2 * 3 * (1029 + 1028 + 1027)
+    for a, lengths in seen:
+        assert_segments_are_scipys(a, lengths)
 
 
 # ---------------------------------------------------------------- grouping
@@ -380,6 +415,48 @@ def test_analytic_cmax_bits_are_pinned():
     assert got == CMAX_HEX
 
 
+# sha256 over the lines float.hex(c_max_qubits_analytic(n, beta_omega, d_s)) + "\n", in the order
+# d_s, then beta_omega, then n = log2(d_s)..1029 (33,924 values), recorded from scalar calls at
+# commit 3c7ea3c, before the ceiling took arrays
+CMAX_DIGEST_BETA_OMEGA = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0, 300.0)
+CMAX_DIGEST = "5aac55ba9f1df953450999978c32303c2b35a12702114dfdd688a8eafebccbe5"
+
+
+def test_analytic_cmax_digest_is_pinned():
+    h = hashlib.sha256()
+    for d_s in (2, 4, 8):
+        n = range(max(1, d_s.bit_length() - 1), thermal.ANALYTIC_N_MAX + 1)
+        for row in thermal.c_max_qubits_analytic(n, CMAX_DIGEST_BETA_OMEGA, d_s).tolist():
+            h.update("".join(f"{c.hex()}\n" for c in row).encode())
+    assert h.hexdigest() == CMAX_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 4, 8]),
+    st.lists(st.one_of(st.integers(3, 60), st.integers(3, thermal.ANALYTIC_N_MAX)), min_size=1, max_size=24),
+    st.lists(
+        st.one_of(st.sampled_from(CMAX_DIGEST_BETA_OMEGA), st.floats(min_value=0.0, max_value=50.0)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_the_array_ceiling_is_each_scalar_call(d_s, ns, bws):
+    # n in any order and with repeats, so every block and segment boundary falls between
+    # values whose scalar calls are independent: no boundary may leak into a value
+    got = thermal.c_max_qubits_analytic(ns, bws, d_s)
+    assert got.shape == (len(bws), len(ns))
+    want = [[thermal.c_max_qubits_analytic(n, bw, d_s).hex() for n in ns] for bw in bws]
+    assert [[c.hex() for c in row] for row in got.tolist()] == want
+
+
+def test_the_array_ceiling_keeps_its_shape():
+    assert isinstance(thermal.c_max_qubits_analytic(5, 1.0), float)
+    assert thermal.c_max_qubits_analytic([5], 1.0).shape == (1, 1)
+    assert thermal.c_max_qubits_analytic(5, [1.0, 2.0]).shape == (2, 1)
+    assert thermal.c_max_qubits_analytic([], [1.0]).shape == (1, 0)
+
+
 def test_analytic_cmax_frozen_values():
     assert thermal.c_max_qubits_analytic(25, 1.0) == pytest.approx(CMAX_25_1, abs=1e-12)
     assert thermal.c_max_qubits_analytic(101, 0.25) == pytest.approx(CMAX_101_025, abs=1e-12)
@@ -461,3 +538,9 @@ def test_analytic_cmax_input_validation():
         thermal.c_max_qubits_analytic(3, 1.0, d_s=3)
     with pytest.raises(DimensionMismatch):
         thermal.c_max_qubits_analytic(1, 1.0, d_s=4)
+    with pytest.raises(DimensionMismatch, match="n=1030"):  # any value of a sequence is checked
+        thermal.c_max_qubits_analytic([3, 1030], 1.0)
+    with pytest.raises(DimensionMismatch, match="-0.5"):
+        thermal.c_max_qubits_analytic([3], [1.0, -0.5])
+    with pytest.raises(DimensionMismatch):
+        thermal.c_max_qubits_analytic([3, 1], [1.0], d_s=4)
