@@ -291,8 +291,7 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     rho_s = build_system_state(cfg.system)
     s_rho = qcore.von_neumann_entropy(rho_s)
     h_x = qcore.shannon_entropy(rho_s.matrix.diagonal().real)
-    # ascending like a spectrum: the sum runs in von_neumann_entropy's order
-    s_m1 = qcore.shannon_entropy(np.sort(mem.units[0].probs))
+    s_m1 = qcore.shannon_entropy(mem.units[0].probs)
     if s_m1 > 0.0:
         wit = broadcast.nogo_witness(s_rho, s_m1, h_x, d_s)
         witness = {

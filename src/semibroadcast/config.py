@@ -17,7 +17,7 @@ from .broadcast import MemoryArray, MemoryUnit, check_entry_list, check_table, c
 from .errors import ConfigError
 from .interact import KINDS as INTERACTION_KINDS, ControlledInteraction, build
 from .qcore import PROB_SUM_TOL, DensityOperator, basis_state, diag_density, random_density
-from .thermal import MemoryHamiltonian, gibbs, group_energies, qubit_chain_hamiltonian
+from .thermal import ANALYTIC_N_MAX, MemoryHamiltonian, gibbs, group_energies, qubit_chain_hamiltonian
 
 EXPERIMENTS = ("sequential", "global", "reconstruct", "nogo", "cmax_sweep")
 MEMORY_STATES = ("gibbs", "ground")
@@ -202,8 +202,8 @@ def _parse_sweep(section: dict) -> SweepConfig:
     n_min = _as_int(section.get("n_min", defaults.n_min), "sweep.n_min", minimum=1)
     n_max = _as_int(section.get("n_max", defaults.n_max), "sweep.n_max", minimum=n_min)
     n_step = _as_int(section.get("n_step", defaults.n_step), "sweep.n_step", minimum=1)
-    if n_max > 410:
-        raise ConfigError(f"sweep.n_max={n_max} beyond the stable range (410)")
+    if n_max > ANALYTIC_N_MAX:
+        raise ConfigError(f"sweep.n_max={n_max} beyond the stable range ({ANALYTIC_N_MAX})")
     return SweepConfig(beta_omega, n_min, n_max, n_step)
 
 

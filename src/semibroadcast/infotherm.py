@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateOutcomeWarning, DimensionMismatch
 from .interact import ControlledInteraction, WriteStep
 from .qcore import (
-    EIG_FLOOR,
     DensityOperator,
     check_unitary,
     density_spectra,
@@ -153,12 +152,11 @@ def accessible_info_bracket(probs, rows) -> tuple[float, float]:
     diagonal and each write permutes its basis.  Commuting members make the
     computational basis attain chi (Holevo 1973), so the bracket closes:
     the lower bound is that measurement's mutual information (zero cells
-    dropped), the upper chi.  Each entropy sums the sorted populations, as
-    von_neumann_entropy a spectrum.
+    dropped), the upper chi.
     """
     joint = np.asarray(probs)[:, None] * rows
     outcomes = joint.sum(axis=0)
-    chi = shannon_entropy(np.sort(outcomes)) - float(sum(p * shannon_entropy(np.sort(q)) for p, q in zip(probs, rows)))
+    chi = shannon_entropy(outcomes) - float(sum(p * h for p, h in zip(probs, entropies(rows, 0.0))))
     cells = joint > 0.0
     mutual_info = float((joint[cells] * np.log(joint[cells] / (joint.sum(axis=1)[:, None] * outcomes)[cells])).sum())
     return min(mutual_info, chi), chi
@@ -200,9 +198,10 @@ def _drop(p_out: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _write_step(rho: np.ndarray, spectra: np.ndarray, step: WriteStep, h_tau: np.ndarray):
+def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.ndarray):
     """(rho_S', the populations of rho_M', S(rho_M'), chi) after the writes `step` of the stack
-    rho_S (n, d_S, d_S), with its spectra, into their memories, where h_tau = H(tau) per row.
+    rho_S (n, d_S, d_S), of entropy s_s = S(rho_S) per row, into their memories, where
+    h_tau = H(tau) per row.
 
     rho_S' sums the entries rho_xx' p_k whose memory images agree, member y and rho_M' those
     whose system images agree.  A write that keeps the system label (y = x) makes member x
@@ -210,8 +209,9 @@ def _write_step(rho: np.ndarray, spectra: np.ndarray, step: WriteStep, h_tau: np
     entropy is H(tau), and rho_S' = Delta(rho_S) sum_k p_k: the write is a complete record.
     A write that replaces it (swap: y[:, k] is one outcome nu_k, mu[:, k] the slot of m_k in
     every sector) puts p_k rho_S on the levels mu[:, k]: rho_S' = diag(P_nu), member nu is the
-    direct sum of p_k rho_S over nu_k = nu, and rho_M' that of w_s rho_S over the slots s, so
-    each spectrum is a product of exact weights with rho_S's, of which only rho_S's is floored.
+    direct sum of p_k / P_nu rho_S over nu_k = nu, and rho_M' that of w_s rho_S over the slots s.
+    The entropy of a direct sum of w_k rho_S with sum_k w_k = 1 is H(w) + S(rho_S), so only
+    exact weights enter an entropy besides s_s.
     Outcomes at the probability floor are dropped from chi with a DegenerateOutcomeWarning.
     Every product runs one row at a time, so no row's numbers depend on the others.
     """
@@ -220,34 +220,31 @@ def _write_step(rho: np.ndarray, spectra: np.ndarray, step: WriteStep, h_tau: np
     pops = step.populations(0, rho.diagonal(axis1=1, axis2=2).real)
     if (y == np.arange(d_s)[:, None]).all():
         rho_s_out = rho * (np.eye(d_s) * p.sum(axis=-1)[:, None, None])
-        s_m_out = entropies(np.sort(pops, axis=-1), 0.0)
+        s_m_out = entropies(pops, 0.0)
         p_out = rho_s_out.diagonal(axis1=1, axis2=2).real
         member_s = np.broadcast_to(h_tau[:, None], p_out.shape)
     else:
-        spectra = np.where(spectra > EIG_FLOOR, spectra, 0.0)[:, None, :]  # the weights are exact
-
-        def entropy(weights):  # of the direct sum of weights[i, k] rho_S[i], per row i
-            return entropies(np.sort((weights[:, :, None] * spectra).reshape(n, -1), axis=-1), 0.0)
-
         member = y[0] == np.arange(d_s)[:, None]  # member[nu, k]: nu_k = nu
         p_out = (member.astype(float) @ p[:, :, None])[..., 0]  # a matrix product: a sequential bincount drifts off Tr = 1 over 2^20 levels
         rho_s_out = p_out[:, :, None] * np.eye(d_s)
         slots = np.arange(n)[:, None] * step.dims[0] + mu[0]  # slot s of sector 0 labels the slot
-        s_m_out = entropy(np.bincount(slots.ravel(), p.ravel(), minlength=n * step.dims[0]).reshape(n, -1))
+        w = np.bincount(slots.ravel(), p.ravel(), minlength=n * step.dims[0]).reshape(n, -1)
+        s_m_out = entropies(w, 0.0) + s_s
         q = p / p_out[:, y[0]]  # each member's own weights; P_nu >= p_k > 0 for nu = nu_k
-        member_s = np.stack([entropy(q[:, row]) for row in member], axis=1)
+        member_s = np.stack([entropies(q[:, row], 0.0) for row in member], axis=1) + s_s[:, None]
     kept = _drop(p_out)
     chi = s_m_out - np.where(kept, p_out * member_s, 0.0).sum(axis=1)
     return rho_s_out, pops, s_m_out, chi
 
 
 def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
-    """(rho_S', the populations of rho_M', S(rho_M'), S(rho_out), chi) after U (rho_S (x) tau) U^dagger
+    """(rho_S', the populations of rho_M', S(rho_M'), chi) after U (rho_S (x) tau) U^dagger
     for each row of the stacks rho_S (n, d_S, d_S), tau's populations (n, d_M) and U (n, D, D).
 
-    The joint state, its marginals, the conditional members <x|rho_out|x> / p_x and their
-    average are dense and checked as DensityOperator checks one state; outcomes at the
-    probability floor are dropped from chi with a DegenerateOutcomeWarning.
+    The joint state is dense and not checked: U is, and the checks of rho_S', rho_M' and the
+    conditional members <x|rho_out|x> / p_x stand in for it.  chi = S(rho_M') - sum_x p_x S(rho^x),
+    as for a write step; outcomes at the probability floor are dropped from it with a
+    DegenerateOutcomeWarning.
     """
     n, d_s = rho.shape[:2]
     d_m = probs.shape[-1]
@@ -255,42 +252,39 @@ def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
     tau[:, np.arange(d_m), np.arange(d_m)] = probs
     joint = (rho[:, :, None, :, None] * tau[:, None, :, None, :]).reshape(n, d_s * d_m, d_s * d_m)
     out = u @ joint @ u.conj().swapaxes(-1, -2)
-    del tau, joint  # before the check's temporaries
-    s_out = entropies(density_spectra(out))
+    del tau, joint
     blocks = out.reshape(n, d_s, d_m, d_s, d_m)
     rho_s_out = np.trace(blocks, axis1=2, axis2=4)
     rho_m_out = np.trace(blocks, axis1=1, axis2=3)
     members = np.moveaxis(blocks.diagonal(axis1=1, axis2=3), -1, 1)  # <x|rho_out|x>: (n, d_S, d_M, d_M)
     p = np.trace(members, axis1=2, axis2=3).real
     kept = _drop(p)
-    states = members / np.where(kept, p, 1.0)[..., None, None]
     member_s = np.zeros(p.shape)
-    member_s[kept] = entropies(density_spectra(states[kept]))
-    weights = np.where(kept, p, 0.0)
-    average = (weights[..., None, None] * states).sum(axis=1)
-    chi = entropies(density_spectra(average)) - (weights * member_s).sum(axis=1)
+    member_s[kept] = entropies(density_spectra(members[kept] / p[kept][:, None, None]))
+    s_m_out = entropies(density_spectra(rho_m_out))
+    chi = s_m_out - np.where(kept, p * member_s, 0.0).sum(axis=1)
     pops = rho_m_out.diagonal(axis1=1, axis2=2).real
-    return rho_s_out, pops, entropies(density_spectra(rho_m_out)), s_out, chi
+    return rho_s_out, pops, s_m_out, chi
 
 
 def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
     n, d_s = rho.shape[:2]
     d_m = tau.probs.shape[-1]
     s_s_in = entropies(spectra)
-    h_tau = entropies(np.sort(tau.probs, axis=-1), 0.0)  # S(tau): its spectrum is the sorted populations
+    h_tau = entropies(tau.probs, 0.0)  # S(tau): its spectrum is the populations
     if isinstance(u, ControlledInteraction):
         if d_s != u.d_s or d_m != u.d_m:
             raise DimensionMismatch(f"interaction is {u.d_s} x {u.d_m}, states are {d_s} x {d_m}")
         occupied = tau.probs > 0
         if (occupied != occupied[0]).any():  # a write step reads the levels its rows share
             return _by_occupied_levels(rho, spectra, tau, u, occupied)
-        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho, spectra, WriteStep(u, tau.probs), h_tau)
-        s_out = s_s_in + h_tau
+        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho, s_s_in, WriteStep(u, tau.probs), h_tau)
     else:
         if u.shape[-1] != d_s * d_m:
             raise DimensionMismatch(f"unitary dim {u.shape[-1]} != state dim {d_s * d_m}")
         check_unitary(u)
-        rho_s_out, pops_m_out, s_m_out, s_out, chi = _conjugated(rho, tau.probs, u)
+        rho_s_out, pops_m_out, s_m_out, chi = _conjugated(rho, tau.probs, u)
+    s_out = s_s_in + h_tau  # a unitary keeps the spectrum of rho_S (x) tau
     s_s_out = entropies(density_spectra(rho_s_out))
     log_tau = -tau.beta[:, None] * tau.energies - tau.log_z[:, None]
 
@@ -336,12 +330,13 @@ def thermo_report(rho_s, tau, u) -> ThermoReport:
     fields are floats.  No row's numbers depend on the other rows.
 
     A ControlledInteraction is a basis permutation: `_write_step` reads rho_S',
-    rho_M' and the members through its `interact.WriteStep` into tau, and
-    S(rho_out) = S(rho_S) + H(tau) because the write keeps the joint spectrum.
-    No joint-size state is built.  Any other unitary is applied by conjugation
-    of the dense joint states (`_conjugated`).  Either way
+    rho_M' and the members through its `interact.WriteStep` into tau, and no
+    joint-size state is built.  Any other unitary is applied by conjugation of
+    the dense joint states (`_conjugated`).  Either way every write keeps the
+    spectrum of rho_S (x) tau, so S(rho_out) = S(rho_S) + H(tau) with no joint
+    spectrum; chi = S(rho_M') - sum_x p_x S(rho^x);
     D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
-    ln tau_m = -beta E_m - ln Z, finite at every temperature, and
+    ln tau_m = -beta E_m - ln Z, finite at every temperature; and
     I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
     """
     if isinstance(rho_s, DensityOperator):

@@ -206,31 +206,25 @@ def evolve(rho: DensityOperator, u) -> DensityOperator:
     return DensityOperator(um @ rho.matrix @ um.conj().T, rho.dims)
 
 
-def entropy_of_spectrum(vals, floor: float = EIG_FLOOR) -> float:
-    """-sum v ln v in nats over the values above `floor`, an eigensolver's rounding (negatives read as 0)."""
-    v = np.asarray(vals, dtype=float)
-    v = v[v > floor]
-    return float(-np.sum(v * np.log(v)))
-
-
 def entropies(spectra: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     """-sum v ln v in nats along the last axis, each row over its values above `floor` (negatives read as 0).
 
-    A row sums its dropped values as zeros where entropy_of_spectrum sums
-    only the kept ones, so the two may differ in the last bits.
+    Each row is sorted ascending in a C-ordered copy and summed alone, so a row's value does not
+    depend on the order or memory layout of its values, or on the rest of its stack.
     """
-    v = np.where(spectra > floor, spectra, 1.0)  # 1 ln 1 = 0 exactly
+    v = np.sort(np.ascontiguousarray(spectra), axis=-1)
+    v = np.where(v > floor, v, 1.0)  # 1 ln 1 = 0 exactly
     return -(v * np.log(v)).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-Tr rho ln rho in nats; eigenvalues below the floor contribute zero."""
-    return entropy_of_spectrum(rho.spectrum())
+    return float(entropies(rho.spectrum()))
 
 
 def shannon_entropy(p) -> float:
     """-sum p ln p in nats for a probability vector: exact populations, so every positive entry counts."""
-    return entropy_of_spectrum(prob_vector(p), 0.0)
+    return float(entropies(prob_vector(p), 0.0))
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:

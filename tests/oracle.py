@@ -12,6 +12,8 @@
 * `permutation_matrix`: an interaction's unitary as a dense 0/1 matrix.
 * `thermo_report`: the report of one write into a thermal memory, read from the dense joint
   state through the library's definitions.
+* `swap_report`: the report of one swap write, every entropy summed over the product
+  spectrum of its state, exact weights times rho_S's floored eigenvalues.
 
 Every array here is D x D for the joint dimension D, or d_S^4, so callers keep both small.
 """
@@ -105,6 +107,50 @@ def thermo_report(rho_s, tau, u):
         mutual_info=qcore.mutual_information(rho_out, (0,)),
         rel_entropy_to_thermal=-s(rho_m_out) - float(pops @ (-tau.beta * energies - tau.log_z)),
         chi=infotherm.holevo_chi(infotherm.conditional_ensemble(rho_out)),
+    )
+
+
+def swap_report(rho_s, tau, u):
+    """The report of one swap write `u` of rho_S into the Gibbs memory tau from product spectra.
+
+    The swap puts p_k rho_S on the memory levels mu[:, k] and the system on the outcome nu_k:
+    rho_S' = diag(P_nu), member nu is the direct sum of p_k / P_nu rho_S over nu_k = nu, rho_M'
+    that of w_s rho_S over the slots s, and rho_out has the spectrum of rho_S (x) tau.  Each
+    entropy sums the sorted products of those weights with rho_S's spectrum, floored at
+    EIG_FLOOR; the products themselves are exact.  The system label moves, so the write is
+    checked to be a swap."""
+    step = interact.WriteStep(u, tau.probs)
+    d_s = len(step.y)
+    nu, p = step.y[0], step.p
+    assert (step.y == nu).all(), "not a swap: the system label stays"
+    lam = rho_s.spectrum()
+    lam = np.where(lam > qcore.EIG_FLOOR, lam, 0.0)
+
+    def s(weights):  # of the direct sum of weights[k] rho_S
+        return float(qcore.entropies(np.sort(np.outer(weights, lam).ravel()), 0.0))
+
+    p_out = np.array([p[nu == x].sum() for x in range(d_s)])
+    s_m_out = s(np.bincount(step.mu[0], p, minlength=step.dims[0]))
+    kept = p_out > infotherm.PROB_FLOOR
+    chi = s_m_out - sum(p_out[x] * s(p[nu == x] / p_out[x]) for x in range(d_s) if kept[x])
+    pops = np.bincount(step.mu.ravel(), (rho_s.matrix.diagonal().real[:, None] * p).ravel(), minlength=u.d_m)
+    s_s_in, h_tau = qcore.von_neumann_entropy(rho_s), qcore.shannon_entropy(tau.probs)
+    s_s_out = qcore.von_neumann_entropy(qcore.diag_density(p_out))
+    energies = tau.hamiltonian.absolute_energies()
+    delta_e_m = float(pops @ energies) - tau.mean_energy()
+    delta_s_system = s_s_out - s_s_in
+    delta_s_m = s_m_out - h_tau
+    delta_q = tau.beta * delta_e_m
+    return ThermoReport(
+        sigma_prod=delta_q + delta_s_system,
+        delta_q=delta_q,
+        delta_s_system=delta_s_system,
+        delta_e_m=delta_e_m,
+        delta_s_m=delta_s_m,
+        beta_delta_f=delta_q - delta_s_m,
+        mutual_info=s_s_out + s_m_out - s(tau.probs),
+        rel_entropy_to_thermal=-s_m_out - float(pops @ (-tau.beta * energies - tau.log_z)),
+        chi=chi,
     )
 
 

@@ -159,7 +159,7 @@ def test_sweep_section_validation():
         {"beta_omega": 1.0},
         {"n_min": 0},
         {"n_min": 9, "n_max": 5},
-        {"n_max": 1000},
+        {"n_max": 1030},
         {"n_step": 0},
         {"betas": [1.0]},
     ]

@@ -288,6 +288,14 @@ ORACLE_MEMORIES = {
 }
 
 
+def joint_entropy(rep, rho_s, tau):
+    """S(rho_out) as a report holds it: S(rho_S') + S(rho_M') - I(S:M'), each marginal entropy
+    its change plus the input entropy the report started from."""
+    s_s_out = rep.delta_s_system + qcore.von_neumann_entropy(rho_s)
+    s_m_out = rep.delta_s_m + qcore.shannon_entropy(tau.probs)
+    return s_s_out + s_m_out - rep.mutual_info
+
+
 @pytest.mark.parametrize("kind", ["noninvasive", "cycled", "swap", "haar"])
 @pytest.mark.parametrize("memory", sorted(ORACLE_MEMORIES))
 def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memory):
@@ -322,7 +330,10 @@ def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memo
     delta_e = np.trace(rho_m_out.matrix @ hm).real - np.trace(tau.state.matrix @ hm).real
     assert rep.delta_e_m == pytest.approx(delta_e, abs=1e-12)
     assert rep.reeb_wolf_residual() <= 1e-12
-    assert_reports_agree(infotherm.thermo_report(rho_s, tau, u), rep)
+    got = infotherm.thermo_report(rho_s, tau, u)
+    assert_reports_agree(got, rep)
+    # every write keeps the spectrum of rho_S (x) tau: S(rho_out) = S(rho_S) + H(tau), with no joint eigensolve
+    assert joint_entropy(got, rho_s, tau) == pytest.approx(s(rho_out), abs=1e-12)
     if kind != "haar":
         # the write step reads the same report from the table
         assert_reports_agree(infotherm.thermo_report(rho_s, tau, write), rep)
@@ -358,8 +369,48 @@ def test_write_step_matches_the_dense_branch(kind, d_s, chain, r, beta, coherent
         rho_s = qcore.diag_density(rng.dirichlet(np.ones(d_s)))
     u = interact.build(thermal.group_energies(h, d_s), kind, int(rng.integers(0, d_s - 1)))
     dense = oracle.thermo_report(rho_s, tau, u)
-    assert_reports_agree(infotherm.thermo_report(rho_s, tau, u), dense)
+    rep = infotherm.thermo_report(rho_s, tau, u)
+    assert_reports_agree(rep, dense)
     assert_reports_agree(infotherm.thermo_report(rho_s, tau, permutation_matrix(u)), dense)
+    if kind == "swap":  # each swap entropy is read as H(weights) + S(rho_S): the product spectra it stands for
+        assert_reports_agree(rep, oracle.swap_report(rho_s, tau, u), tol=1e-14)
+
+
+def test_a_haar_write_into_a_cold_memory_keeps_a_50_digit_joint_entropy():
+    # at beta*omega = 30 the joint eigenvalues of the excited levels sit near or under the
+    # eigenvalue floor, and the dense joint's floored eigensolve is off by 2e-13; S(rho_S) + H(tau)
+    # reads exact populations and a 2 x 2 spectrum
+    mpmath = pytest.importorskip("mpmath")
+    h = thermal.qubit_chain_hamiltonian(2)
+    tau = thermal.gibbs(h, 30.0)
+    rho_s = qcore.random_density(2, seed=8)
+    rep = infotherm.thermo_report(rho_s, tau, qcore.random_unitary(8, seed=9))
+    with mpmath.workdps(50):
+        (a, b), (_, d) = (map(mpmath.mpf, row.real) for row in rho_s.matrix)
+        off = abs(mpmath.mpc(complex(rho_s.matrix[0, 1])))
+        gap = mpmath.sqrt((a - d) ** 2 + 4 * off**2)
+        weights = [mpmath.exp(-30 * int(e)) for e in h.energies]
+        values = [(1 + gap) / 2, (1 - gap) / 2] + [w / mpmath.fsum(weights) for w in weights]
+        exact = float(-mpmath.fsum(v * mpmath.log(v) for v in values))
+    assert joint_entropy(rep, rho_s, tau) == pytest.approx(exact, abs=1e-14)
+
+
+def test_a_haar_stack_solves_no_joint_spectrum(monkeypatch):
+    # d_S * d_M = 6: no marginal or member is 6 x 6, so an eigensolve of that size is the joint's
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(m):
+        shapes.append(np.shape(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    h = thermal.MemoryHamiltonian([0.0, 0.5, 1.3])
+    rows = stacked_rows([thermal.gibbs(h, beta) for beta in (0.3, 1.0, 2.0)])
+    rho = qcore.random_states(2, [1, 2, 3])
+    rep = infotherm.thermo_report(rho, rows, qcore.haar_unitaries(6, [4, 5, 6]))
+    assert (rep.reeb_wolf_residual() <= 1e-12).all()
+    assert shapes and all(shape[-1] != 6 for shape in shapes)
 
 
 @pytest.mark.parametrize("kind", interact.KINDS)
@@ -450,6 +501,28 @@ def test_rows_whose_memories_occupy_other_levels_are_written_apart(kind):
         for i, (rho, tau) in enumerate(zip(rhos, taus)):
             for name, value in vars(infotherm.thermo_report(rho, tau, u)).items():
                 assert getattr(rep, name)[i] == value, (i, name)
+
+
+@pytest.mark.parametrize("kind", interact.KINDS)
+def test_a_stack_that_underflows_levels_reports_each_row_as_written_alone(kind):
+    # a band of 14 levels 1e-5 apart under two levels at 1 and 1.5: at beta*omega = 800 the two
+    # underflow to 0, so the cold rows occupy 14 of the 16 levels and the warm rows all of them.
+    # Each set of rows is written as its own stack.  Reading every row over the warm rows' levels
+    # would put exact zeros among the cold rows' populations, which moves numpy's pairwise sums:
+    # a cold row's bits would then depend on its stack-mates
+    h = thermal.MemoryHamiltonian(np.r_[1e-5 * np.arange(14), 1.0, 1.5])
+    u = interact.build(thermal.group_energies(h, 2), kind)
+    betas = [1.0, 800.0, 800.0, 1.0, 800.0]
+    rows = stacked_rows([thermal.gibbs(h, beta) for beta in betas])
+    assert [int(np.count_nonzero(p)) for p in rows.probs] == [16, 14, 14, 16, 14]
+    rho = qcore.random_states(2, range(len(betas)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+        rep = infotherm.thermo_report(rho, rows, u)
+        for i in range(len(betas)):
+            alone = infotherm.thermo_report(rho[i : i + 1], thermal.GibbsRows(*(a[i : i + 1] for a in rows)), u)
+            for name, value in vars(alone).items():
+                assert getattr(rep, name)[i] == value[0], (i, name)
 
 
 def test_a_write_refuses_states_of_other_sizes():

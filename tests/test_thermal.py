@@ -463,26 +463,26 @@ def test_analytic_cmax_frozen_values():
     assert thermal.c_max_qubits_analytic(11, 0.1) == pytest.approx(CMAX_11_01, abs=1e-12)
 
 
-def mp_cmax_by_n(mpmath, beta_omega, d_s, n_max):
-    """50-digit c_max of the n-qubit chain for every n up to n_max.
+def mp_cmax_by_n(mpmath, beta_omega, d_s, n_max, ns=None):
+    """60-digit c_max of the n-qubit chain for every n up to n_max, or for the n in `ns`.
 
     The level weights x^m, x = e^{-beta omega}, are held as integers
     floor(x^m 2^bits), so the weight of the 2^n / d_s coldest levels (exact
     class sizes from Pascal's rule) is an integer sum off by at most 2^(n+1)
     units.  Dividing by 2^bits (1 + x)^n adds at most 2^(n + 1 - bits) to the
-    50-digit rounding.
+    60-digit rounding, and bits = n_max + 256 makes that 2^-255.
     """
-    bits = 1024
+    bits = n_max + 256
     with mpmath.workprec(bits + 64):
         x = mpmath.exp(-mpmath.mpf(beta_omega))
         scaled = [int(mpmath.floor(x**m * 2**bits)) for m in range(n_max + 1)]
     out = {}
     row = [1]
-    with mpmath.workdps(50):
+    with mpmath.workdps(60):
         z = 1 + mpmath.exp(-mpmath.mpf(beta_omega))
         for n in range(1, n_max + 1):
             row = [a + b for a, b in zip(row + [0], [0] + row)]
-            if 2**n % d_s:
+            if 2**n % d_s or (ns is not None and n not in ns):
                 continue
             left, head = 2**n // d_s, 0
             for count, weight in zip(row, scaled):
@@ -502,6 +502,21 @@ def test_analytic_cmax_matches_a_50_digit_oracle():
         for d_s in (2, 4, 8):
             for n, exact in mp_cmax_by_n(mpmath, bw, d_s, 409).items():
                 err = abs(float(thermal.c_max_qubits_analytic(n, bw, d_s) - exact))
+                if err > 5e-14:
+                    bad.append((n, bw, d_s, err))
+    assert not bad
+
+
+def test_analytic_cmax_beyond_409_matches_a_60_digit_oracle():
+    # up to the cap a sweep config accepts, ANALYTIC_N_MAX; the worst error is 4.3e-14, at beta*omega = 0 and n = 1029
+    mpmath = pytest.importorskip("mpmath")
+    ns = (411, 500, 617, 800, 999, thermal.ANALYTIC_N_MAX)
+    bad = []
+    for bw in (0.0, 0.05, 0.25, 1.0, 4.0):
+        for d_s in (2, 4, 8):
+            got = thermal.c_max_qubits_analytic(ns, bw, d_s)
+            for n, exact in mp_cmax_by_n(mpmath, bw, d_s, max(ns), ns).items():
+                err = abs(float(got[0, ns.index(n)] - exact))
                 if err > 5e-14:
                     bad.append((n, bw, d_s, err))
     assert not bad
