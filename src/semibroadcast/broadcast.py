@@ -13,14 +13,12 @@ statistics-reconstruction map, and ideal broadcast states.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import (
-    DegenerateOutcomeWarning,
     DimensionBudgetExceeded,
     DimensionMismatch,
     InvalidBlocks,
@@ -28,7 +26,7 @@ from .errors import (
     NonPositiveMemoryEntropy,
     NotInvertible,
 )
-from .infotherm import PROB_FLOOR, SystemBlocks
+from .infotherm import SystemBlocks
 from .interact import ControlledInteraction, WriteStep, build
 from .qcore import DensityOperator, mutual_information, partial_trace, prob_vector
 from .thermal import (
@@ -170,10 +168,11 @@ class BroadcastRun:
     behind, or one into the merged memory for a global run; unit i is the
     i-th memory factor of the chain.  Pointer statistics need only the
     system diagonal entering each step.  The same run from every basis input
-    (`ensembles` and `basis_defects`) chains one row per input, read out one
-    unit at a time.  The (S, M_1) marginal is d_S x d_S blocks over the M_1
-    level pairs the first write occupies; the later steps dephase S and move
-    its diagonal by their transition matrices.  No d_M x d_M matrix is built.
+    (`ensembles` and `basis_defects`) chains one row per input, 0-probability
+    inputs too (no row is divided by its p_x), read out one unit at a time.
+    The (S, M_1) marginal is d_S x d_S blocks over the M_1 level pairs the
+    first write occupies; the later steps dephase S and move its diagonal by
+    their transition matrices.  No d_M x d_M matrix is built.
     """
 
     def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, steps):
@@ -184,14 +183,9 @@ class BroadcastRun:
         self.dims = (d_s,) + mem.dims
         self.p_initial = rho_s.matrix.diagonal().real.copy()
         self._rho_s, self._mem, self._steps = rho_s, mem, steps
-        self.labels = [x for x in range(d_s) if self.p_initial[x] > PROB_FLOOR]
-        self._basis = np.eye(d_s)[self.labels]  # row j: the basis input |labels[j]>
         chain = list(self._chain(self.p_initial[None]))
         self.system_diag_history = tuple(r[0] for r in chain[1:])
         self.q = tuple(u.grouping.readout(np.arange(u.dim), step.populations(f, r))[0] for u, step, f, r in self._writes(chain))
-        dropped = [x for x in range(d_s) if x not in self.labels]
-        if dropped:
-            warnings.warn(f"outcomes {dropped} have probability at the floor; dropped", DegenerateOutcomeWarning)
 
     def _chain(self, rows: np.ndarray):
         """The system diagonals `rows` entering each step, then leaving the last."""
@@ -211,10 +205,11 @@ class BroadcastRun:
 
     @cached_property
     def basis_defects(self) -> np.ndarray:
-        """Entry j: the worst deviation of any unit's pointer statistics from input |labels[j]>."""
-        worst = np.zeros(len(self.labels))
+        """Entry x: the worst deviation of any unit's pointer statistics from input |x>."""
+        basis = np.eye(self.dims[0])
+        worst = np.zeros(len(basis))
         for u, rows in zip(self._mem.units, self.ensembles()):
-            worst = np.maximum(worst, np.abs(self._basis - u.grouping.readout(np.arange(u.dim), rows)).max(axis=1))
+            worst = np.maximum(worst, np.abs(basis - u.grouping.readout(np.arange(u.dim), rows)).max(axis=1))
         return worst
 
     @cached_property
@@ -248,9 +243,9 @@ class BroadcastRun:
         return SystemBlocks(pairs, blocks)
 
     def ensembles(self):
-        """Per unit in turn, its input-labelled ensemble: row j holds the (diagonal) memory
-        state written from |labels[j]>, the member of probability p_initial[labels[j]]."""
-        for _, step, f, rows in self._writes(self._chain(self._basis)):
+        """Per unit in turn, its input-labelled ensemble: row x holds the (diagonal) memory
+        state written from |x>, the member of probability p_initial[x], which may be 0."""
+        for _, step, f, rows in self._writes(self._chain(np.eye(self.dims[0]))):
             yield step.populations(f, rows)
 
 

@@ -87,6 +87,14 @@ def cmd_cmax_sweep(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     n_values = range(sw.n_min, sw.n_max + 1, sw.n_step)
     rows = broadcast.sweep_cmax_convergence(n_values, sw.beta_omega)
     _write_csv(out_dir, ["n", "beta_omega", "c_max"], [list(r) for r in rows])
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "cmax-sweep",
+        "beta_omega": list(sw.beta_omega),
+        "n_range": [sw.n_min, sw.n_max, sw.n_step],
+        "rows": [{"n": n, "beta_omega": bw, "c_max": c} for n, bw, c in rows],
+    }
+    _write_json(out_dir, payload)
     by_bw: dict[float, list] = {}
     for n, bw, c in rows:
         by_bw.setdefault(bw, []).append((n, c))
@@ -96,14 +104,6 @@ def cmd_cmax_sweep(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
             raise InvariantViolation(f"c_max not monotone for beta_omega={bw}")
         if any(c > 1.0 + 1e-12 for c in values):
             raise InvariantViolation(f"c_max exceeds 1 for beta_omega={bw}")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cmax-sweep",
-        "beta_omega": list(sw.beta_omega),
-        "n_range": [sw.n_min, sw.n_max, sw.n_step],
-        "rows": [{"n": n, "beta_omega": bw, "c_max": c} for n, bw, c in rows],
-    }
-    _write_json(out_dir, payload)
     for bw in sorted(by_bw):
         series = by_bw[bw]
         print(
@@ -115,7 +115,8 @@ def cmd_cmax_sweep(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
 
 def _hl_rows(rho: np.ndarray, tau: thermal.GibbsRows, kind: str, u, bits: bool, indices) -> list[dict]:
     """The hl-bound records of the writes of the stack rho_S into the Gibbs memories tau, one
-    thermo_report for the whole stack; record i carries indices[i]."""
+    thermo_report for the whole stack; record i carries indices[i].  `bits` converts the
+    entropic fields; reeb_wolf_residual stays in nats, the unit of RW_TOL."""
     report = infotherm.thermo_report(rho, tau, u)
     entropic = {
         "entropy_production": report.sigma_prod,
@@ -286,7 +287,7 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     mem = build_memory_array(cfg.memory, cfg.interaction, d_s)
     # one run from the uniform input carries the run from every basis input
     run = broadcast.run_sequential_local(qcore.diag_density(np.full(d_s, 1.0 / d_s)), mem)
-    defect_rows = [{"input": x, "defect": float(d)} for x, d in zip(run.labels, run.basis_defects)]
+    defect_rows = [{"input": x, "defect": float(d)} for x, d in enumerate(run.basis_defects)]
     worst = max(r["defect"] for r in defect_rows)
     rho_s = build_system_state(cfg.system)
     s_rho = qcore.von_neumann_entropy(rho_s)
@@ -378,7 +379,7 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     s_final_diag = qcore.shannon_entropy(rho_s_final.matrix.diagonal().real)
     components = []
     for i, rows in enumerate(run.ensembles()):
-        lower, chi = infotherm.accessible_info_bracket(run.p_initial[run.labels], rows)
+        lower, chi = infotherm.accessible_info_bracket(run.p_initial, rows)
         evidence = infotherm.Table1Evidence(lower, chi, h_x, s_final, s_final_diag)
         components.append(
             {

@@ -54,4 +54,4 @@ class ConfigError(SemibroadcastError):
 
 
 class DegenerateOutcomeWarning(UserWarning):
-    """An outcome probability below the numerical floor was dropped."""
+    """Outcomes at the probability floor were dropped from a sum over conditional states rho^x = <x|rho|x> / p_x."""

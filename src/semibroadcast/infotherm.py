@@ -150,16 +150,14 @@ def accessible_info_bracket(probs, rows) -> tuple[float, float]:
 
     Every ensemble a run reads has diagonal members: each memory starts
     diagonal and each write permutes its basis.  Commuting members make the
-    computational basis attain chi (Holevo 1973), so the bracket closes:
-    the lower bound is that measurement's mutual information (zero cells
-    dropped), the upper chi.
+    computational basis attain chi (Holevo 1973): that measurement's mutual
+    information, sum joint ln(joint / (p_x outcomes)), is H(sum_x p_x q_x) -
+    sum_x p_x H(q_x) = chi term by term.  So the bracket closes by identity
+    and is (chi, chi).  A member of probability 0 adds exactly 0 to both terms.
     """
-    joint = np.asarray(probs)[:, None] * rows
-    outcomes = joint.sum(axis=0)
+    outcomes = (np.asarray(probs)[:, None] * rows).sum(axis=0)
     chi = shannon_entropy(outcomes) - float(sum(p * h for p, h in zip(probs, entropies(rows, 0.0))))
-    cells = joint > 0.0
-    mutual_info = float((joint[cells] * np.log(joint[cells] / (joint.sum(axis=1)[:, None] * outcomes)[cells])).sum())
-    return min(mutual_info, chi), chi
+    return chi, chi
 
 
 @dataclass(frozen=True)
@@ -190,14 +188,6 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _drop(p_out: np.ndarray) -> np.ndarray:
-    """The outcomes of each row above the probability floor; each one below is named in a DegenerateOutcomeWarning."""
-    kept = p_out > PROB_FLOOR
-    for row, y in zip(*np.nonzero(~kept)):
-        warnings.warn(f"outcome {y} has probability {p_out[row, y]:.3e}; dropped", DegenerateOutcomeWarning)
-    return kept
-
-
 def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.ndarray):
     """(rho_S', the populations of rho_M', S(rho_M'), chi) after the writes `step` of the stack
     rho_S (n, d_S, d_S), of entropy s_s = S(rho_S) per row, into their memories, where
@@ -211,8 +201,8 @@ def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.nda
     every sector) puts p_k rho_S on the levels mu[:, k]: rho_S' = diag(P_nu), member nu is the
     direct sum of p_k / P_nu rho_S over nu_k = nu, and rho_M' that of w_s rho_S over the slots s.
     The entropy of a direct sum of w_k rho_S with sum_k w_k = 1 is H(w) + S(rho_S), so only
-    exact weights enter an entropy besides s_s.
-    Outcomes at the probability floor are dropped from chi with a DegenerateOutcomeWarning.
+    exact weights enter an entropy besides s_s.  No member divides by a p_x that may be 0 (a swap
+    member's P_nu >= p_k > 0), so chi keeps every outcome; one of probability 0 adds exactly 0.
     Every product runs one row at a time, so no row's numbers depend on the others.
     """
     y, mu, p = step.y, step.mu, step.p
@@ -232,8 +222,7 @@ def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.nda
         s_m_out = entropies(w, 0.0) + s_s
         q = p / p_out[:, y[0]]  # each member's own weights; P_nu >= p_k > 0 for nu = nu_k
         member_s = np.stack([entropies(q[:, row], 0.0) for row in member], axis=1) + s_s[:, None]
-    kept = _drop(p_out)
-    chi = s_m_out - np.where(kept, p_out * member_s, 0.0).sum(axis=1)
+    chi = s_m_out - (p_out * member_s).sum(axis=1)
     return rho_s_out, pops, s_m_out, chi
 
 
@@ -243,8 +232,8 @@ def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
 
     The joint state is dense and not checked: U is, and the checks of rho_S', rho_M' and the
     conditional members <x|rho_out|x> / p_x stand in for it.  chi = S(rho_M') - sum_x p_x S(rho^x),
-    as for a write step; outcomes at the probability floor are dropped from it with a
-    DegenerateOutcomeWarning.
+    as for a write step, over the outcomes above the probability floor: rho^x divides by p_x.
+    One DegenerateOutcomeWarning names every (row, outcome) dropped from it.
     """
     n, d_s = rho.shape[:2]
     d_m = probs.shape[-1]
@@ -258,7 +247,10 @@ def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
     rho_m_out = np.trace(blocks, axis1=1, axis2=3)
     members = np.moveaxis(blocks.diagonal(axis1=1, axis2=3), -1, 1)  # <x|rho_out|x>: (n, d_S, d_M, d_M)
     p = np.trace(members, axis1=2, axis2=3).real
-    kept = _drop(p)
+    kept = p > PROB_FLOOR
+    if not kept.all():
+        dropped = ", ".join(f"row {i} outcome {x} ({p[i, x]:.3e})" for i, x in zip(*np.nonzero(~kept)))
+        warnings.warn(f"outcomes at the probability floor dropped: {dropped}", DegenerateOutcomeWarning)
     member_s = np.zeros(p.shape)
     member_s[kept] = entropies(density_spectra(members[kept] / p[kept][:, None, None]))
     s_m_out = entropies(density_spectra(rho_m_out))
@@ -334,7 +326,8 @@ def thermo_report(rho_s, tau, u) -> ThermoReport:
     joint-size state is built.  Any other unitary is applied by conjugation of
     the dense joint states (`_conjugated`).  Either way every write keeps the
     spectrum of rho_S (x) tau, so S(rho_out) = S(rho_S) + H(tau) with no joint
-    spectrum; chi = S(rho_M') - sum_x p_x S(rho^x);
+    spectrum; chi = S(rho_M') - sum_x p_x S(rho^x), over every outcome of a
+    permutation write and over those above PROB_FLOOR of a conjugation;
     D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
     ln tau_m = -beta E_m - ln Z, finite at every temperature; and
     I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).

@@ -143,22 +143,28 @@ def test_pure_memories_record_statistics_exactly():
 
 
 def test_swap_chain_disturbs_later_readouts():
-    # first write is exact, the second reads the deposited register instead
+    # first write is exact, the second reads the deposited register instead; the empty
+    # input 1 keeps its row, and no outcome is dropped with a warning
     mem = broadcast.MemoryArray(2, (qubit_unit(kind="swap"), qubit_unit(kind="swap")))
-    with pytest.warns(DegenerateOutcomeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         run = broadcast.run_sequential_local(qcore.diag_density([1.0, 0.0]), mem)
+    assert run.basis_defects.shape == (2,)
     assert run.q[0].tolist() == pytest.approx([1.0, 0.0], abs=1e-14)
     assert run.q[1].tolist() == pytest.approx([W0, W1], abs=1e-14)
     assert broadcast.ideal_scb_defect(run) == pytest.approx(W1, abs=1e-13)
 
 
 def test_input_label_ensembles_are_the_written_conditionals():
+    # row x is the memory written from input |x>, one row per input, whatever p_initial[x] is
     mem = broadcast.MemoryArray(2, (qubit_unit(),))
-    run = broadcast.run_sequential_local(qcore.diag_density([0.3, 0.7]), mem)
-    (rows,) = run.ensembles()
-    assert run.p_initial[run.labels].tolist() == pytest.approx([0.3, 0.7], abs=1e-14)
-    assert np.allclose(rows[0], [W0, W1], atol=1e-14)
-    assert np.allclose(rows[1], [W1, W0], atol=1e-14)
+    for p in ([0.3, 0.7], [1.0, 0.0]):
+        run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
+        (rows,) = run.ensembles()
+        assert run.p_initial.tolist() == pytest.approx(p, abs=1e-14)
+        assert rows.shape == (2, 2)
+        assert np.allclose(rows[0], [W0, W1], atol=1e-14)
+        assert np.allclose(rows[1], [W1, W0], atol=1e-14)
 
 
 def test_final_state_rank_is_memory_bound_for_pure_inputs():
@@ -228,7 +234,7 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
             run = broadcast.run_global(rho, mem, kind, variant)
         else:
             run = broadcast.run_sequential_local(rho, mem)
-    assert any(issubclass(w.category, DegenerateOutcomeWarning) for w in caught) == pure_input
+    assert not any(issubclass(w.category, DegenerateOutcomeWarning) for w in caught)
 
     history = list(joints(rho, mem, mode, kind, variant))
     dense = qcore.DensityOperator(history[-1], run.dims)
@@ -252,22 +258,21 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
         want = joint.diagonal().real.reshape(d_s, -1).sum(axis=1)
         np.testing.assert_allclose(diag, want, rtol=0, atol=1e-12)
 
-    labels = [x for x in range(d_s) if run.p_initial[x] > 1e-14]
-    basis_states = [final_state(qcore.basis_state(d_s, x), mem, mode, kind, variant) for x in labels]
+    # every basis input has its row, a pure input's empty ones too
+    basis_states = [final_state(qcore.basis_state(d_s, x), mem, mode, kind, variant) for x in range(d_s)]
     ensembles = list(run.ensembles())
     assert len(ensembles) == n
     for i, rows in enumerate(ensembles):
-        assert rows.shape == (len(labels), dims[i])
+        assert rows.shape == (d_s, dims[i])
         for row, joint in zip(rows, basis_states):
             want = qcore.partial_trace(joint, (i + 1,)).matrix
             np.testing.assert_allclose(np.diag(row), want, rtol=0, atol=1e-12)
-    assert run.labels == labels
     want = [
         max(
             np.max(np.abs(np.eye(d_s)[x] - interact.pointer_distribution(qcore.partial_trace(joint, (0, i + 1)), unit.grouping)))
             for i, unit in enumerate(mem.units)
         )
-        for x, joint in zip(labels, basis_states)
+        for x, joint in enumerate(basis_states)
     ]
     np.testing.assert_allclose(run.basis_defects, want, rtol=0, atol=1e-12)
 
@@ -431,6 +436,10 @@ def test_reconstruct_validates_variant_count_and_size():
         broadcast.reconstruct_p([[0.38, 0.62], [0.38, 0.62]], 0.8, 2)
     with pytest.raises(DimensionMismatch):
         broadcast.reconstruct_p([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], 0.8, 4)
+    with pytest.raises(DimensionMismatch, match="must have d_s outcomes"):
+        broadcast.reconstruct_p([[0.2, 0.3, 0.5]], 0.8, 2)
+    with pytest.raises(DimensionMismatch, match="need d_s >= 2"):
+        broadcast.reconstruct_p([], 0.8, 1)
 
 
 def test_reconstruct_clips_rounding_noise_at_zero():
@@ -541,6 +550,10 @@ def test_ideal_state_rejects_bad_blocks():
         broadcast.ideal_broadcasting_state([0.3, 0.7], [])
     with pytest.raises(InvalidBlocks):
         broadcast.ideal_broadcasting_state([0.3, 0.7], [good[:1]])
+    with pytest.raises(InvalidBlocks, match="mixed shapes"):
+        broadcast.ideal_broadcasting_state([0.3, 0.7], [[good[0], np.eye(3) / 3.0]])
+    with pytest.raises(InvalidBlocks, match="nonpositive trace"):
+        broadcast.ideal_broadcasting_state([0.3, 0.7], [[np.zeros((2, 2)), good[1]]])
     with pytest.raises(InvalidBlocks):
         broadcast.ideal_broadcasting_state(
             [0.3, 0.7], [[np.diag([1.0, -0.2]), np.diag([0.0, 1.0])]]

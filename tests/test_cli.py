@@ -1029,6 +1029,33 @@ def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+INVARIANT_BREAKS = {
+    # name: (command, the (object, attribute) its check reads, a value that breaks it, the message)
+    "cmax-not-monotone": ("cmax-sweep", (broadcast, "sweep_cmax_convergence"),
+                          lambda *a: [(1, 1.0, 0.7), (2, 1.0, 0.6)], "c_max not monotone"),
+    "cmax-above-1": ("cmax-sweep", (broadcast, "sweep_cmax_convergence"),
+                     lambda *a: [(1, 1.0, 0.9), (2, 1.0, 1.1)], "c_max exceeds 1"),
+    "hl-gap": ("hl-bound", (infotherm, "holevo_landauer_gap"), lambda rep: rep.chi * 0.0 - 1.0, "bound gap"),
+    "hl-residual": ("hl-bound", (infotherm.ThermoReport, "reeb_wolf_residual"),
+                    lambda rep: rep.chi * 0.0 + 1.0, "decomposition residual"),
+    "nogo-copies": ("nogo", (broadcast.BroadcastRun, "basis_defects"),
+                    property(lambda run: np.zeros(run.dims[0])), "should obstruct copying"),
+    "reconstruct-residual": ("reconstruct", (broadcast, "reconstruct_p"),
+                             lambda q, c, d: np.full(d, 1.0 / d), "reconstruction residual"),
+}
+
+
+@pytest.mark.parametrize("name", INVARIANT_BREAKS)
+def test_each_command_invariant_exits_3_after_writing_its_results(name, tmp_path, monkeypatch, capsys):
+    # each command writes its results before it checks its invariants
+    command, (owner, attr), broken, message = INVARIANT_BREAKS[name]
+    monkeypatch.setattr(owner, attr, broken)
+    assert cli.main([command, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and message in err
+    assert (tmp_path / "o" / "results.json").exists()
+
+
 def test_domain_errors_exit_4(tmp_path, capsys):
     # at infinite temperature the readout map loses invertibility
     cfg = {

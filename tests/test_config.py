@@ -228,6 +228,11 @@ def test_experiment_section_compatibility_rules():
                 "memory": {"N": 1, "beta_omega": 1.0},
             }
         )
+    for missing in ("system", "memory"):
+        doc = {"experiment": "nogo", "system": {"d_S": 2}, "memory": {"N": 2, "beta_omega": 1.0}}
+        del doc[missing]
+        with pytest.raises(ConfigError, match="nogo needs system and memory"):
+            parse_config(doc)
     with pytest.raises(ConfigError):
         parse_config({"experiment": "sequential"})
     # an instances-only run needs no system or memory section
@@ -242,6 +247,11 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+    # Python's json reads Infinity and NaN as floats: the number check refuses them
+    for value in ("Infinity", "-Infinity", "NaN"):
+        bad.write_text(f'{{"experiment": "nogo", "system": {{"d_S": 2}}, "memory": {{"N": 2, "beta_omega": {value}}}}}')
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config(bad)
     good = tmp_path / "good.json"
     good.write_text('{"experiment": "cmax_sweep", "seed": 5}')
     assert load_config(good).seed == 5

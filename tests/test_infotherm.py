@@ -49,6 +49,8 @@ def test_ensemble_validation():
         infotherm.Ensemble([0.5, 0.5], [qcore.basis_state(2, 0)])
     with pytest.raises(DimensionMismatch):
         infotherm.Ensemble([0.5, 0.5], [qcore.basis_state(2, 0), qcore.basis_state(3, 0)])
+    with pytest.raises(DimensionMismatch, match=">= 2 factors"):
+        infotherm.conditional_ensemble(qcore.diag_density([0.5, 0.5]))
 
 
 def test_ensemble_average_state():
@@ -192,6 +194,11 @@ def test_bracket_closes_on_every_diagonal_ensemble(ensemble):
     members = infotherm.Ensemble(probs, [qcore.diag_density(r) for r in rows])
     assert chi == pytest.approx(infotherm.holevo_chi(members), abs=1e-12)
     assert lower == pytest.approx(chi, abs=1e-12)
+    # the identity that closes the bracket: the computational-basis mutual information is chi
+    joint = probs[:, None] * rows
+    cells = joint > 0.0
+    mutual_info = (joint[cells] * np.log(joint[cells] / (probs[:, None] * joint.sum(axis=0))[cells])).sum()
+    assert mutual_info == pytest.approx(chi, abs=1e-12)
 
 
 # ------------------------------------------------------------ thermo report
@@ -413,6 +420,27 @@ def test_a_haar_stack_solves_no_joint_spectrum(monkeypatch):
     assert shapes and all(shape[-1] != 6 for shape in shapes)
 
 
+def test_a_haar_stack_names_every_dropped_outcome_in_one_warning():
+    # the identity leaves outcome 1 of each basis input |0><0| empty: its member <1|rho|1> / p_1
+    # is undefined, so it leaves chi, and one warning names the pair (row, outcome) of each row
+    h = thermal.MemoryHamiltonian([0.0, 0.5, 1.3, 2.0])
+    taus = [thermal.gibbs(h, beta) for beta in (0.5, 2.0)]
+    rho = np.stack([qcore.basis_state(2, 0).matrix] * 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = infotherm.thermo_report(rho, stacked_rows(taus), np.stack([np.eye(8)] * 2))
+    assert len(caught) == 1 and caught[0].category is DegenerateOutcomeWarning
+    message = str(caught[0].message)
+    assert "row 0 outcome 1 (0.000e+00)" in message and "row 1 outcome 1 (0.000e+00)" in message
+    assert "outcome 0" not in message
+    for i, tau in enumerate(taus):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+            alone = infotherm.thermo_report(qcore.basis_state(2, 0), tau, np.eye(8))
+        for name, value in vars(alone).items():
+            assert getattr(rep, name)[i] == value, (i, name)
+
+
 @pytest.mark.parametrize("kind", interact.KINDS)
 def test_a_permutation_write_builds_no_joint_state(kind, monkeypatch):
     def refused(*args, **kwargs):
@@ -463,26 +491,19 @@ def stacked_rows(taus):
 @pytest.mark.parametrize("kind", interact.KINDS)
 def test_a_stacked_write_names_each_dropped_outcome_and_keeps_every_row_apart(kind):
     # three qutrit inputs in one stack, the middle one the basis state |0><0|: a label-keeping
-    # write leaves its outcomes 1 and 2 at probability 0, and each is named in its own warning
+    # write leaves its outcomes 1 and 2 at probability 0.  A permutation write divides by no
+    # p_x, so it keeps them, each at weight exactly 0, and names none in a warning
     h = thermal.MemoryHamiltonian([0.0, 0.4, 1.0, 1.7, 2.0, 3.1])
     u = interact.build(thermal.group_energies(h, 3), kind)
     taus = [thermal.gibbs(h, beta) for beta in (0.5, 1.0, 2.0)]
     rhos = [qcore.random_density(3, seed=1), qcore.basis_state(3, 0), qcore.random_density(3, seed=2)]
     stack = stacked_rows(taus)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = infotherm.thermo_report(np.stack([r.matrix for r in rhos]), stack, u)
-    dropped = [str(w.message) for w in caught if issubclass(w.category, DegenerateOutcomeWarning)]
-    if kind == "swap":  # the swap copies the sector weights of tau, never 0
-        assert dropped == []
-    else:
-        assert [m.split(" has")[0] for m in dropped] == ["outcome 1", "outcome 2"]
-    for i, (rho, tau) in enumerate(zip(rhos, taus)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateOutcomeWarning)
-            alone = infotherm.thermo_report(rho, tau, u)
-        for name, value in vars(alone).items():
-            assert getattr(rep, name)[i] == value, (i, name)
+        for i, (rho, tau) in enumerate(zip(rhos, taus)):
+            for name, value in vars(infotherm.thermo_report(rho, tau, u)).items():
+                assert getattr(rep, name)[i] == value, (i, name)
 
 
 @pytest.mark.parametrize("kind", interact.KINDS)
@@ -532,6 +553,8 @@ def test_a_write_refuses_states_of_other_sizes():
         infotherm.thermo_report(qcore.diag_density([0.2, 0.3, 0.5]), thermal.gibbs(h, 1.0), u)
     with pytest.raises(DimensionMismatch):
         infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), thermal.gibbs(thermal.qubit_chain_hamiltonian(3), 1.0), u)
+    with pytest.raises(DimensionMismatch, match="unitary dim 4 != state dim 8"):
+        infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), thermal.gibbs(h, 1.0), np.eye(4))
 
 
 COLD_EXPECTED_D = {20.0: 9.30685282150, 40.0: 19.30685281944, 400.0: 199.30685281944}
@@ -741,7 +764,8 @@ def run_and_classify(rho_s, unit):
     run = broadcast.run_sequential_local(rho_s, broadcast.MemoryArray(2, (unit,)))
     h_x = qcore.shannon_entropy(run.p_initial)
     rho_final = run.first_marginal.system()
-    lower, chi = infotherm.accessible_info_bracket(run.p_initial[run.labels], next(run.ensembles()))
+    lower, chi = infotherm.accessible_info_bracket(run.p_initial, next(run.ensembles()))
+    assert lower == chi
     ev = infotherm.Table1Evidence(
         i_acc_lower=lower,
         chi=chi,

@@ -397,6 +397,8 @@ def test_transition_matrix_rejects_swap():
     g, tau = qubit_setup()
     with pytest.raises(WrongKind):
         interact.transition_matrix(interact.build_unbiased_swap(g), tau.probs)
+    with pytest.raises(DimensionMismatch, match="memory populations have 3 levels"):
+        interact.transition_matrix(interact.build_noninvasive_maxcorr(g), [0.5, 0.3, 0.2])
 
 
 def test_transition_matrix_near_pure_memory_is_identity():

@@ -117,11 +117,15 @@ def test_density_operator_matrix_is_read_only():
 def test_density_operator_dims_must_factor():
     with pytest.raises(DimensionMismatch):
         qcore.DensityOperator(np.eye(4) / 4.0, dims=(2, 3))
+    with pytest.raises(DimensionMismatch, match="must be positive"):
+        qcore.DensityOperator(np.eye(4) / 4.0, dims=(4, 1, 0))
 
 
 def test_unitary_operator_rejects_non_unitary():
     with pytest.raises(InvalidOperator):
         qcore.UnitaryOperator(np.ones((2, 2), dtype=complex))
+    with pytest.raises(InvalidOperator, match="square"):
+        qcore.UnitaryOperator(np.eye(3)[:2])
 
 
 def test_a_stack_is_checked_as_each_matrix_alone():
@@ -390,6 +394,8 @@ def test_relative_entropy_support_violation():
     sigma = qcore.diag_density([1.0, 0.0])
     with pytest.raises(SupportViolation):
         qcore.relative_entropy(rho, sigma)
+    with pytest.raises(DimensionMismatch, match="dims differ"):
+        qcore.relative_entropy(rho, qcore.diag_density([0.2, 0.3, 0.5]))
 
 
 def _log_on_support(m):

@@ -72,6 +72,19 @@ def test_product_hamiltonian_adds_energies():
 def test_hamiltonian_rejects_empty_spectrum():
     with pytest.raises(DimensionMismatch):
         thermal.MemoryHamiltonian([])
+    for energies, scale in (([0.0, np.inf], 1.0), ([0.0, np.nan], 1.0), ([0.0, 1.0], 0.0), ([0.0, 1.0], np.inf)):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            thermal.MemoryHamiltonian(energies, scale)
+    with pytest.raises(DimensionMismatch, match="at least one qubit"):
+        thermal.qubit_chain_hamiltonian(0)
+    with pytest.raises(DimensionMismatch, match="at least one part"):
+        thermal.product_hamiltonian([])
+    h = thermal.qubit_chain_hamiltonian(1)
+    for beta in (-1.0, np.inf, np.nan):
+        with pytest.raises(DimensionMismatch, match="beta must be finite"):
+            thermal.gibbs(h, beta)
+    with pytest.raises(DimensionMismatch, match="state dim 2 != grouping dim 4"):
+        thermal.c_max(thermal.group_energies(thermal.qubit_chain_hamiltonian(2), 2), thermal.gibbs(h, 1.0))
 
 
 # ------------------------------------------------------------- gibbs states
