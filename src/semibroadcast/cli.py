@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -43,14 +44,14 @@ EXIT_DOMAIN = 4
 
 GAP_TOL = 1e-9
 RW_TOL = 1e-10
-# the peak that cmd_hl_bound holds per instance of a sweep: the instance's seed, its record
-# and its CSV row (json.dump streams the JSON text), with one chunk's stacked passes spread
-# over the instances.  tracemalloc measures at most 1,952 B per instance through `main` in a
+# the peak that cmd_hl_bound holds per instance of a sweep: the instance's record and its CSV
+# row (json.dump streams the JSON text), with one chunk's draws, seeds and stacked passes spread
+# over the instances.  tracemalloc measures at most 1,985 B per instance through `main` in a
 # fresh process on 2,000-instance sweeps (the default, --bits, d_S in {2}, {3}, {4} and
-# {2, 3, 4}); the constant is 11% above
+# {2, 3, 4}; 1,044 B at 20,000); the constant is 9% above
 RECORD_BYTES = 2160
 # instances of a sweep drawn, then evaluated together, at a time
-HL_CHUNK = 128
+HL_CHUNK = 1024
 # the most haar writes in one stacked pass, each holding about 5.3 joint-sized arrays at its peak
 HL_HAAR_DEPTH = 8
 
@@ -231,14 +232,15 @@ def _hl_chunk_records(draws: list[HLDraw], bits: bool) -> list[dict]:
 
 
 def hl_sweep_records(inst: InstancesConfig, seed: int, bits: bool = False) -> list[dict]:
-    """Every record of the random sweep: HL_CHUNK instances are drawn, each from its own
-    spawned seed in index order, and then evaluated together."""
-    seeds = np.random.SeedSequence(seed).spawn(inst.count)
+    """Every record of the random sweep: HL_CHUNK instances are drawn, each from its own seed,
+    and then evaluated together.  A chunk spawns its seeds from the sweep's one parent sequence
+    as it starts; spawning chunk by chunk gives the children of one spawn(count), in index order."""
+    parent = np.random.SeedSequence(seed)
     records = []
     for start in range(0, inst.count, HL_CHUNK):
-        stop = min(start + HL_CHUNK, inst.count)
+        seeds = parent.spawn(min(HL_CHUNK, inst.count - start))
         records += _hl_chunk_records(
-            [hl_instance_record(i, inst.d_s[i % len(inst.d_s)], inst, seeds[i]) for i in range(start, stop)], bits
+            [hl_instance_record(i, inst.d_s[i % len(inst.d_s)], inst, s) for i, s in enumerate(seeds, start)], bits
         )
     return records
 
@@ -455,7 +457,10 @@ EXPECTED_EXPERIMENTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args leaves it unchanged, so every
+    main call shares it."""
     parser = argparse.ArgumentParser(
         prog="semibroadcast",
         description="Broadcasting measurement statistics into thermal memories",

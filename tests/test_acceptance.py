@@ -95,7 +95,7 @@ def test_criterion_3_thermal_memories_obstruct_copying(announce):
                 2, tuple(broadcast.thermal_unit(h, bw, 2) for _ in range(2))
             )
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+                warnings.simplefilter("error", DegenerateOutcomeWarning)
                 for x in range(2):
                     run = broadcast.run_sequential_local(qcore.basis_state(2, x), mem)
                     worst = max(worst, broadcast.ideal_scb_defect(run))
@@ -115,7 +115,7 @@ def test_criterion_3_thermal_memories_obstruct_copying(announce):
     )
     control = 0.0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+        warnings.simplefilter("error", DegenerateOutcomeWarning)
         for x in range(2):
             run = broadcast.run_sequential_local(qcore.basis_state(2, x), pure_mem)
             control = max(control, broadcast.ideal_scb_defect(run))

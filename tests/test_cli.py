@@ -1,5 +1,6 @@
 """End-to-end command line behavior: outputs, determinism, exit codes."""
 
+import collections
 import json
 import math
 import os
@@ -623,7 +624,7 @@ def test_single_instance_hl_bound_builds_the_gibbs_state_once(tmp_path, monkeypa
 def test_hl_bound_refuses_an_instance_count_beyond_the_byte_budget_before_spawning(
     tmp_path, capsys, monkeypatch
 ):
-    # 10^9 instances: their seeds and records alone exceed the budget, so no seed is spawned
+    # 10^9 instances: their records alone exceed the budget, so no seed is spawned
     def spawned(*args):
         raise AssertionError("the sweep ran")
 
@@ -651,8 +652,9 @@ def test_an_instance_sweep_peaks_below_its_record_budget(tmp_path):
 
 def test_a_sweep_over_wide_memories_peaks_within_its_records_and_a_stack_of_joints(tmp_path):
     # max_memory_dim = 64 draws haar joints up to D = 3 * 3 * 21 = 189.  Beyond the records, a sweep holds
-    # one chunk of draws and one stacked pass at a time: a haar pass writes at most HL_HAAR_DEPTH = 8
-    # instances and holds about 5.3 joint-sized arrays per write (6 allowed here), so 48 joints bound it
+    # one chunk of HL_CHUNK draws and their seeds, and one stacked pass at a time: a haar pass writes at
+    # most HL_HAAR_DEPTH = 8 instances and holds about 5.3 joint-sized arrays per write (6 allowed here),
+    # so 48 joints bound it
     count, d = 500, 189
     joints = 6 * cli.HL_HAAR_DEPTH
     cfg = {"experiment": "sequential", "instances": {"count": count, "max_memory_dim": 64}}
@@ -672,16 +674,51 @@ HL_WIDE = {"d_s": (2, 3, 4), "max_memory_dim": 16}
 
 @pytest.mark.parametrize("inst", [{}, HL_WIDE, {"beta_range": (0.0, 20.0)}], ids=["default", "wide", "cold"])
 def test_the_first_records_of_a_sweep_do_not_depend_on_its_count(inst):
-    # k = 37 and 200 cut through a chunk of HL_CHUNK = 128 draws and through its groups
-    full = cli.hl_sweep_records(InstancesConfig(count=300, **inst), seed=11)
-    for k in (37, 200):
+    # 1,100 instances are two chunks of HL_CHUNK = 1,024 draws: k = 37 cuts through the first chunk
+    # and its groups, k = 1,024 ends at the first chunk and k = 1,030 cuts through the second
+    full = cli.hl_sweep_records(InstancesConfig(count=1100, **inst), seed=11)
+    for k in (37, 1024, 1030):
         assert cli.hl_sweep_records(InstancesConfig(count=k, **inst), seed=11) == full[:k]
     # each record is bit-identical to its instance evaluated alone, as a group of one
-    cfg = InstancesConfig(count=300, **inst)
+    cfg = InstancesConfig(count=1100, **inst)
     seeds = np.random.SeedSequence(11).spawn(cfg.count)
     for i in range(0, cfg.count, 7):
         draw = cli.hl_instance_record(i, cfg.d_s[i % len(cfg.d_s)], cfg, seeds[i])
         assert cli._hl_stack([draw], False) == [full[i]]
+
+
+def test_a_sweep_makes_one_stacked_pass_per_group_of_its_chunk(monkeypatch):
+    # the default 500 instances are one chunk: each permutation group is one pass, and a haar
+    # group (D <= 3 * 3 * 2 here, far below the budget) is cut only at HL_HAAR_DEPTH writes a pass
+    inst = InstancesConfig()
+    seeds = np.random.SeedSequence(11).spawn(inst.count)
+    sizes = collections.Counter(
+        cli._hl_group(cli.hl_instance_record(i, inst.d_s[i % len(inst.d_s)], inst, s)) for i, s in enumerate(seeds)
+    )
+    stack, passes = cli._hl_stack, []
+
+    def counted(draws, bits):
+        passes.append(draws)
+        return stack(draws, bits)
+
+    monkeypatch.setattr(cli, "_hl_stack", counted)
+    assert len(cli.hl_sweep_records(inst, seed=11)) == inst.count
+    keys = [cli._hl_group(draws[0]) for draws in passes]
+    assert all(cli._hl_group(d) == key for draws, key in zip(passes, keys) for d in draws)
+    permutation = [key for key in keys if key[0] != "haar"]
+    assert len(permutation) == len(set(permutation)) == sum(key[0] != "haar" for key in sizes)
+    haar = collections.Counter(key for key in keys if key[0] == "haar")
+    assert haar == {key: math.ceil(size / cli.HL_HAAR_DEPTH) for key, size in sizes.items() if key[0] == "haar"}
+
+
+def test_seeds_spawned_chunk_by_chunk_are_the_children_of_one_spawn():
+    # a sweep spawns each chunk's seeds as the chunk starts; every draw keeps the seed of one spawn(count)
+    count = 2 * cli.HL_CHUNK + 37
+    whole = np.random.SeedSequence(11).spawn(count)
+    parent = np.random.SeedSequence(11)
+    chunked = [s for start in range(0, count, cli.HL_CHUNK) for s in parent.spawn(min(cli.HL_CHUNK, count - start))]
+    assert [s.spawn_key for s in chunked] == [s.spawn_key for s in whole]
+    assert all(np.array_equal(a.generate_state(4), b.generate_state(4)) for a, b in zip(chunked, whole))
 
 
 def test_a_wide_sweep_writes_byte_identical_results(tmp_path):
@@ -782,6 +819,24 @@ def test_runs_are_byte_identical(tmp_path):
     assert rc1 == rc2 == 0
     for name in ("results.json", "results.csv"):
         assert (out1 / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+
+
+def test_one_process_writes_the_bytes_of_fresh_calls(tmp_path):
+    # main builds its parser once per process; no flag of one call reaches the next
+    calls = [
+        ["classify", "--bits"], ["hl-bound"], ["nogo", "--bits"], ["classify"], ["hl-bound", "--bits", "--seed", "3"],
+        ["reconstruct"], ["cmax-sweep", "--bits"], ["hl-bound"], ["nogo"], ["reconstruct", "--bits"],
+    ]
+    cli.build_parser.cache_clear()
+    for i, argv in enumerate(calls):
+        assert cli.main([*argv, "--out", str(tmp_path / f"shared{i}")]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    for i, argv in enumerate(calls):
+        cli.build_parser.cache_clear()
+        assert cli.main([*argv, "--out", str(tmp_path / f"fresh{i}")]) == 0
+        for name in ("results.json", "results.csv"):
+            shared, fresh = (tmp_path / f"{run}{i}" / name for run in ("shared", "fresh"))
+            assert shared.read_bytes() == fresh.read_bytes(), (argv, name)
 
 
 def test_seed_override_changes_the_sample(tmp_path):

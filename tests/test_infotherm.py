@@ -517,7 +517,7 @@ def test_rows_whose_memories_occupy_other_levels_are_written_apart(kind):
     rhos = [qcore.random_density(2, seed=s) for s in (4, 5, 6)]
     stack = stacked_rows(taus)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+        warnings.simplefilter("error", DegenerateOutcomeWarning)
         rep = infotherm.thermo_report(np.stack([r.matrix for r in rhos]), stack, u)
         for i, (rho, tau) in enumerate(zip(rhos, taus)):
             for name, value in vars(infotherm.thermo_report(rho, tau, u)).items():
@@ -538,7 +538,7 @@ def test_a_stack_that_underflows_levels_reports_each_row_as_written_alone(kind):
     assert [int(np.count_nonzero(p)) for p in rows.probs] == [16, 14, 14, 16, 14]
     rho = qcore.random_states(2, range(len(betas)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+        warnings.simplefilter("error", DegenerateOutcomeWarning)
         rep = infotherm.thermo_report(rho, rows, u)
         for i in range(len(betas)):
             alone = infotherm.thermo_report(rho[i : i + 1], thermal.GibbsRows(*(a[i : i + 1] for a in rows)), u)
@@ -574,7 +574,7 @@ def test_cold_memory_relative_entropy_matches_a_50_digit_oracle(kind, beta_omega
     p = [w / mpmath.fsum(weights) for w in weights]
     for rho_diag in ([0.5, 0.5], [0.3, 0.7]):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateOutcomeWarning)
+            warnings.simplefilter("error", DegenerateOutcomeWarning)
             rep = infotherm.thermo_report(qcore.diag_density(rho_diag), tau, u)
         # a diagonal input stays diagonal: q collects rho_xx p_m at each memory image
         q = [mpmath.mpf(0)] * h.dim
@@ -606,7 +606,7 @@ def test_entropy_of_gibbs_populations_matches_a_50_digit_oracle(n, beta_omega):
     # writing |0> leaves tau in place: D(rho_M' || tau) = ln-weight H(tau) - level H(tau) = 0
     u = interact.build(thermal.group_energies(tau.hamiltonian, 2), "noninvasive")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateOutcomeWarning)  # outcome 1 has probability 0
+        warnings.simplefilter("error", DegenerateOutcomeWarning)  # outcome 1 has probability 0 and is kept
         rep = infotherm.thermo_report(qcore.basis_state(2, 0), tau, u)
     assert abs(rep.rel_entropy_to_thermal) <= 1e-12 * exact
     assert rep.reeb_wolf_residual() <= 1e-12 * exact
