@@ -41,9 +41,9 @@ from .thermal import (
 COMPLEX_BYTES = np.dtype(complex).itemsize
 FLOAT_BYTES = np.dtype(float).itemsize
 INDEX_BYTES = np.dtype(np.intp).itemsize
-# One budget for every array the program allocates at its full size: a write
-# step's entry list, the (S, M_1) blocks and the dense d_S * d_M joint states of
-# hl-bound's haar writes alike.  It admits a dense complex state of dimension 4096.
+# One budget for every array the program allocates at its full size: a write step's
+# entry list, which also bounds the arrays of the (S, M_1) marginal, and the dense
+# d_S * d_M joint states of hl-bound's haar writes.  It admits a dense complex state of dimension 4096.
 BYTE_BUDGET = COMPLEX_BYTES * 4096**2
 INVERTIBILITY_TOL = 1e-9
 
@@ -170,9 +170,9 @@ class BroadcastRun:
     system diagonal entering each step.  The same run from every basis input
     (`ensembles` and `basis_defects`) chains one row per input, 0-probability
     inputs too (no row is divided by its p_x), read out one unit at a time.
-    The (S, M_1) marginal is d_S x d_S blocks over the M_1 level pairs the
-    first write occupies; the later steps dephase S and move its diagonal by
-    their transition matrices.  No d_M x d_M matrix is built.
+    The (S, M_1) marginal is read from the first write's nonzero entries: their
+    largest S-off-diagonal |entry| and the Gram matrix and traces of their S-diagonal
+    blocks, which the later steps' transition matrices move.  No d_M x d_M matrix is built.
     """
 
     def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, steps):
@@ -214,33 +214,37 @@ class BroadcastRun:
 
     @cached_property
     def first_marginal(self) -> SystemBlocks:
-        """The final (S, M_1) state: the first write, then each later step's channel T o Delta on S."""
+        """The final (S, M_1) state as `SystemBlocks`: the first write's entries, summed where they
+        meet, then each later step's channel T o Delta on S, which moves the Gram and the traces."""
         d, d1 = self.dims[:2]
         first, later = self._steps[0], self._steps[1:]
-        per_a = math.prod(first.dims[1:])  # merged levels per M_1 level
-        # a lower bound on K, checked before the entry keys are sorted.  Each kind writes the d_S
-        # inputs at one level to d_S distinct levels, so the entries (x, x) of a write into one
-        # unit fill K >= d_S diagonal pairs.  The d_S * levels images of a merged write are
-        # distinct, so they reach >= levels merged levels, hence >= levels / per_a diagonal pairs
-        k_min = d if len(first.dims) == 1 else -(-len(first.p) // per_a)
-        check_budget(COMPLEX_BYTES * d * d * k_min, "(S, M_1) blocks")
-        a, rest = np.divmod(first.mu, per_a)
+        a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
         same = rest[:, None] == rest[None]  # the other memory factors agree: traced out
         if later:  # complete records, they dephase S: only entries whose S images agree survive
             same &= first.y[:, None] == first.y[None]
-        # entry (x, x', k) adds rho_xx' p_k at (y[x, k], y[x', k]) of the block (a[x, k], a[x', k])
-        keys, slot = np.unique((a[:, None] * d1 + a[None])[same], return_inverse=True)
-        check_budget(COMPLEX_BYTES * d * d * len(keys), "(S, M_1) blocks")  # the exact check
-        blocks = np.zeros((d, d, len(keys)), dtype=complex)
-        flat = (first.y[:, None] * d + first.y[None])[same] * len(keys) + slot
-        np.add.at(blocks.reshape(-1), flat, (self._rho_s.matrix[:, :, None] * first.p)[same])
-        if later:  # (T_2 ... T_N)^T on the S diagonal, its real and imaginary parts alike
-            diag = blocks[np.arange(d), np.arange(d)].view(float)
-            blocks[np.arange(d), np.arange(d)] = (reduce(np.matmul, [step.t for step in later]).T @ diag).view(complex)
-        pairs = np.stack(np.divmod(keys, d1), axis=1)
-        # renormalised, as the diagonals are: rounding compounds over the steps
-        blocks /= blocks[np.arange(d), np.arange(d)].compress(pairs[:, 0] == pairs[:, 1], axis=-1).sum().real
-        return SystemBlocks(pairs, blocks)
+        # entry (x, x', k) adds rho_xx' p_k at (y[x, k], y[x', k]) of the block (a[x, k], a[x', k]); the
+        # keys order the entries by M_1 pair, then S pair, so that each M_1 pair's entries are adjacent
+        key = (a[:, None] * d1 + a[None]) * (d * d)
+        key += first.y[:, None] * d + first.y[None]
+        key = key[same]
+        del a, rest  # each full-size array goes once read: the sort's own copies set the peak
+        keys, slot = np.unique(key, return_inverse=True)
+        del key
+        v = np.bincount(slot, (self._rho_s.matrix.real[:, :, None] * first.p)[same])
+        v = v + 1j * np.bincount(slot, (self._rho_s.matrix.imag[:, :, None] * first.p)[same])
+        del slot, same
+        on = keys % (d * d) % (d + 1) == 0  # the S pair (y, y) is y * (d + 1)
+        off = float(np.abs(v[~on]).max(initial=0.0))
+        pair, y, v = keys[on] // (d * d), keys[on] // d % d, v[on]
+        col = np.cumsum(np.diff(pair, prepend=-1) != 0) - 1  # the M_1 pair of each entry, counted in order
+        rows = np.flatnonzero(np.bincount(y, minlength=d))  # no row for an outcome with no entry: a swap into a ground memory fills one
+        b = np.zeros((len(rows), col[-1] + 1), dtype=complex)
+        b[np.searchsorted(rows, y), col] = v
+        gram = np.zeros((d, d))
+        gram[np.ix_(rows, rows)] = (b @ b.conj().T).real
+        traces = np.bincount(y, v.real * (pair // d1 == pair % d1), minlength=d)
+        t = reduce(np.matmul, [step.t for step in later], np.eye(d))  # T_2 ... T_N: M_x -> sum_w t[w, x] M_w
+        return SystemBlocks(t.T @ gram @ t, traces @ t, off)
 
     def ensembles(self):
         """Per unit in turn, its input-labelled ensemble: row x holds the (diagonal) memory

@@ -376,13 +376,12 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     else:
         run = broadcast.run_sequential_local(rho_s, mem)
     h_x = qcore.shannon_entropy(run.p_initial)
-    rho_s_final = run.first_marginal.system()
-    s_final = qcore.von_neumann_entropy(rho_s_final)
-    s_final_diag = qcore.shannon_entropy(rho_s_final.matrix.diagonal().real)
+    # every write is a complete record, so rho_S' is diagonal: the diagonal the chain carries
+    s_final = qcore.shannon_entropy(run.system_diag_history[-1])
     components = []
     for i, rows in enumerate(run.ensembles()):
         lower, chi = infotherm.accessible_info_bracket(run.p_initial, rows)
-        evidence = infotherm.Table1Evidence(lower, chi, h_x, s_final, s_final_diag)
+        evidence = infotherm.Table1Evidence(lower, chi, h_x, s_final, s_final)
         components.append(
             {
                 "component": i,
@@ -400,7 +399,7 @@ def cmd_classify(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         "mode": run.mode,
         "h_x": _entropic(h_x, bits),
         "s_system_final": _entropic(s_final, bits),
-        "s_system_final_diag": _entropic(s_final_diag, bits),
+        "s_system_final_diag": _entropic(s_final, bits),
         "statistics_defect": broadcast.ideal_scb_defect(run),
         "components": components,
         "sbs_first_component": {

@@ -60,15 +60,13 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class SystemBlocks:
-    """A (system, memory) state as d_S x d_S blocks: blocks[s, s', k] = <s, a| rho |s', a'> for the
-    memory levels (a, a') = pairs[k], along a contiguous last axis; a pair not listed holds a zero block."""
+    """What `sbs_test` reads of a (system, memory) state rho, whose blocks M_x = <x| rho |x> on the
+    system diagonal are the unnormalised conditional memory states: their Gram matrix
+    gram[x, x'] = Re Tr M_x M_x'^dagger, their traces, and the largest |entry| off the system diagonal."""
 
-    pairs: np.ndarray
-    blocks: np.ndarray
-
-    def system(self) -> DensityOperator:
-        """rho_S' = Tr_M rho: the blocks on the memory diagonal, summed pairwise along their axis."""
-        return DensityOperator(self.blocks.compress(self.pairs[:, 0] == self.pairs[:, 1], axis=-1).sum(axis=-1))
+    gram: np.ndarray
+    traces: np.ndarray
+    off_diagonal: float
 
 
 def _system_blocks(rho_joint: DensityOperator) -> np.ndarray:
@@ -189,14 +187,15 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.ndarray):
-    """(rho_S', the populations of rho_M', S(rho_M'), chi) after the writes `step` of the stack
+    """(S(rho_S'), the populations of rho_M', S(rho_M'), chi) after the writes `step` of the stack
     rho_S (n, d_S, d_S), of entropy s_s = S(rho_S) per row, into their memories, where
     h_tau = H(tau) per row.
 
     rho_S' sums the entries rho_xx' p_k whose memory images agree, member y and rho_M' those
     whose system images agree.  A write that keeps the system label (y = x) makes member x
     the populations p permuted to mu[x]: rho_M' is one row of populations, every member's
-    entropy is H(tau), and rho_S' = Delta(rho_S) sum_k p_k: the write is a complete record.
+    entropy is H(tau), and rho_S' = Delta(rho_S) sum_k p_k: the write is a complete record, so
+    rho_S' is diagonal and S(rho_S') is the entropy of its exact populations.
     A write that replaces it (swap: y[:, k] is one outcome nu_k, mu[:, k] the slot of m_k in
     every sector) puts p_k rho_S on the levels mu[:, k]: rho_S' = diag(P_nu), member nu is the
     direct sum of p_k / P_nu rho_S over nu_k = nu, and rho_M' that of w_s rho_S over the slots s.
@@ -209,25 +208,23 @@ def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.nda
     n, d_s = rho.shape[:2]
     pops = step.populations(0, rho.diagonal(axis1=1, axis2=2).real)
     if (y == np.arange(d_s)[:, None]).all():
-        rho_s_out = rho * (np.eye(d_s) * p.sum(axis=-1)[:, None, None])
+        p_out = rho.diagonal(axis1=1, axis2=2).real * p.sum(axis=-1)[:, None]
         s_m_out = entropies(pops, 0.0)
-        p_out = rho_s_out.diagonal(axis1=1, axis2=2).real
         member_s = np.broadcast_to(h_tau[:, None], p_out.shape)
     else:
         member = y[0] == np.arange(d_s)[:, None]  # member[nu, k]: nu_k = nu
         p_out = (member.astype(float) @ p[:, :, None])[..., 0]  # a matrix product: a sequential bincount drifts off Tr = 1 over 2^20 levels
-        rho_s_out = p_out[:, :, None] * np.eye(d_s)
         slots = np.arange(n)[:, None] * step.dims[0] + mu[0]  # slot s of sector 0 labels the slot
         w = np.bincount(slots.ravel(), p.ravel(), minlength=n * step.dims[0]).reshape(n, -1)
         s_m_out = entropies(w, 0.0) + s_s
         q = p / p_out[:, y[0]]  # each member's own weights; P_nu >= p_k > 0 for nu = nu_k
         member_s = np.stack([entropies(q[:, row], 0.0) for row in member], axis=1) + s_s[:, None]
     chi = s_m_out - (p_out * member_s).sum(axis=1)
-    return rho_s_out, pops, s_m_out, chi
+    return entropies(p_out, 0.0), pops, s_m_out, chi
 
 
 def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
-    """(rho_S', the populations of rho_M', S(rho_M'), chi) after U (rho_S (x) tau) U^dagger
+    """(S(rho_S'), the populations of rho_M', S(rho_M'), chi) after U (rho_S (x) tau) U^dagger
     for each row of the stacks rho_S (n, d_S, d_S), tau's populations (n, d_M) and U (n, D, D).
 
     The joint state is dense and not checked: U is, and the checks of rho_S', rho_M' and the
@@ -256,7 +253,7 @@ def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
     s_m_out = entropies(density_spectra(rho_m_out))
     chi = s_m_out - np.where(kept, p * member_s, 0.0).sum(axis=1)
     pops = rho_m_out.diagonal(axis1=1, axis2=2).real
-    return rho_s_out, pops, s_m_out, chi
+    return entropies(density_spectra(rho_s_out)), pops, s_m_out, chi
 
 
 def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
@@ -270,14 +267,13 @@ def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> The
         occupied = tau.probs > 0
         if (occupied != occupied[0]).any():  # a write step reads the levels its rows share
             return _by_occupied_levels(rho, spectra, tau, u, occupied)
-        rho_s_out, pops_m_out, s_m_out, chi = _write_step(rho, s_s_in, WriteStep(u, tau.probs), h_tau)
+        s_s_out, pops_m_out, s_m_out, chi = _write_step(rho, s_s_in, WriteStep(u, tau.probs), h_tau)
     else:
         if u.shape[-1] != d_s * d_m:
             raise DimensionMismatch(f"unitary dim {u.shape[-1]} != state dim {d_s * d_m}")
         check_unitary(u)
-        rho_s_out, pops_m_out, s_m_out, chi = _conjugated(rho, tau.probs, u)
+        s_s_out, pops_m_out, s_m_out, chi = _conjugated(rho, tau.probs, u)
     s_out = s_s_in + h_tau  # a unitary keeps the spectrum of rho_S (x) tau
-    s_s_out = entropies(density_spectra(rho_s_out))
     log_tau = -tau.beta[:, None] * tau.energies - tau.log_z[:, None]
 
     delta_e_m = _row_dot(pops_m_out, tau.energies) - _row_dot(tau.probs, tau.energies)
@@ -361,16 +357,13 @@ def sbs_test(state: SystemBlocks) -> SBSVerdict:
     """Check block-diagonality in the outcome basis and conditional orthogonality.
 
     conditional_overlap is the worst pairwise Hilbert-Schmidt overlap
-    Tr(rho^x rho^y) between distinct conditional memory states above the
-    probability floor; rho is Hermitian, so it sums rho^x[k] conj(rho^y[k]).
+    Tr(rho^x rho^y) = gram[x, y] / (p_x p_y) between distinct conditional memory
+    states rho^x = M_x / p_x, each divided by its own trace p_x, above the probability floor.
     """
-    b, d = state.blocks, len(state.blocks)
-    # one row of blocks at a time, so no copy of every S-off-diagonal entry is made
-    off = float(np.max([np.abs(np.delete(b[x], x, axis=0)).max(initial=0.0) for x in range(d)], initial=0.0))
-    p = state.system().matrix.diagonal().real
-    conditional = b[np.arange(d), np.arange(d)][p > PROB_FLOOR] / p[p > PROB_FLOOR, None]  # rho^x, one entry per pair
-    overlap = float(np.max(np.triu((conditional @ conditional.conj().T).real, 1), initial=0.0))
-    return SBSVerdict(off, overlap, off <= SBS_TOL and overlap <= SBS_TOL)
+    kept = state.traces > PROB_FLOOR
+    p = state.traces[kept]
+    overlap = float(np.max(np.triu(state.gram[np.ix_(kept, kept)] / np.outer(p, p), 1), initial=0.0))
+    return SBSVerdict(state.off_diagonal, overlap, state.off_diagonal <= SBS_TOL and overlap <= SBS_TOL)
 
 
 TABLE1_ROWS = (

@@ -198,13 +198,15 @@ def correlation_c(rho_joint: DensityOperator, grouping: EnergyGrouping) -> float
 def transition_matrix(u: ControlledInteraction, probs) -> np.ndarray:
     """Row-stochastic pointer map a[x, y] = Tr[ Pi_y V_x diag(probs) V_x^dagger ] of a controlled shift.
 
-    The outcome distribution of a diagonal input p is p @ a.
+    The outcome distribution of a diagonal input p is p @ a.  V_x moves sector nu whole to sector
+    mu(x, nu), so a[x, mu(x, nu)] = W_nu: each row holds the d_S pairwise-summed sector weights.
     """
     if u.kind == "swap":
         raise WrongKind("transition matrix defined for controlled permutations, not swap")
     if len(probs) != u.d_m:
         raise DimensionMismatch(f"memory populations have {len(probs)} levels, interaction {u.d_m}")
-    return u.grouping.readout(u.table % u.d_m, np.broadcast_to(probs, u.table.shape))
+    mu = u.grouping.level_to_group[u.table[:, u.grouping.groups[:, 0]] % u.d_m]  # a permutation of the sectors per x
+    return np.asarray(probs, dtype=float)[u.grouping.groups].sum(axis=1)[np.argsort(mu, axis=1)]
 
 
 def test_state_battery(d_s: int, seed: int = 7, n_random: int = 100) -> list[DensityOperator]:

@@ -4,8 +4,8 @@
   conjugated by each write lifted to the whole product space.  The writes are rebuilt from
   the memory array alone, as `broadcast.run_sequential_local` and `broadcast.run_global`
   define them.
-* `system_blocks`: a dense (system, memory...) state as the `SystemBlocks` that
-  `infotherm.sbs_test` reads.
+* `system_blocks` and `blocks_summary`: a dense (system, memory...) state, or its d_S x d_S
+  blocks over every pair of memory levels, as the `SystemBlocks` that `infotherm.sbs_test` reads.
 * `channel` and `channel_blocks`: a write step's general channel on S, d_S^2 x d_S^2, and a
   run's (S, M_1) blocks through the channels of its later writes, with no appeal to the
   complete-record property that `broadcast.BroadcastRun.first_marginal` rests on.
@@ -64,11 +64,20 @@ def final_state(rho_s, mem, mode=broadcast.SEQUENTIAL_LOCAL, kind="swap", varian
 
 
 def system_blocks(rho_joint):
-    """Every d_S x d_S block of a dense state; the memory is every factor but the first."""
+    """The `SystemBlocks` of a dense state; the memory is every factor but the first."""
     d_s = rho_joint.dims[0]
     d_m = rho_joint.dim // d_s
-    blocks = rho_joint.matrix.reshape(d_s, d_m, d_s, d_m).transpose(0, 2, 1, 3).reshape(d_s, d_s, -1)
-    return SystemBlocks(np.stack(np.divmod(np.arange(d_m * d_m), d_m), axis=1), blocks)
+    return blocks_summary(rho_joint.matrix.reshape(d_s, d_m, d_s, d_m).transpose(0, 2, 1, 3))
+
+
+def blocks_summary(blocks):
+    """The `SystemBlocks` of the blocks blocks[s, s', a, a'] = <s, a| rho |s', a'>: the Gram matrix
+    and the traces of the S-diagonal blocks M_x, each formed in full, and the largest S-off-diagonal |entry|."""
+    d = len(blocks)
+    m = blocks[np.arange(d), np.arange(d)]
+    flat = m.reshape(d, -1)
+    off = np.abs(blocks[~np.eye(d, dtype=bool)]).max(initial=0.0)
+    return SystemBlocks((flat @ flat.conj().T).real, np.trace(m, axis1=1, axis2=2).real, float(off))
 
 
 def permutation_matrix(u):

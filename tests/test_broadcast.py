@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import channel_blocks, final_state, joints, system_blocks
+from oracle import blocks_summary, channel_blocks, final_state, joints, system_blocks
 
 from semibroadcast import broadcast, infotherm, interact, qcore, thermal
 from semibroadcast.config import SweepConfig
@@ -180,8 +180,6 @@ def test_a_long_chain_does_not_compound_rounding():
     unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(3), 1.0, 2)
     p = [0.3, 0.7]
     run = broadcast.run_sequential_local(qcore.diag_density(p), broadcast.MemoryArray(2, [unit] * 20000))
-    rho_s_final = run.first_marginal.system().matrix.diagonal().real
-    assert rho_s_final.tolist() == pytest.approx(p, abs=1e-15)
     assert run.system_diag_history[-1].tolist() == pytest.approx(p, abs=1e-15)
     assert np.max(np.abs(np.array(run.q) - run.q[0])) <= 1e-15
 
@@ -239,15 +237,15 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
     history = list(joints(rho, mem, mode, kind, variant))
     dense = qcore.DensityOperator(history[-1], run.dims)
     n = len(dims)
-    marginal = run.first_marginal
-    want = qcore.partial_trace(dense, (0, 1)).matrix.reshape(d_s, dims[0], d_s, dims[0])
-    got = np.zeros_like(want)  # every pair of M_1 levels not listed holds a zero block
-    got.transpose(0, 2, 1, 3)[:, :, marginal.pairs[:, 0], marginal.pairs[:, 1]] = marginal.blocks
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    marginal, want = run.first_marginal, system_blocks(qcore.partial_trace(dense, (0, 1)))
+    np.testing.assert_allclose(marginal.gram, want.gram, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(marginal.traces, want.traces, rtol=0, atol=1e-12)
+    assert marginal.off_diagonal == pytest.approx(want.off_diagonal, abs=1e-12)
+    # every write is a complete record: rho_S' is diagonal, and its diagonal is the chain's last
     np.testing.assert_allclose(
-        marginal.system().matrix, qcore.partial_trace(dense, (0,)).matrix, rtol=0, atol=1e-12
+        np.diag(run.system_diag_history[-1]), qcore.partial_trace(dense, (0,)).matrix, rtol=0, atol=1e-12
     )
-    verdict, want = infotherm.sbs_test(marginal), infotherm.sbs_test(system_blocks(qcore.partial_trace(dense, (0, 1))))
+    verdict, want = infotherm.sbs_test(marginal), infotherm.sbs_test(want)
     assert verdict.off_diagonal_norm == pytest.approx(want.off_diagonal_norm, abs=1e-12)
     assert verdict.conditional_overlap == pytest.approx(want.conditional_overlap, abs=1e-12)
     for i, unit in enumerate(mem.units):
@@ -281,8 +279,8 @@ def test_structured_engine_matches_the_dense_oracle(d_s, ranks, states, kind, mo
 @pytest.mark.parametrize("mode", (broadcast.SEQUENTIAL_LOCAL, broadcast.GLOBAL))
 @pytest.mark.parametrize("n_units", (2, 3, 4))
 def test_first_marginal_matches_the_product_of_the_later_channels(n_units, mode, state):
-    # the run pushes only the S diagonal through T_2 ... T_N; the oracle keeps every entry of
-    # the first write and multiplies the general channels Phi_N ... Phi_2
+    # the run pushes only the Gram and the traces of the S-diagonal blocks through T_2 ... T_N;
+    # the oracle keeps every entry of the first write and multiplies the general channels Phi_N ... Phi_2
     rng = np.random.default_rng([n_units, len(mode), len(state)])
     for _ in range(6):
         d_s = int(rng.integers(2, 5))
@@ -298,10 +296,11 @@ def test_first_marginal_matches_the_product_of_the_later_channels(n_units, mode,
             run = broadcast.run_global(rho, mem, kind, variant)
         else:
             run = broadcast.run_sequential_local(rho, mem)
-        marginal = run.first_marginal
-        got = np.zeros((d_s, d_s, dims[0] ** 2), dtype=complex)
-        got[:, :, marginal.pairs[:, 0] * dims[0] + marginal.pairs[:, 1]] = marginal.blocks
-        np.testing.assert_allclose(got, channel_blocks(rho, mem, mode, kind, variant), rtol=0, atol=1e-12)
+        got = run.first_marginal
+        want = blocks_summary(channel_blocks(rho, mem, mode, kind, variant).reshape(d_s, d_s, dims[0], dims[0]))
+        np.testing.assert_allclose(got.gram, want.gram, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.traces, want.traces, rtol=0, atol=1e-12)
+        assert got.off_diagonal == pytest.approx(want.off_diagonal, abs=1e-12)
 
 
 def test_ensembles_over_4096_memories_are_built_one_unit_at_a_time():

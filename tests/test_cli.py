@@ -18,7 +18,13 @@ import pytest
 
 import semibroadcast
 from semibroadcast import broadcast, cli, infotherm, interact, qcore, thermal
-from semibroadcast.config import InstancesConfig, InteractionConfig, build_system_state, parse_config
+from semibroadcast.config import (
+    InstancesConfig,
+    InteractionConfig,
+    build_memory_array,
+    build_system_state,
+    parse_config,
+)
 from semibroadcast.errors import DegenerateOutcomeWarning, SemibroadcastError, WrongKind
 
 LN2 = math.log(2.0)
@@ -189,6 +195,20 @@ def test_reconstruct_reads_each_variant_from_its_transition_matrix(tmp_path, d_s
         assert abs(math.fsum(q) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [20, 21])
+def test_reconstruct_past_19_qubits_exits_0(tmp_path, n):
+    # prob_vector accepts each variant only if it sums to 1 within 1e-12, which one sequential
+    # sum over 2^20 populations misses by 4e-12; the pointer maps sum d_S pairwise sector weights
+    cfg = {
+        "experiment": "reconstruct",
+        "system": {"d_S": 2, "state": "random"},
+        "memory": {"N": 1, "n": n, "beta_omega": 1.0},
+    }
+    rc, out = run(tmp_path, "reconstruct", config=cfg)
+    assert rc == 0
+    assert read_json(out)["max_residual"] <= 1e-12
+
+
 def test_classify_default_is_locally_noninvasive(tmp_path, capsys):
     rc, out = run(tmp_path, "classify")
     assert rc == 0
@@ -313,7 +333,7 @@ def test_sequential_classify_over_4096_memories_matches_the_single_unit(tmp_path
 
 def test_classify_holds_the_first_marginal_in_a_few_copies(tmp_path):
     # d_S = 16 over two 6-qubit memories: a dense (S, M_1) marginal would be 1024 x 1024,
-    # 16 MiB; its blocks over the occupied level pairs are at most as large
+    # 16 MiB; the first write has 16^2 * 64 entries, 1/64 as many
     cfg = {
         "experiment": "sequential",
         "system": {"d_S": 16, "state": "random", "seed": 3},
@@ -432,7 +452,7 @@ def test_classify_refuses_oversized_memories_before_building_them(tmp_path, caps
 @pytest.mark.parametrize("experiment", ["sequential", "global"])
 def test_classify_copies_the_statistics_into_a_2_20_level_ground_memory(tmp_path, experiment):
     # a dense (S, M_1) marginal would hold 2^21 x 2^21 entries; the write holds one level, so
-    # its blocks are a few d_S x d_S matrices.  Either write copies x into the pointer exactly
+    # it has d_S^2 entries.  Either write copies x into the pointer exactly
     cfg = {**_memory(N=1, n=20, beta_omega=1.0, state="ground"), "experiment": experiment}
     tracemalloc.start()
     try:
@@ -448,24 +468,40 @@ def test_classify_copies_the_statistics_into_a_2_20_level_ground_memory(tmp_path
     assert peak < broadcast.BYTE_BUDGET
 
 
-def test_classify_refuses_the_first_marginal_blocks_before_allocating_them(tmp_path, capsys):
-    # d_S = 128 over a 7-qubit Gibbs memory: the first write occupies all K = 128^2 pairs of
-    # M_1 levels, whose blocks need K * 128^2 complex entries, 4 GiB
+def _traced(tmp_path, command, cfg):
+    """(exit code, out dir, tracemalloc peak) of one in-process run."""
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, command, config=cfg)
+        return rc, out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _label_keeping_off_diagonal(cfg):
+    """max_{x != x'} |rho_xx'| max_k p_k: the S-off-diagonal norm of one label-keeping write into a fresh memory."""
+    parsed = parse_config(cfg)
+    rho = build_system_state(parsed.system).matrix
+    probs = build_memory_array(parsed.memory, parsed.interaction, parsed.system.d_s).units[0].probs
+    return float(np.abs(rho[~np.eye(len(rho), dtype=bool)]).max() * probs.max())
+
+
+def test_classify_reads_the_first_marginal_of_a_128_outcome_gibbs_write(tmp_path):
+    # d_S = 128 over a 7-qubit Gibbs memory: the first write occupies all 128^2 pairs of M_1
+    # levels, so S x M_1 blocks over them would need 4 GiB; the marginal keeps the write's
+    # 2^21 entries, and of their S-diagonal blocks only the Gram and the traces
     cfg = {
         "experiment": "sequential",
         "system": {"d_S": 128, "state": "random"},
         "memory": {"N": 1, "n": 7, "beta_omega": 1.0},
     }
-    tracemalloc.start()
-    try:
-        rc, out = run(tmp_path, "classify", config=cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 4
-    assert "(S, M_1) blocks needs 4294967296 bytes" in capsys.readouterr().err
-    assert not (out / "results.json").exists()
-    assert peak < broadcast.BYTE_BUDGET // 2
+    rc, out, peak = _traced(tmp_path, "classify", cfg)
+    assert rc == 0
+    sbs = read_json(out)["sbs_first_component"]
+    # each entry (x, x', k) of a one-unit write lands on its own joint pair: nothing sums
+    assert sbs["off_diagonal_norm"] == pytest.approx(_label_keeping_off_diagonal(cfg), rel=1e-15)
+    assert sbs["is_sbs"] is False
+    assert peak < broadcast.BYTE_BUDGET
 
 
 def _wide_sequential(d_s, n, **memory):
@@ -478,47 +514,56 @@ def _wide_sequential(d_s, n, **memory):
 
 def test_sequential_classify_at_d_s_128_keeps_only_the_s_diagonal_of_the_blocks(tmp_path):
     # d_S = 128 over two 7-qubit Gibbs memories: the second write is a complete record, so it
-    # dephases S, and of the first write only the entries (x, x) survive, on the K = 128 diagonal
-    # level pairs: 32 MiB of blocks, where all 128^2 pairs of the first write needed 4 GiB
-    tracemalloc.start()
-    try:
-        rc, out = run(tmp_path, "classify", config=_wide_sequential(128, 7))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # dephases S, and of the first write only the entries (x, x) survive, 128^2 values on the
+    # 128 diagonal level pairs, where S x M_1 blocks over all 128^2 pairs of the first write needed 4 GiB
+    rc, out, peak = _traced(tmp_path, "classify", _wide_sequential(128, 7))
     assert rc == 0
     assert read_json(out)["sbs_first_component"]["off_diagonal_norm"] == 0.0
     assert peak < 128 * 2**20
 
 
-def test_sequential_classify_refuses_the_blocks_before_sorting_the_first_write(tmp_path, capsys):
-    # d_S = 512 over two 9-qubit ground memories: the first write holds one level and fills
-    # K >= d_S diagonal level pairs, so its blocks need at least 512^3 complex entries, 2 GiB:
-    # refused before the d_S^2 entry keys are sorted, with the table and the system state built
-    tracemalloc.start()
-    try:
-        rc, out = run(tmp_path, "classify", config=_wide_sequential(512, 9, state="ground"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 4
-    assert "(S, M_1) blocks needs 2147483648 bytes" in capsys.readouterr().err
-    assert not (out / "results.json").exists()
-    assert peak < 32 * 2**20
+def test_sequential_classify_over_two_512_outcome_ground_memories_is_sbs(tmp_path):
+    # d_S = 512 over two 9-qubit ground memories: the first write holds one level, so its
+    # S-diagonal entries (x, x) are 512 values on 512 diagonal level pairs; S x M_1 blocks over
+    # those pairs would need 2 GiB.  Each write copies x into a pure pointer: SBS
+    rc, out, peak = _traced(tmp_path, "classify", _wide_sequential(512, 9, state="ground"))
+    assert rc == 0
+    payload = read_json(out)
+    assert payload["sbs_first_component"]["off_diagonal_norm"] == 0.0
+    assert payload["sbs_first_component"]["is_sbs"] is True
+    assert [c["class"] for c in payload["components"]] == ["sbs", "sbs"]
+    assert peak < broadcast.BYTE_BUDGET // 4
+
+
+def test_classify_swap_into_a_512_outcome_ground_memory_stores_one_row_of_blocks(tmp_path):
+    # the swap writes every entry (x, x') of rho_S onto the outcome 0 of the ground level: 512^2
+    # S-diagonal entries on 512^2 level pairs, all in the row of outcome 0.  The other 511 rows
+    # are empty and stored as no row at all; 512 full rows would need 2 GiB
+    cfg = {**_wide_sequential(512, 9, state="ground"), "interaction": {"kind": "swap"}}
+    cfg["memory"]["N"] = 1
+    rc, out, peak = _traced(tmp_path, "classify", cfg)
+    assert rc == 0
+    payload = read_json(out)
+    assert payload["s_system_final"] == 0.0
+    assert payload["sbs_first_component"]["off_diagonal_norm"] == 0.0
+    assert payload["sbs_first_component"]["is_sbs"] is True
+    assert peak < broadcast.BYTE_BUDGET // 4
 
 
 def test_the_largest_admitted_sequential_classify_peaks_within_2_25_budgets(tmp_path):
-    # d_S = 256 over two 8-qubit ground memories: the K = 256 diagonal pairs of the first write
-    # need blocks of exactly BYTE_BUDGET, the largest N >= 2 run admitted.  sbs_test reads the
-    # S-off-diagonal part one row of blocks at a time, with no copy of it: 2.02 budgets measured
-    tracemalloc.start()
-    try:
-        rc, out = run(tmp_path, "classify", config=_wide_sequential(256, 8, state="ground"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # d_S = 128 over one 9-qubit Gibbs memory: the write's d_S^2 * 2^9 entries fill the entry
+    # list's budget exactly, the largest N = 1 system the entry list admits.  The sort of
+    # their keys dominates: 1.83 budgets measured.  (A single 21-qubit memory at d_S = 2 is
+    # admitted at the same entry count and peaks higher, 2.6 budgets noninvasive and 3.3 swap)
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 128, "state": "random"},
+        "memory": {"N": 1, "n": 9, "beta_omega": 1.0},
+    }
+    rc, out, peak = _traced(tmp_path, "classify", cfg)
     assert rc == 0
-    assert read_json(out)["sbs_first_component"]["off_diagonal_norm"] == 0.0
+    sbs = read_json(out)["sbs_first_component"]
+    assert sbs["off_diagonal_norm"] == pytest.approx(_label_keeping_off_diagonal(cfg), rel=1e-15)
     assert peak <= 2.25 * broadcast.BYTE_BUDGET
 
 

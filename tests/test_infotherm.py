@@ -763,15 +763,11 @@ def test_classify_row_order_is_strongest_first():
 def run_and_classify(rho_s, unit):
     run = broadcast.run_sequential_local(rho_s, broadcast.MemoryArray(2, (unit,)))
     h_x = qcore.shannon_entropy(run.p_initial)
-    rho_final = run.first_marginal.system()
+    s_final = qcore.shannon_entropy(run.system_diag_history[-1])
     lower, chi = infotherm.accessible_info_bracket(run.p_initial, next(run.ensembles()))
     assert lower == chi
     ev = infotherm.Table1Evidence(
-        i_acc_lower=lower,
-        chi=chi,
-        h_x=h_x,
-        s_system_final=qcore.von_neumann_entropy(rho_final),
-        s_system_final_diag=qcore.shannon_entropy(rho_final.matrix.diagonal().real),
+        i_acc_lower=lower, chi=chi, h_x=h_x, s_system_final=s_final, s_system_final_diag=s_final
     )
     return infotherm.classify_table1(ev)
 

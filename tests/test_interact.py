@@ -352,6 +352,16 @@ def test_transition_matrix_is_doubly_stochastic_at_any_beta():
                 assert np.all(a >= -1e-15)
 
 
+@pytest.mark.parametrize("d_s", [2, 4])
+def test_pointer_map_rows_sum_to_one_within_4_eps_at_20_qubits(d_s):
+    h = thermal.qubit_chain_hamiltonian(20)
+    g = thermal.group_energies(h, d_s)
+    probs = thermal.gibbs(h, 1.0).probs
+    for u in [interact.build_noninvasive_maxcorr(g)] + [interact.build_cycled_variant(g, i) for i in range(d_s - 1)]:
+        a = interact.transition_matrix(u, probs)
+        assert np.abs(a.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+
+
 def test_transition_matrix_diagonal_carries_cmax():
     g, tau = chain_setup(3, 2, beta=0.5)
     u = interact.build_noninvasive_maxcorr(g)
