@@ -166,10 +166,11 @@ class BroadcastRun:
     permutation, so a run is a chain of write steps: one per unit for a
     sequential run, each fed the system state the previous write left
     behind, or one into the merged memory for a global run; unit i is the
-    i-th memory factor of the chain.  Pointer statistics need only the
-    system diagonal entering each step.  The same run from every basis input
-    (`ensembles` and `basis_defects`) chains one row per input, 0-probability
-    inputs too (no row is divided by its p_x), read out one unit at a time.
+    i-th memory factor of the chain.  A step's exact t moves the system diagonal: I
+    for noninvasive and cycled writes, W in every row for swap.  A unit's pointer
+    statistics are the diagonal entering its step times the step's pointer map for it,
+    built once per step.  The same run from every basis input (`ensembles` and
+    `basis_defects`) chains one row per input, 0-probability ones too.
     The (S, M_1) marginal is read from the first write's nonzero entries: their
     largest S-off-diagonal |entry| and the Gram matrix and traces of their S-diagonal
     blocks, which the later steps' transition matrices move.  No d_M x d_M matrix is built.
@@ -185,15 +186,14 @@ class BroadcastRun:
         self._rho_s, self._mem, self._steps = rho_s, mem, steps
         chain = list(self._chain(self.p_initial[None]))
         self.system_diag_history = tuple(r[0] for r in chain[1:])
-        self.q = tuple(u.grouping.readout(np.arange(u.dim), step.populations(f, r))[0] for u, step, f, r in self._writes(chain))
+        self.q = tuple(r[0] @ step.pointer_map(f, u.grouping) for u, step, f, r in self._writes(chain))
 
     def _chain(self, rows: np.ndarray):
         """The system diagonals `rows` entering each step, then leaving the last."""
         yield rows
         for step in self._steps:
-            rows = rows @ step.t
-            # renormalised: the rounding of t's row sums would otherwise compound over the stages
-            rows = rows / rows.sum(axis=1, keepdims=True)
+            # a swap's rows of t are all W: it writes W, where r @ t would scale it by sum(r) != 1
+            rows = np.repeat(step.t[:1], len(rows), axis=0) if (step.t == step.t[0]).all() else rows @ step.t
             yield rows
 
     def _writes(self, incoming):
@@ -208,8 +208,8 @@ class BroadcastRun:
         """Entry x: the worst deviation of any unit's pointer statistics from input |x>."""
         basis = np.eye(self.dims[0])
         worst = np.zeros(len(basis))
-        for u, rows in zip(self._mem.units, self.ensembles()):
-            worst = np.maximum(worst, np.abs(basis - u.grouping.readout(np.arange(u.dim), rows)).max(axis=1))
+        for u, step, f, rows in self._writes(self._chain(basis)):
+            worst = np.maximum(worst, np.abs(rows @ step.pointer_map(f, u.grouping) - basis).max(axis=1))
         return worst
 
     @cached_property

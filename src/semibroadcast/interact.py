@@ -17,10 +17,10 @@ dephases it in the outcome basis, then moves its diagonal by `WriteStep.t`.
   register.  It copies the system's outcome statistics into the pointer
   sectors exactly, at the price of replacing the system state.
 
-The pointer correlation of a joint state is
-C = sum_x Tr[ rho (|x><x| (x) Pi_x) ] with Pi_x the sector projectors; it
-and every pointer distribution are read from the diagonal through
-`EnergyGrouping.groups` and `EnergyGrouping.readout`.
+A run's d_S x d_S matrices are sector maps on the pairwise sector weights
+(`sector_matrix`, `WriteStep.pointer_map`).  The pointer correlation
+C = sum_x Tr[ rho (|x><x| (x) Pi_x) ], Pi_x the sector projectors, and every
+pointer distribution are read through `EnergyGrouping.readout`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .thermal import EnergyGrouping, GibbsState
 KINDS = ("noninvasive", "cycled", "swap")
 
 
-def _table(grouping: EnergyGrouping, sector_map) -> np.ndarray:
-    """Joint images (d_S, d_M): |x, groups[nu][s]> -> |y, groups[mu][s]> for (y, mu) = sector_map(x, nu)."""
+def _table(grouping: EnergyGrouping, sector_map) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Joint images (d_S, d_M) |x, groups[nu][s]> -> |y, groups[mu][s]>, and (y, mu) = sector_map(x, nu) as d_S x d_S arrays."""
     d_s, d_m = grouping.d_s, grouping.dim
     x = np.arange(d_s).reshape(d_s, 1)
     y, mu = np.broadcast_arrays(*sector_map(x, x.T))  # the map on every (x, nu) at once
@@ -49,7 +49,7 @@ def _table(grouping: EnergyGrouping, sector_map) -> np.ndarray:
     for row in range(d_s):  # one row of temporaries at a time
         table[row, grouping.groups] = y[row, :, None] * d_m + grouping.groups[mu[row]]
     table.setflags(write=False)
-    return table
+    return table, (y, mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +57,13 @@ class ControlledInteraction:
     """A joint basis permutation of system (x) memory.
 
     `table[x, m]` is the flat index of U|x, m> on the d_S * d_M product
-    basis; `kind` is one of KINDS.
+    basis; `sectors` is the sector map (y, mu)[x, nu]; `kind` is one of KINDS.
     """
 
     kind: str
     grouping: EnergyGrouping
     table: np.ndarray
+    sectors: tuple[np.ndarray, np.ndarray]
     variant: int = 0
 
     @property
@@ -77,6 +78,13 @@ class ControlledInteraction:
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis."""
         return self.table.ravel()
+
+
+def sector_matrix(sector_map: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a[x, z] = the sum of the sector weights w[nu] over sector_map[x, nu] = z, each row divided by its own sum."""
+    d = len(w)
+    a = np.bincount((np.arange(d)[:, None] * d + sector_map).ravel(), np.tile(w, d), minlength=d * d).reshape(d, d)
+    return a / a.sum(axis=1, keepdims=True)
 
 
 class WriteStep:
@@ -100,13 +108,21 @@ class WriteStep:
             self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
             self.p = probs[..., occupied]
         self.dims = dims or (u.d_m,)
+        self.u, self.probs = u, probs
+        self._maps = {}
 
     @cached_property
     def t(self) -> np.ndarray:
-        """The stage on the system diagonal: the d_S x d_S transition matrix, t[x, y] the weight of |x> -> |y>."""
-        d = len(self.y)
-        flat = np.arange(d).reshape(d, 1) * d + self.y
-        return np.bincount(flat.ravel(), np.broadcast_to(self.p, flat.shape).ravel(), minlength=d * d).reshape(d, d)
+        """The stage on the system diagonal: t[x, y] the weight of |x> -> |y>, `sector_matrix` of y for one population row."""
+        return sector_matrix(self.u.sectors[0], self.u.grouping.readout(self.probs))
+
+    def pointer_map(self, f: int, grouping: EnergyGrouping) -> np.ndarray:
+        """Memory factor f's pointer map under its `grouping`, built once: row x the sector sums of the populations
+        written from |x>, divided by their own sum (for a one-unit step, `sector_matrix` of mu bit for bit)."""
+        if f not in self._maps:
+            a = grouping.readout(self.populations(f, np.eye(len(self.y))))
+            self._maps[f] = a / a.sum(axis=1, keepdims=True)
+        return self._maps[f]
 
     def populations(self, f: int, r: np.ndarray) -> np.ndarray:
         """Level populations of memory factor f after writing each system diagonal, a row of r;
@@ -143,7 +159,7 @@ def build_noninvasive_maxcorr(grouping: EnergyGrouping) -> ControlledInteraction
     every diagonal input against the thermal memory it was grouped for.
     """
     d_s = grouping.d_s
-    return ControlledInteraction("noninvasive", grouping, _table(grouping, lambda x, nu: (x, (x + nu) % d_s)))
+    return ControlledInteraction("noninvasive", grouping, *_table(grouping, lambda x, nu: (x, (x + nu) % d_s)))
 
 
 def build_cycled_variant(grouping: EnergyGrouping, i: int) -> ControlledInteraction:
@@ -162,7 +178,7 @@ def build_cycled_variant(grouping: EnergyGrouping, i: int) -> ControlledInteract
         s_inv = ((nu - 1 - i) % (d_s - 1)) + 1
         return x, np.where(nu == 0, x, (x + s_inv) % d_s)
 
-    return ControlledInteraction("cycled", grouping, _table(grouping, sector_map), i)
+    return ControlledInteraction("cycled", grouping, *_table(grouping, sector_map), i)
 
 
 def build_unbiased_swap(grouping: EnergyGrouping) -> ControlledInteraction:
@@ -171,7 +187,7 @@ def build_unbiased_swap(grouping: EnergyGrouping) -> ControlledInteraction:
     Exactly unbiased: the pointer distribution after the swap equals the
     system's outcome-basis diagonal for every input state.
     """
-    return ControlledInteraction("swap", grouping, _table(grouping, lambda x, nu: (nu, x)))
+    return ControlledInteraction("swap", grouping, *_table(grouping, lambda x, nu: (nu, x)))
 
 
 def apply(u: ControlledInteraction, rho_s: DensityOperator, sigma_m: DensityOperator) -> DensityOperator:
@@ -199,14 +215,13 @@ def transition_matrix(u: ControlledInteraction, probs) -> np.ndarray:
     """Row-stochastic pointer map a[x, y] = Tr[ Pi_y V_x diag(probs) V_x^dagger ] of a controlled shift.
 
     The outcome distribution of a diagonal input p is p @ a.  V_x moves sector nu whole to sector
-    mu(x, nu), so a[x, mu(x, nu)] = W_nu: each row holds the d_S pairwise-summed sector weights.
+    mu(x, nu), so a[x, mu(x, nu)] = W_nu: `sector_matrix` of mu on the pairwise sector weights.
     """
     if u.kind == "swap":
         raise WrongKind("transition matrix defined for controlled permutations, not swap")
     if len(probs) != u.d_m:
         raise DimensionMismatch(f"memory populations have {len(probs)} levels, interaction {u.d_m}")
-    mu = u.grouping.level_to_group[u.table[:, u.grouping.groups[:, 0]] % u.d_m]  # a permutation of the sectors per x
-    return np.asarray(probs, dtype=float)[u.grouping.groups].sum(axis=1)[np.argsort(mu, axis=1)]
+    return sector_matrix(u.sectors[1], u.grouping.readout(np.asarray(probs, dtype=float)))
 
 
 def test_state_battery(d_s: int, seed: int = 7, n_random: int = 100) -> list[DensityOperator]:
@@ -221,8 +236,7 @@ def test_state_battery(d_s: int, seed: int = 7, n_random: int = 100) -> list[Den
 def pointer_distribution(rho_joint: DensityOperator, grouping: EnergyGrouping) -> np.ndarray:
     """Sector populations of the memory factor of a (system, memory) state."""
     d_s, d_m = rho_joint.dims
-    diag = rho_joint.matrix.diagonal().real.reshape(d_s, d_m).sum(axis=0)
-    return grouping.readout(np.arange(d_m), diag)
+    return grouping.readout(rho_joint.matrix.diagonal().real.reshape(d_s, d_m).sum(axis=0))
 
 
 def check_unbiased(

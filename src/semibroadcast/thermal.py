@@ -170,23 +170,9 @@ class EnergyGrouping:
     def dim(self) -> int:
         return self.d_s * self.r
 
-    @cached_property
-    def level_to_group(self) -> np.ndarray:
-        out = np.empty(self.dim, dtype=int)
-        for y in range(self.d_s):
-            out[self.groups[y]] = y
-        return out
-
-    def readout(self, levels, weights) -> np.ndarray:
-        """Pointer distribution: the total of `weights` landing in each sector.
-
-        `levels[..., k]` is the memory level that carries `weights[..., k]`.
-        Each row of a 2-D `weights` is read out apart, in one `bincount`.
-        """
-        rows = np.shape(weights)[:-1]
-        n = math.prod(rows)
-        flat = np.broadcast_to(np.arange(n).reshape(rows + (1,)) * self.d_s + self.level_to_group[levels], np.shape(weights))
-        return np.bincount(flat.ravel(), np.ravel(weights), minlength=n * self.d_s).reshape(rows + (self.d_s,))
+    def readout(self, weights) -> np.ndarray:
+        """Pointer distribution per row: the pairwise sum of `weights[..., m]` over each sector's levels, contiguous by `take`."""
+        return np.take(weights, self.groups, axis=-1).sum(axis=-1)
 
 
 def group_energies(hamiltonian: MemoryHamiltonian, d_s: int) -> EnergyGrouping:
@@ -209,7 +195,7 @@ def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:
     """
     if tau.dim != grouping.dim:
         raise DimensionMismatch(f"state dim {tau.dim} != grouping dim {grouping.dim}")
-    return float(tau.probs[grouping.groups[0]].sum())
+    return float(grouping.readout(tau.probs)[0])
 
 
 def _ceiling_pass(walks, ns: np.ndarray, bws: np.ndarray) -> np.ndarray:

@@ -175,13 +175,38 @@ def test_final_state_rank_is_memory_bound_for_pure_inputs():
 
 
 def test_a_long_chain_does_not_compound_rounding():
-    # 20,000 writes into 3-qubit memories: each channel keeps the trace only up to
-    # rounding, which unless renormalised compounds past the 1e-12 a DensityOperator allows
+    # 20,000 writes into 3-qubit memories: any rounding of the trace per write would compound
+    # past the 1e-12 a DensityOperator allows; a noninvasive write's t is exactly I
     unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(3), 1.0, 2)
     p = [0.3, 0.7]
     run = broadcast.run_sequential_local(qcore.diag_density(p), broadcast.MemoryArray(2, [unit] * 20000))
     assert run.system_diag_history[-1].tolist() == pytest.approx(p, abs=1e-15)
     assert np.max(np.abs(np.array(run.q) - run.q[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["noninvasive", "cycled"])
+def test_label_keeping_chains_keep_the_input_diagonal_bit_for_bit(kind):
+    # such a write's t is exactly I, so 64 of them pass the input diagonal through unchanged,
+    # and every unit reads the same statistics
+    rng = np.random.default_rng(len(kind))
+    for d_s in (2, 4):
+        for n in (6, 12, 16):
+            unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(n), 1.0, d_s, kind=kind)
+            mem = broadcast.MemoryArray(d_s, [unit] * 64)
+            for _ in range(5):
+                run = broadcast.run_sequential_local(qcore.diag_density(rng.dirichlet(np.ones(d_s))), mem)
+                assert all(np.array_equal(diag, run.p_initial) for diag in run.system_diag_history)
+                assert all(np.array_equal(q, run.q[0]) for q in run.q)
+
+
+def test_a_swap_chain_leaves_the_sector_weights_bit_for_bit():
+    # every row of a swap's t is the memory's sector weights W, which each of 1,024 swaps writes
+    # onto the system whatever came in
+    unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(6), 1.0, 2, kind="swap")
+    p = qcore.diag_density(np.random.default_rng(5).dirichlet(np.ones(2)))
+    run = broadcast.run_sequential_local(p, broadcast.MemoryArray(2, [unit] * 1024))
+    t = interact.WriteStep(unit.interaction, unit.probs).t
+    assert all(np.array_equal(diag, t[0]) for diag in run.system_diag_history)
 
 
 def test_system_dimension_mismatch_is_rejected():
