@@ -10,8 +10,11 @@ Gibbs weight of the coldest sector.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -117,6 +120,8 @@ def _segment_logsumexp(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     shift = np.repeat(a_max, lengths)
     top = a == shift
     m = np.add.reduceat(top, starts, dtype=np.intp)
+    if np.isneginf(a_max).any():  # a segment of -inf alone is shifted by 0: -inf - -inf is nan
+        shift[shift == -np.inf] = 0.0
     e = np.exp(a - shift)
     e[top] = 0.0
     s = np.add.reduceat(np.insert(e, starts, 0.0), starts + np.arange(starts.size))
@@ -216,7 +221,8 @@ def _ceiling_pass(walks, ns: np.ndarray, bws: np.ndarray) -> np.ndarray:
     log_c[tail_at] = [math.log(w[3] - w[2]) for w in walks]
     log_c[tail_at[has_take] - 1] = [math.log(w[2]) for w in walks if w[2] > 0]
     log_z1 = np.logaddexp(0.0, -bws)[:, None]  # ln Z of one qubit; ln Z^n = n of it
-    log_w = log_c - bws[:, None] * m - np.repeat(ns, ns + 1 + has_take) * log_z1
+    with np.errstate(over="ignore"):  # beta omega m past the float range is inf: weight exactly 0
+        log_w = log_c - bws[:, None] * m - np.repeat(ns, ns + 1 + has_take) * log_z1
     lse = _segment_logsumexp(log_w.ravel(), np.tile(lengths, bws.size)).reshape(bws.size, ns.size, 2)
     head = np.exp(lse[..., 0])
     # Near saturation the complement sum is far more accurate.
@@ -225,6 +231,43 @@ def _ceiling_pass(walks, ns: np.ndarray, bws: np.ndarray) -> np.ndarray:
 
 ANALYTIC_N_MAX = 1029  # beyond it C(n, n // 2) overflows a float
 CLASS_BLOCK = 2**12  # (beta omega, class) log-weights per array pass, which bounds its temporaries
+PASCAL_STEPS = 3  # most Pascal steps from the previous n before a fresh walk; see `_class_walks`
+
+
+def _class_walks(ns, log_r: int):
+    """(half row, b, take, C(n, b)) of each n in the ascending distinct `ns`, one n at a time.
+
+    The half row is C(n, 0..n // 2) in exact integers.  It is Pascal-advanced from the previous
+    n, C(n, m) = C(n - 1, m - 1) + C(n - 1, m), when n is at most PASCAL_STEPS above it, and
+    walked afresh with C(n, m + 1) = C(n, m)(n - m)/(m + 1) otherwise.  The coldest
+    r = 2^n / 2^log_r levels are the whole classes m < b and `take` levels of class b.
+
+    On a 2-vCPU x86 host (CPython 3.11), g Pascal steps cost 0.5 g fresh walks at n = 100-200,
+    0.33 g at n = 400 and 0.22 g at n = 1000, so they break even at g = 2, 3 and 4-5.  A walk
+    costs about n^2, so the large n dominate a sweep, and PASCAL_STEPS = 3 is taken.
+    """
+    prev, half = 0, [1]  # C(0, 0)
+    for k in ns:
+        if k - prev <= PASCAL_STEPS:
+            for j in range(prev + 1, k + 1):
+                # an even j has one more middle class, C(j, j/2) = 2 C(j - 1, j/2 - 1)
+                half = [1, *map(add, half, half[1:])] + ([2 * half[-1]] if j % 2 == 0 else [])
+        else:
+            half, count = [], 1
+            for m in range(k // 2 + 1):
+                half.append(count)
+                count = count * (k - m) // (m + 1)
+        prev, r = k, 2 ** (k - log_r)  # exact int, may be huge
+        b, take = _boundary(half, r)
+        # if the classes m <= n // 2 fill r exactly, b = n // 2 + 1 and C(n, b) = C(n, n - b)
+        yield half, b, take, half[b] if b < len(half) else half[k - b]
+
+
+def _boundary(half: list[int], r: int) -> tuple[int, int]:
+    """The first class b whose levels do not all fit below r, and how many of them do."""
+    below = list(accumulate(half))
+    b = bisect_right(below, r)  # >= 1, as r >= 1 = C(n, 0)
+    return b, r - below[b - 1]
 
 
 def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
@@ -240,15 +283,19 @@ def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     of a 60-digit one at n = 411 ... 1029 (largest at beta omega = 0, n = 1029).
     C(n, m) stays finite as a float up to n = ANALYTIC_N_MAX = 1029, the
     largest n taken, and the largest a sweep config accepts.
-    d_s must be a power of two dividing 2^n.
+    d_s must be a power of two dividing 2^n, and n an integer (a numpy integer too).
 
     `n` and `beta_omega` are each a number or a 1-d sequence: two numbers give a float, else a
-    (len beta_omega, len n) array, each value bit-identical to its scalar call.  The class walk
-    runs once per n for every beta omega, and the float part is one array pass per block of n
-    values (about CLASS_BLOCK weights, or one n's classes when they alone exceed it).
+    (len beta_omega, len n) array, each value bit-identical to its scalar call.  The distinct n
+    are taken in ascending order, each exact class walk Pascal-advanced from the previous n when
+    that is at most PASCAL_STEPS below (`_class_walks`), so a sweep of every n costs one row
+    addition per n.  The float part is one array pass per block of n values (about CLASS_BLOCK
+    weights, or one n's classes when they alone exceed it), and only one block's rows are held.
     """
     ns, bws = np.ravel(n).tolist(), np.ravel(np.asarray(beta_omega, dtype=float))
     for k in ns:
+        if not isinstance(k, int):
+            raise DimensionMismatch(f"n must be an integer, got n={k!r}")
         if not 1 <= k <= ANALYTIC_N_MAX:
             raise DimensionMismatch(f"need 1 <= n <= {ANALYTIC_N_MAX}, got n={k}")
     bad = bws[~(np.isfinite(bws) & (bws >= 0.0))]
@@ -259,24 +306,14 @@ def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     log_r = d_s.bit_length() - 1
     if ns and min(ns) < log_r:
         raise DimensionMismatch(f"d_s={d_s} does not divide 2^{min(ns)}")
-    out, walks, size = np.empty((bws.size, len(ns))), [], 0
-    for i, k in enumerate(ns):
-        r = 2 ** (k - log_r)  # exact int, may be huge
-        # walk the classes with C(n, m+1) = C(n, m)(n - m)/(m + 1) in exact integers up to n // 2,
-        # keeping each size and noting the first class b that does not fit whole below r levels
-        half, count, below, b = [], 1, 0, None
-        for m in range(k // 2 + 1):
-            half.append(count)
-            if b is None:
-                if below + count > r:
-                    b = m
-                else:
-                    below += count
-            count = count * (k - m) // (m + 1)
-        # if the classes m <= n // 2 fill r exactly, b = n // 2 + 1 and count is now C(n, b)
-        walks.append((half, k // 2 + 1, 0, count) if b is None else (half, b, r - below, half[b]))
-        size += (k + 2) * bws.size
-        if size >= CLASS_BLOCK or i == len(ns) - 1:
-            out[:, i + 1 - len(walks) : i + 1] = _ceiling_pass(walks, np.array(ns[i + 1 - len(walks) : i + 1]), bws)
-            walks, size = [], 0
-    return float(out[0, 0]) if np.ndim(n) == 0 and np.ndim(beta_omega) == 0 else out
+    distinct = sorted(set(ns))
+    out, walks, size, done = np.empty((bws.size, len(distinct))), [], 0, 0
+    for i, walk in enumerate(_class_walks(distinct, log_r)):
+        walks.append(walk)
+        size += (distinct[i] + 2) * bws.size
+        if size >= CLASS_BLOCK or i == len(distinct) - 1:
+            out[:, done : i + 1] = _ceiling_pass(walks, np.array(distinct[done : i + 1]), bws)
+            walks, size, done = [], 0, i + 1
+    if np.ndim(n) == 0 and np.ndim(beta_omega) == 0:
+        return float(out[0, 0])
+    return out[:, np.searchsorted(distinct, ns)]

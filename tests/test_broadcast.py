@@ -653,6 +653,20 @@ def test_sweep_rows_are_sorted_and_complete():
     ]
 
 
+def test_a_sweep_to_the_cap_holds_one_block_of_class_rows():
+    # every exact class row up to n = 1029 held at once is about 26 MB; the ceiling holds one
+    # block's rows and the row it advances from, and the peak is mostly the sweep's own rows
+    bws = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+    tracemalloc.start()
+    try:
+        rows = broadcast.sweep_cmax_convergence(range(1, thermal.ANALYTIC_N_MAX + 1), bws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(bws) * thermal.ANALYTIC_N_MAX
+    assert peak <= 4 * 2**20
+
+
 def test_sweep_values_match_the_analytic_path():
     rows = broadcast.sweep_cmax_convergence([1, 7, 25], SweepConfig().beta_omega)
     for n, bw, c in rows:

@@ -1,7 +1,10 @@
 """Thermal memories: Hamiltonians, Gibbs states, sector grouping, c_max."""
 
 import hashlib
+import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +215,13 @@ def test_logsumexp_matches_scipy_on_every_analytic_cmax_input(monkeypatch):
     assert sum(lengths.size for _, lengths in seen) == 2 * 3 * (1029 + 1028 + 1027)
     for a, lengths in seen:
         assert_segments_are_scipys(a, lengths)
+
+
+def test_a_segment_of_minus_inf_alone_is_scipys_without_warnings():
+    # a class log-weight past the float range is -inf, and a tail segment may hold nothing else
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_segments_are_scipys([-np.inf, -np.inf, 0.5, -np.inf, -2.0, -np.inf], [2, 2, 1, 1])
 
 
 # ---------------------------------------------------------------- grouping
@@ -465,6 +475,65 @@ def test_the_array_ceiling_keeps_its_shape():
     assert thermal.c_max_qubits_analytic([5], 1.0).shape == (1, 1)
     assert thermal.c_max_qubits_analytic(5, [1.0, 2.0]).shape == (2, 1)
     assert thermal.c_max_qubits_analytic([], [1.0]).shape == (1, 0)
+
+
+def test_the_array_ceiling_is_each_scalar_call_across_pascal_gaps():
+    # gaps below, at and just above PASCAL_STEPS, low and up to the cap, then the same n
+    # descending and repeated: a scalar call above PASCAL_STEPS walks afresh, so every
+    # Pascal-advanced row is compared with a fresh one
+    g = thermal.PASCAL_STEPS
+    gaps = [g - 1, g, g + 1] * 2
+    low = list(itertools.accumulate([3, *gaps]))
+    high = list(itertools.accumulate([thermal.ANALYTIC_N_MAX - sum(gaps), *gaps]))
+    ns = [*low, *high, *high[::-1], *low[::-1], low[2], high[-1]]
+    bws = (0.0, 0.05, 1.0, 8.0, 300.0)
+    for d_s in (2, 4, 8):
+        got = thermal.c_max_qubits_analytic(ns, bws, d_s)
+        want = [[thermal.c_max_qubits_analytic(n, bw, d_s).hex() for n in ns] for bw in bws]
+        assert [[c.hex() for c in row] for row in got.tolist()] == want
+
+
+def test_the_class_walks_are_math_comb_at_every_n():
+    # one ascending call per d_s over every n up to the cap, so each row but the first few is
+    # Pascal-advanced from the previous n; its half row, b, take and C(n, b) against math.comb
+    walks = {
+        d_s: thermal._class_walks(range(d_s.bit_length() - 1, thermal.ANALYTIC_N_MAX + 1), d_s.bit_length() - 1)
+        for d_s in (2, 4, 8)
+    }
+    for n in range(1, thermal.ANALYTIC_N_MAX + 1):
+        row = [math.comb(n, m) for m in range(n // 2 + 2)]
+        for d_s, walk in walks.items():
+            if 2**n % d_s:
+                continue
+            left, b = 2**n // d_s, 0
+            while row[b] <= left:  # class b fits whole below the sector boundary
+                left -= row[b]
+                b += 1
+            assert next(walk) == (row[:-1], b, left, row[b]), (n, d_s)
+    for walk in walks.values():
+        assert next(walk, None) is None
+
+
+def test_analytic_cmax_refuses_a_non_integer_n():
+    for n in (5.0, 5.5, np.float64(5.0), [3, 5.5], np.array([3.0])):
+        with pytest.raises(DimensionMismatch, match="integer"):
+            thermal.c_max_qubits_analytic(n, 1.0)
+    want = thermal.c_max_qubits_analytic(5, 1.0)
+    assert thermal.c_max_qubits_analytic(np.int64(5), 1.0) == want
+    assert thermal.c_max_qubits_analytic(np.array([5, 5], dtype=np.uint16), [1.0]).tolist() == [[want, want]]
+
+
+@pytest.mark.parametrize("d_s", [2, 4, 8])
+def test_analytic_cmax_saturates_at_the_largest_beta_omega_without_warnings(d_s):
+    # beta omega m overflows to inf there: a class weight of exactly 0, not a warning
+    ns = [n for n in (1, 2, 3, 409, thermal.ANALYTIC_N_MAX) if 2**n % d_s == 0]
+    bws = [1e300, 1e308, sys.float_info.max]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = thermal.c_max_qubits_analytic(ns, bws, d_s)
+        scalars = [thermal.c_max_qubits_analytic(n, bw, d_s) for bw in bws for n in ns]
+    assert got.tolist() == [[1.0] * len(ns)] * len(bws)
+    assert scalars == [1.0] * len(ns) * len(bws)
 
 
 def test_analytic_cmax_frozen_values():
