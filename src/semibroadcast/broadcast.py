@@ -418,7 +418,7 @@ def sweep_cmax_convergence(n_values, beta_omega_values, d_s: int = 2) -> list[tu
 
     Rows are ordered by (beta*omega, n) so output files are reproducible.
     """
-    n_values = sorted(int(n) for n in n_values)
+    n_values = sorted(np.ravel(n_values).tolist())  # numpy integers become int; the ceiling refuses any other n
     bw_values = sorted(float(b) for b in beta_omega_values)
     c = c_max_qubits_analytic(n_values, bw_values, d_s).tolist()
     return [(n, bw, value) for bw, row in zip(bw_values, c) for n, value in zip(n_values, row)]

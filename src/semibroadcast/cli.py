@@ -256,8 +256,9 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         records = hl_sweep_records(inst, cfg.seed, bits)
     else:
         records = [_hl_single(cfg, bits)]
-    min_gap = min(r["gap"] for r in records)
-    max_rw = max(r["reeb_wolf_residual"] for r in records)
+    # a nan anywhere is the summary's value, so that the invariant checks below fail on it
+    min_gap = min((r["gap"] for r in records), key=lambda v: (not math.isnan(v), v))
+    max_rw = max((r["reeb_wolf_residual"] for r in records), key=lambda v: (math.isnan(v), v))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "hl-bound",
@@ -277,9 +278,9 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     _write_csv(out_dir, header, [[r[k] for k in header] for r in records])
     print(f"{len(records)} instance(s): min gap {min_gap:.3e}, max identity residual {max_rw:.3e}")
     gap_floor = -(GAP_TOL / LN2 if bits else GAP_TOL)
-    if min_gap < gap_floor:
+    if not min_gap >= gap_floor:
         raise InvariantViolation(f"bound gap {min_gap} below {gap_floor}")
-    if max_rw > RW_TOL:
+    if not max_rw <= RW_TOL:
         raise InvariantViolation(f"decomposition residual {max_rw} above {RW_TOL}")
     return payload
 

@@ -10,10 +10,8 @@ Gibbs weight of the coldest sector.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
@@ -145,8 +143,13 @@ def gibbs_rows(energies: np.ndarray, beta) -> GibbsRows:
     bad = beta[~(np.isfinite(beta) & (beta >= 0.0))]
     if bad.size:
         raise DimensionMismatch(f"beta must be finite and >= 0, got {bad[0]}")
-    logw = -beta[:, None] * energies
-    log_z = _segment_logsumexp(logw.ravel(), np.full(logw.shape[0], logw.shape[1]))
+    # a -beta E past the float range is +-inf, and a row of them has no finite ln Z to normalize by
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = -beta[:, None] * energies
+        log_z = _segment_logsumexp(logw.ravel(), np.full(logw.shape[0], logw.shape[1]))
+    if not np.isfinite(log_z).all():
+        row = np.flatnonzero(~np.isfinite(log_z))[0]
+        raise DimensionMismatch(f"beta = {beta[row]} takes -beta E out of the float range: ln Z = {log_z[row]}")
     return GibbsRows(energies, beta, log_z, np.exp(logw - log_z[:, None]))
 
 
@@ -204,33 +207,55 @@ def c_max(grouping: EnergyGrouping, tau: GibbsState) -> float:
 
 
 def _ceiling_pass(walks, ns: np.ndarray, bws: np.ndarray) -> np.ndarray:
-    """c_max (len bws, len ns) from the class walks (half row, b, take, C(n, b)) of ns, in one array pass.
+    """c_max (len bws, len ns) from the class walks (float half row, b, take, C(n, b)) of ns, one array pass per side.
 
-    Each n lays out its classes 0..n, b twice when take > 0, as one head and one tail segment.
+    An n's head is its classes m < b and the `take` levels of class b, its tail the rest of b and
+    the classes m > b; `side` lays out each (beta omega, n) side as one segment of class
+    log-weights.  c_max is the head where head <= 1/2, else 1 - tail, which near saturation is
+    far more accurate.  So the tail is summed for every n, and the head only for the n whose
+    e^tail >= 1/2 - 1e-6 at some beta omega; elsewhere it could not be returned.
+
+    The margin 1e-6: a side whose exact sum is at least 1/4 has a class weight of at least 1/4120
+    (n + 1 <= 1030 classes), so each of its weights above e^-40 of that has log C(n, m) <= 710,
+    n ln Z_1 <= 714 and beta omega m < 800.  Each of the three is within 3e-13 of exact and the
+    log-weight within 1.2e-12, so the side is within 2e-12 relative of exact.  Exact head and
+    tail sum to 1, so a computed e^tail < 1/2 - 1e-6 puts the exact head above 1/2 + 1e-6 - 2e-12
+    and the computed head above 1/2.  A segment's log-sum-exp depends on that segment alone, so
+    which n get a head changes no bit.  A head is at most n // 2 + 1 classes and a tail at least
+    n - n // 2, so the head pass lays out at most one more weight per (beta omega, n).
     """
     b, has_take = np.array([w[1] for w in walks]), np.array([w[2] > 0 for w in walks])
-    # each C(n, m) is rounded to float once, then mirrored by C(n, m) = C(n, n - m)
-    log_half = np.log(np.array([c for w in walks for c in w[0]], dtype=float))
-    first = np.cumsum(ns + 1) - (ns + 1)
-    m = np.arange(first[-1] + ns[-1] + 1) - np.repeat(first, ns + 1)
-    log_c = log_half[np.repeat(np.cumsum(ns // 2 + 1) - (ns // 2 + 1), ns + 1) + np.minimum(m, np.repeat(ns, ns + 1) - m)]
-    reps = 1 + np.bincount((first + b)[has_take], minlength=m.size)
-    m, log_c = np.repeat(m, reps), np.repeat(log_c, reps)
-    lengths = np.column_stack([b + has_take, ns + 1 - b]).ravel()
-    tail_at = (np.cumsum(lengths) - lengths)[1::2]
-    log_c[tail_at] = [math.log(w[3] - w[2]) for w in walks]
-    log_c[tail_at[has_take] - 1] = [math.log(w[2]) for w in walks if w[2] > 0]
+    # the half rows as floats, mirrored by C(n, m) = C(n, n - m)
+    log_half = np.log(np.concatenate([w[0] for w in walks]))
+    half_at = np.cumsum(ns // 2 + 1) - (ns // 2 + 1)
     log_z1 = np.logaddexp(0.0, -bws)[:, None]  # ln Z of one qubit; ln Z^n = n of it
-    with np.errstate(over="ignore"):  # beta omega m past the float range is inf: weight exactly 0
-        log_w = log_c - bws[:, None] * m - np.repeat(ns, ns + 1 + has_take) * log_z1
-    lse = _segment_logsumexp(log_w.ravel(), np.tile(lengths, bws.size)).reshape(bws.size, ns.size, 2)
-    head = np.exp(lse[..., 0])
-    # Near saturation the complement sum is far more accurate.
-    return np.where(head <= 0.5, head, 1.0 - np.exp(lse[..., 1]))
+
+    def side(cols, lo, hi, split, log_split):
+        """ln of the weight of the classes lo..hi - 1 of each n in `cols`, (len bws, len cols),
+        class b counting e^log_split levels in the columns `split`."""
+        lengths = hi - lo
+        starts = np.cumsum(lengths) - lengths
+        m = np.arange(starts[-1] + lengths[-1]) - np.repeat(starts - lo, lengths)
+        n = np.repeat(ns[cols], lengths)
+        log_c = log_half[np.repeat(half_at[cols], lengths) + np.minimum(m, n - m)]
+        log_c[(starts + b[cols] - lo)[split]] = log_split
+        with np.errstate(over="ignore"):  # beta omega m past the float range is inf: weight exactly 0
+            log_w = log_c - bws[:, None] * m - n * log_z1
+        return _segment_logsumexp(log_w.ravel(), np.tile(lengths, bws.size)).reshape(bws.size, lengths.size)
+
+    tail = np.exp(side(slice(None), b, ns + 1, slice(None), [math.log(w[3] - w[2]) for w in walks]))
+    out = 1.0 - tail
+    heads = np.flatnonzero((tail >= 0.5 - 1e-6).any(axis=0))
+    if heads.size:
+        took = has_take[heads]
+        head = np.exp(side(heads, 0, b[heads] + took, took, [math.log(walks[j][2]) for j in heads[took]]))
+        # Near saturation the complement sum is far more accurate.
+        out[:, heads] = np.where(head <= 0.5, head, out[:, heads])
+    return out
 
 
 ANALYTIC_N_MAX = 1029  # beyond it C(n, n // 2) overflows a float
-CLASS_BLOCK = 2**12  # (beta omega, class) log-weights per array pass, which bounds its temporaries
+CLASS_BLOCK = 2**12  # (beta omega, class) tail log-weights per array pass, which bounds its temporaries
 PASCAL_STEPS = 3  # most Pascal steps from the previous n before a fresh walk; see `_class_walks`
 
 
@@ -240,7 +265,10 @@ def _class_walks(ns, log_r: int):
     The half row is C(n, 0..n // 2) in exact integers.  It is Pascal-advanced from the previous
     n, C(n, m) = C(n - 1, m - 1) + C(n - 1, m), when n is at most PASCAL_STEPS above it, and
     walked afresh with C(n, m + 1) = C(n, m)(n - m)/(m + 1) otherwise.  The coldest
-    r = 2^n / 2^log_r levels are the whole classes m < b and `take` levels of class b.
+    r = 2^n / 2^log_r levels are the whole classes m < b and `take` levels of class b.  By the
+    row's symmetry the classes m <= n // 2 hold 2^(n - 1) levels, plus C(n, n / 2) / 2 when n is
+    even, so b is found by taking classes off from the middle until at most r levels remain:
+    at most one class for d_S = 2, O(sqrt n) for d_S = 4 and 8.
 
     On a 2-vCPU x86 host (CPython 3.11), g Pascal steps cost 0.5 g fresh walks at n = 100-200,
     0.33 g at n = 400 and 0.22 g at n = 1000, so they break even at g = 2, 3 and 4-5.  A walk
@@ -258,16 +286,13 @@ def _class_walks(ns, log_r: int):
                 half.append(count)
                 count = count * (k - m) // (m + 1)
         prev, r = k, 2 ** (k - log_r)  # exact int, may be huge
-        b, take = _boundary(half, r)
+        # the classes m <= n // 2 hold half the 2^n levels, plus half the middle class when n is even
+        b, below = k // 2 + 1, 2 ** (k - 1) + (half[-1] // 2 if k % 2 == 0 else 0)
+        while below > r:  # ends at b >= 1, as r >= 1 = C(n, 0)
+            b -= 1
+            below -= half[b]
         # if the classes m <= n // 2 fill r exactly, b = n // 2 + 1 and C(n, b) = C(n, n - b)
-        yield half, b, take, half[b] if b < len(half) else half[k - b]
-
-
-def _boundary(half: list[int], r: int) -> tuple[int, int]:
-    """The first class b whose levels do not all fit below r, and how many of them do."""
-    below = list(accumulate(half))
-    b = bisect_right(below, r)  # >= 1, as r >= 1 = C(n, 0)
-    return b, r - below[b - 1]
+        yield half, b, r - below, half[b] if b < len(half) else half[k - b]
 
 
 def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
@@ -276,11 +301,13 @@ def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     The C(n, m) levels with m excitations each weigh e^{-beta omega m} / Z^n.
     The coldest 2^n / d_s levels are the whole classes m < b and `take` levels
     of the class b that straddles the sector boundary, both found in exact
-    integers.  Head (m < b and the `take` part of b) and tail (the rest of b
-    and m > b) are summed in the log domain.  Each class log-weight is the
-    log of C(n, m) rounded to float once, so the result is within 2.0e-14
-    of a 50-digit oracle for every n <= 409 and d_s <= 8, and within 4.3e-14
-    of a 60-digit one at n = 411 ... 1029 (largest at beta omega = 0, n = 1029).
+    integers.  c_max is the head (m < b and the `take` part of b) where it is
+    at most 1/2, else 1 - tail (the rest of b and m > b), each summed in the
+    log domain; the tail is summed for every n, the head only where it may be
+    at most 1/2 (`_ceiling_pass`).  Each class log-weight is the log of C(n, m)
+    rounded to float once, so the result is within 2.0e-14 of a 50-digit
+    oracle for every n <= 409 and d_s <= 8, and within 4.3e-14 of a 60-digit
+    one at n = 411 ... 1029 (largest at beta omega = 0, n = 1029).
     C(n, m) stays finite as a float up to n = ANALYTIC_N_MAX = 1029, the
     largest n taken, and the largest a sweep config accepts.
     d_s must be a power of two dividing 2^n, and n an integer (a numpy integer too).
@@ -289,8 +316,10 @@ def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     (len beta_omega, len n) array, each value bit-identical to its scalar call.  The distinct n
     are taken in ascending order, each exact class walk Pascal-advanced from the previous n when
     that is at most PASCAL_STEPS below (`_class_walks`), so a sweep of every n costs one row
-    addition per n.  The float part is one array pass per block of n values (about CLASS_BLOCK
-    weights, or one n's classes when they alone exceed it), and only one block's rows are held.
+    addition per n.  The float part is one array pass per side per block of n values (about
+    CLASS_BLOCK tail weights, or one n's when they alone exceed it).  Each exact row is rounded
+    to float as it is walked, so a block holds its rows as floats and only the one exact row
+    that the next n advances from.
     """
     ns, bws = np.ravel(n).tolist(), np.ravel(np.asarray(beta_omega, dtype=float))
     for k in ns:
@@ -309,8 +338,8 @@ def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     distinct = sorted(set(ns))
     out, walks, size, done = np.empty((bws.size, len(distinct))), [], 0, 0
     for i, walk in enumerate(_class_walks(distinct, log_r)):
-        walks.append(walk)
-        size += (distinct[i] + 2) * bws.size
+        walks.append((np.array(walk[0], dtype=float), *walk[1:]))  # each C(n, m) rounded once
+        size += (distinct[i] + 1 - walk[1]) * bws.size  # the tail weights, which bound the head's
         if size >= CLASS_BLOCK or i == len(distinct) - 1:
             out[:, done : i + 1] = _ceiling_pass(walks, np.array(distinct[done : i + 1]), bws)
             walks, size, done = [], 0, i + 1

@@ -653,6 +653,16 @@ def test_sweep_rows_are_sorted_and_complete():
     ]
 
 
+def test_a_sweep_refuses_a_non_integer_n():
+    # 5.5 is not truncated to 5; numpy integers are taken, and each row keeps a Python int n
+    for n_values in ([5.5], [3, 5.5], np.array([5.0])):
+        with pytest.raises(DimensionMismatch, match="integer"):
+            broadcast.sweep_cmax_convergence(n_values, [1.0])
+    rows = broadcast.sweep_cmax_convergence(np.array([5, 3], dtype=np.int64), [1.0])
+    assert rows == broadcast.sweep_cmax_convergence([3, 5], [1.0])
+    assert [type(n) for n, _, _ in rows] == [int, int]
+
+
 def test_a_sweep_to_the_cap_holds_one_block_of_class_rows():
     # every exact class row up to n = 1029 held at once is about 26 MB; the ceiling holds one
     # block's rows and the row it advances from, and the peak is mostly the sweep's own rows

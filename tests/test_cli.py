@@ -99,6 +99,38 @@ def test_hl_bound_single_instance(tmp_path):
     assert rec["chi"] == pytest.approx(0.11094407167172737, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["hl-bound", "classify"])
+def test_a_beta_that_takes_every_gibbs_weight_out_of_the_float_range_exits_4(tmp_path, capsys, command):
+    # -beta E overflows on every level: no finite Gibbs state, so no nan record is written
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": [0.5, 0.5]},
+        "memory": {"N": 1, "beta_omega": 1e308, "hamiltonian": {"type": "explicit", "energies": [2, 3, 4, 5]}},
+        "interaction": {"kind": "noninvasive"},
+    }
+    rc, out = run(tmp_path, command, config=cfg)
+    assert rc == 4
+    assert "float range" in capsys.readouterr().err
+    assert not (out / "results.json").exists() and not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("record", [{"gap": math.nan}, {"reeb_wolf_residual": math.nan}], ids=["gap", "residual"])
+def test_a_nan_hl_record_fails_its_invariant_check(tmp_path, monkeypatch, record):
+    # a nan anywhere in a sweep is its summary's value, and a nan fails either check
+    records = cli.hl_sweep_records
+
+    def with_nan(*args):
+        out = records(*args)
+        out[1] = {**out[1], **record}
+        return out
+
+    monkeypatch.setattr(cli, "hl_sweep_records", with_nan)
+    rc, out = run(tmp_path, "hl-bound", config={"experiment": "sequential", "instances": {"count": 3}})
+    assert rc == 3
+    summary = read_json(out)["summary"]
+    assert math.isnan(summary["min_gap" if "gap" in record else "max_reeb_wolf_residual"])
+
+
 @pytest.mark.parametrize(
     "kind", [{"kind": "noninvasive"}, {"kind": "cycled", "i": 0}, {"kind": "swap"}], ids=lambda k: k["kind"]
 )

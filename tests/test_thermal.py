@@ -127,6 +127,24 @@ def test_gibbs_handles_large_energies_without_overflow():
     assert tau.probs.sum() == pytest.approx(1.0)
 
 
+def test_gibbs_refuses_a_beta_that_takes_every_weight_out_of_the_float_range():
+    # -beta E overflows on every level, or to +inf on one: ln Z is not finite and the populations
+    # would be nan.  A level at 0 keeps a finite ln Z, and its row keeps its bits in a stack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for energies in ([2.0, 3.0, 4.0, 5.0], [-2.0, 3.0]):
+            with pytest.raises(DimensionMismatch, match="float range"):
+                thermal.gibbs(thermal.MemoryHamiltonian(energies), 1e308)
+        with pytest.raises(DimensionMismatch, match="float range"):
+            thermal.gibbs_rows(np.array([[0.0, 1.0], [2.0, 3.0]]), [1e308, 1e308])
+        tau = thermal.gibbs(thermal.MemoryHamiltonian([0.0, 3.0]), 1e308)
+        assert tau.probs.tolist() == [1.0, 0.0] and tau.log_z == 0.0
+    energies = np.array([[0.0, 0.7, 1.2], [0.0, 0.5, 0.5]])
+    rows = thermal.gibbs_rows(energies, [1e308, 2.0])
+    alone = thermal.gibbs_rows(energies[1:], [2.0])
+    assert rows.probs[1].tobytes() == alone.probs[0].tobytes() and rows.log_z[1] == alone.log_z[0]
+
+
 def test_gibbs_probs_ordering_follows_energies():
     h = thermal.MemoryHamiltonian([0.3, 0.0, 1.2, 0.7])
     tau = thermal.gibbs(h, beta=1.5)
@@ -212,9 +230,40 @@ def test_logsumexp_matches_scipy_on_every_analytic_cmax_input(monkeypatch):
     for d_s in (2, 4, 8):
         thermal.c_max_qubits_analytic(range(d_s.bit_length() - 1, thermal.ANALYTIC_N_MAX + 1), [0.0, 1.0, 8.0], d_s)
     monkeypatch.undo()
+    # at beta omega = 0 the tail of every n is at least 1/2, so every n gets a head and a tail
     assert sum(lengths.size for _, lengths in seen) == 2 * 3 * (1029 + 1028 + 1027)
     for a, lengths in seen:
         assert_segments_are_scipys(a, lengths)
+
+
+BENCHMARK_BETA_OMEGA = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def test_a_d_s_2_sweep_sums_only_its_tails(monkeypatch):
+    # at these beta omega every d_S = 2 ceiling is above 1/2 + 1e-6, so no head can be returned and
+    # none is laid out: one segment of classes b..n per (beta omega, n).  A block closes once its
+    # tail weights reach CLASS_BLOCK, so each pass but the last lays out CLASS_BLOCK or up to one
+    # n's tails (8 (n // 2 + 1) <= 1,640) more
+    seen, kernel = [], thermal._segment_logsumexp
+
+    def recording(a, lengths):
+        seen.append(lengths.copy())
+        return kernel(a, lengths)
+
+    monkeypatch.setattr(thermal, "_segment_logsumexp", recording)
+    thermal.c_max_qubits_analytic(range(1, 410), BENCHMARK_BETA_OMEGA)
+    monkeypatch.undo()
+    tails = 0
+    for n in range(1, 410):
+        left, b = 2 ** (n - 1), 0
+        while math.comb(n, b) <= left:
+            left -= math.comb(n, b)
+            b += 1
+        tails += n + 1 - b
+    laid = [int(lengths.sum()) for lengths in seen]
+    assert sum(lengths.size for lengths in seen) == len(BENCHMARK_BETA_OMEGA) * 409
+    assert sum(laid) == len(BENCHMARK_BETA_OMEGA) * tails
+    assert all(thermal.CLASS_BLOCK <= size < thermal.CLASS_BLOCK + 1640 for size in laid[:-1])
 
 
 def test_a_segment_of_minus_inf_alone_is_scipys_without_warnings():
@@ -599,6 +648,53 @@ def test_analytic_cmax_beyond_409_matches_a_60_digit_oracle():
                 if err > 5e-14:
                     bad.append((n, bw, d_s, err))
     assert not bad
+
+
+def ceiling_by_the_half_rule(n, beta_omega, d_s):
+    """c_max as the head where it is at most 1/2, else 1 - tail, each side summed alone by scipy
+    from math.comb class sizes, with the class log-weights formed as the ceiling forms them."""
+    row = [math.comb(n, m) for m in range(n + 1)]
+    take, b = 2**n // d_s, 0
+    while row[b] <= take:
+        take -= row[b]
+        b += 1
+    m = np.arange(n + 1)
+    log_c = np.log(np.array(row[: n // 2 + 1], dtype=float))[np.minimum(m, n - m)]
+    head = [*log_c[:b], *([math.log(take)] if take else [])]
+    tail = [math.log(row[b] - take), *log_c[b + 1 :]]
+    log_zn = n * np.logaddexp(0.0, -beta_omega)
+    head = np.exp(scipy.special.logsumexp(np.array(head) - beta_omega * m[: len(head)] - log_zn))
+    tail = np.exp(scipy.special.logsumexp(np.array(tail) - beta_omega * m[b:] - log_zn))
+    return float(head if head <= 0.5 else 1.0 - tail)
+
+
+def test_the_ceiling_is_exact_where_it_crosses_one_half():
+    # at d_S = 4 and 8 the ceiling crosses 1/2 as beta omega grows: below 1/2 the head is returned,
+    # just above it (up to the head margin 1e-6) the head is summed and 1 - tail returned, and
+    # beyond the margin the head is not summed.  On a grid that brackets each crossing, one array
+    # call with every n is each scalar call and the rule on each side alone, bit for bit, and
+    # within 5e-14 of the oracle
+    mpmath = pytest.importorskip("mpmath")
+    steps = (-1e-2, -1e-4, -1e-6, -1e-8, 0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-2)
+    for d_s, ns in ((4, (2, 3, 8, 33, 200)), (8, (3, 4, 9, 64, 409))):
+        bws = []
+        for n in ns:
+            lo, hi = 0.0, 50.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if thermal.c_max_qubits_analytic(n, mid, d_s) < 0.5 else (lo, mid)
+            bws += [hi * (1 + k) for k in steps]
+        got = thermal.c_max_qubits_analytic(ns, bws, d_s)
+        for j, n in enumerate(ns):
+            own = got[j * len(steps) : (j + 1) * len(steps), j]
+            assert (own < 0.5).any() and ((own >= 0.5) & (own < 0.5 + 1e-6)).any() and (own >= 0.5 + 1e-6).any()
+        want = [[thermal.c_max_qubits_analytic(n, bw, d_s).hex() for n in ns] for bw in bws]
+        assert [[c.hex() for c in row] for row in got.tolist()] == want
+        for i, bw in enumerate(bws):
+            n = ns[i // len(steps)]
+            c = float(got[i, ns.index(n)])
+            assert c.hex() == ceiling_by_the_half_rule(n, bw, d_s).hex(), (d_s, n, bw)
+            assert abs(c - mp_cmax_by_n(mpmath, bw, d_s, n, [n])[n]) <= 5e-14, (d_s, n, bw)
 
 
 def test_analytic_cmax_deep_chain_saturates_without_leaving_unit_interval():
