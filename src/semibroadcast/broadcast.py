@@ -138,8 +138,10 @@ def check_budget(nbytes: int, what: str) -> None:
 
 
 def check_table(d_s: int, d_m: int) -> None:
-    """Refuse an interaction whose joint image table (d_S * d_M indices) exceeds the budget."""
-    check_budget(INDEX_BYTES * d_s * d_m, "interaction table")
+    """Refuse a memory whose d_S * d_M joint basis, one index per level, exceeds the budget: it bounds the level
+    images a write step fills and `interact.apply`'s joint permutation, and refuses a ground memory of 2^30 levels,
+    which the entry list admits for its one occupied level, before it is built."""
+    check_budget(INDEX_BYTES * d_s * d_m, "joint basis indices")
 
 
 def check_entry_list(d_s: int, levels: int) -> None:
@@ -173,7 +175,7 @@ class BroadcastRun:
     `basis_defects`) chains one row per input, 0-probability ones too.
     The (S, M_1) marginal is read from the first write's nonzero entries: their
     largest S-off-diagonal |entry| and the Gram matrix and traces of their S-diagonal
-    blocks, which the later steps' transition matrices move.  No d_M x d_M matrix is built.
+    blocks, which the later steps' t move.  No d_M x d_M matrix is built.
     """
 
     def __init__(self, mode: str, rho_s: DensityOperator, mem: MemoryArray, steps):
@@ -270,7 +272,7 @@ def run_global(rho_s: DensityOperator, mem: MemoryArray, kind: str = "swap", var
     Pointer statistics are still read out per unit, which is what makes the
     global mode informative: a globally unbiased write need not look unbiased
     on any single unit.  The merged write entangles the units, so this run
-    alone pays the product space: its table and occupied levels are checked
+    alone pays the product space: its joint basis and occupied levels are checked
     against the byte budget from the units' level counts, before it is built.
     """
     check_entry_list(mem.d_s, math.prod(int(np.count_nonzero(u.probs)) for u in mem.units))
@@ -418,7 +420,7 @@ def sweep_cmax_convergence(n_values, beta_omega_values, d_s: int = 2) -> list[tu
 
     Rows are ordered by (beta*omega, n) so output files are reproducible.
     """
-    n_values = sorted(np.ravel(n_values).tolist())  # numpy integers become int; the ceiling refuses any other n
+    n_values = sorted(n_values)  # each n as given: the ceiling refuses any but a Python or numpy integer
     bw_values = sorted(float(b) for b in beta_omega_values)
     c = c_max_qubits_analytic(n_values, bw_values, d_s).tolist()
-    return [(n, bw, value) for bw, row in zip(bw_values, c) for n, value in zip(n_values, row)]
+    return [(int(n), bw, value) for bw, row in zip(bw_values, c) for n, value in zip(n_values, row)]

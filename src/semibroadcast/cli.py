@@ -143,7 +143,7 @@ def _hl_rows(rho: np.ndarray, tau: thermal.GibbsRows, kind: str, u, bits: bool, 
 
 def _hl_single(cfg: ExperimentConfig, bits: bool) -> dict:
     d_s = cfg.system.d_s
-    # the budget checks first, as for classify: the unit's table and its write step's entry list
+    # the budget checks first, as for classify: the unit's joint basis and its write step's entry list
     check_memory(cfg.memory, d_s)
     tau = thermal.gibbs(build_unit_hamiltonian(cfg.memory), unit_beta(cfg.memory))
     u = build_interaction(cfg.interaction, tau.hamiltonian, d_s)
@@ -192,7 +192,7 @@ def hl_instance_record(index: int, d_s: int, inst: InstancesConfig, seed) -> HLD
 
 def _hl_group(draw: HLDraw) -> tuple:
     """What the draws of one stacked pass share: a haar write its d_S and d_M, a permutation
-    write its table, fixed by d_S, the kind, the variant and the grouping's level order."""
+    write its interaction, fixed by d_S, the kind, the variant and the grouping's level order."""
     if draw.kind == "haar":
         return draw.kind, draw.d_s, draw.hamiltonian.dim
     order = np.argsort(draw.hamiltonian.energies, kind="stable")
@@ -341,9 +341,9 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     rho_s = build_system_state(cfg.system)
     p_true = qcore.prob_vector(rho_s.matrix.diagonal().real)
     cmax = thermal.c_max(unit.grouping, unit)
+    w = unit.grouping.readout(unit.probs)  # variant i's pointer map is its sector map mu_i on the sector weights
     q_variants = [
-        p_true @ interact.transition_matrix(interact.build(unit.grouping, "cycled", i), unit.probs)
-        for i in range(d_s - 1)
+        p_true @ interact.sector_matrix(interact.build(unit.grouping, "cycled", i).sectors[1], w) for i in range(d_s - 1)
     ]
     p_hat = broadcast.reconstruct_p(q_variants, cmax, d_s)
     residual = float(np.max(np.abs(p_hat - p_true)))

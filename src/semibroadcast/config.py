@@ -322,7 +322,7 @@ def unit_beta(cfg: MemoryConfig) -> float:
 
 
 def check_memory(memory: MemoryConfig, d_s: int) -> None:
-    """Refuse, from the config's dimensions and before anything is built, a unit whose table, write-step
+    """Refuse, from the config's dimensions and before anything is built, a unit whose joint basis, write-step
     entry list (every level of a Gibbs memory is occupied, one of a ground memory) or per-unit run state
     exceeds the byte budget; a global run checks the product of the units itself."""
     d_m = memory_dim(memory)

@@ -1,15 +1,15 @@
 """System-memory measurement interactions and their figures of merit.
 
-Every interaction is a basis permutation of the joint space, stored as the
-table of its joint images.  This module owns the one kind dispatch (`build`
-over `KINDS`), the one dense conjugation (`conjugate`) and the one write step
-(`WriteStep`) of the broadcast runs and `infotherm.thermo_report`; no run
-lifts a table to the product space of several memories.  Each kind is a
-sector map (x, nu) -> (y, mu): the joint level
-|x, groups[nu][s]> goes to |y, groups[mu][s]>, keeping the within-sector
-slot s.  Every kind is a complete record of the outcome (`_table` checks
-it): for each nu the d_S sectors mu(x, nu) differ, so a write's channel on S
-dephases it in the outcome basis, then moves its diagonal by `WriteStep.t`.
+Every interaction is a basis permutation of the joint space, stored as its
+sector map (x, nu) -> (y, mu): the joint level |x, groups[nu][s]> goes to
+|y, groups[mu][s]>, keeping the within-sector slot s.  This module owns the
+one kind dispatch (`build` over `KINDS`), the one dense conjugation
+(`conjugate`) and the one write step (`WriteStep`) of the broadcast runs and
+`infotherm.thermo_report`, which alone fills the images of the levels; no run
+lifts a write to the product space of several memories.  Every kind is a
+complete record of the outcome (`_complete_record` checks it): for each nu
+the d_S sectors mu(x, nu) differ, so a write's channel on S dephases it in
+the outcome basis, then moves its diagonal by `WriteStep.t`.
 
 * noninvasive and cycled: controlled sector shifts, y = x.  These never
   disturb the system's outcome-basis diagonal.
@@ -17,10 +17,11 @@ dephases it in the outcome basis, then moves its diagonal by `WriteStep.t`.
   register.  It copies the system's outcome statistics into the pointer
   sectors exactly, at the price of replacing the system state.
 
-A run's d_S x d_S matrices are sector maps on the pairwise sector weights
-(`sector_matrix`, `WriteStep.pointer_map`).  The pointer correlation
-C = sum_x Tr[ rho (|x><x| (x) Pi_x) ], Pi_x the sector projectors, and every
-pointer distribution are read through `EnergyGrouping.readout`.
+Every d_S x d_S matrix of a one-unit write, `WriteStep.t` and
+`WriteStep.pointer_map`, is a sector map on the pairwise sector weights
+(`sector_matrix`).  The pointer correlation C = sum_x Tr[ rho (|x><x| (x) Pi_x) ],
+Pi_x the sector projectors, and every pointer distribution are read through
+`EnergyGrouping.readout`.
 """
 
 from __future__ import annotations
@@ -38,31 +39,25 @@ from .thermal import EnergyGrouping, GibbsState
 KINDS = ("noninvasive", "cycled", "swap")
 
 
-def _table(grouping: EnergyGrouping, sector_map) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Joint images (d_S, d_M) |x, groups[nu][s]> -> |y, groups[mu][s]>, and (y, mu) = sector_map(x, nu) as d_S x d_S arrays."""
-    d_s, d_m = grouping.d_s, grouping.dim
+def _complete_record(d_s: int, sector_map) -> tuple[np.ndarray, np.ndarray]:
+    """(y, mu) = sector_map(x, nu) as d_S x d_S arrays, refused unless the map is a complete record of the outcome."""
     x = np.arange(d_s).reshape(d_s, 1)
     y, mu = np.broadcast_arrays(*sector_map(x, x.T))  # the map on every (x, nu) at once
-    if (np.sort(mu, axis=0) != x).any():  # a complete record: for every nu the d_S sectors mu(x, nu) differ
+    if (np.sort(mu, axis=0) != x).any():  # for every nu the d_S sectors mu(x, nu) differ
         raise WrongKind("the sector map writes two outcomes of one memory sector into one sector")
-    table = np.empty((d_s, d_m), dtype=int)
-    for row in range(d_s):  # one row of temporaries at a time
-        table[row, grouping.groups] = y[row, :, None] * d_m + grouping.groups[mu[row]]
-    table.setflags(write=False)
-    return table, (y, mu)
+    return y, mu
 
 
 @dataclass(frozen=True, eq=False)
 class ControlledInteraction:
-    """A joint basis permutation of system (x) memory.
+    """A joint basis permutation of system (x) memory, given by its sector map.
 
-    `table[x, m]` is the flat index of U|x, m> on the d_S * d_M product
-    basis; `sectors` is the sector map (y, mu)[x, nu]; `kind` is one of KINDS.
+    `sectors` is the sector map (y, mu)[x, nu]: |x, groups[nu][s]> goes to
+    |y, groups[mu][s]>; `kind` is one of KINDS.
     """
 
     kind: str
     grouping: EnergyGrouping
-    table: np.ndarray
     sectors: tuple[np.ndarray, np.ndarray]
     variant: int = 0
 
@@ -76,8 +71,9 @@ class ControlledInteraction:
 
     @property
     def joint_permutation(self) -> np.ndarray:
-        """pi with U|j> = |pi[j]> on the d_S * d_M product basis."""
-        return self.table.ravel()
+        """pi with U|j> = |pi[j]> on the d_S * d_M product basis, from the images of every level."""
+        step = WriteStep(self, np.ones(self.d_m))
+        return (step.y * self.d_m + step.mu).ravel()
 
 
 def sector_matrix(sector_map: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -94,19 +90,25 @@ class WriteStep:
     merged memory of a global run, whose level splits into the unit digits
     `dims`.  Only the occupied levels m_k of `probs`, p[..., k] the population
     of m_k, enter: the input entry rho_xx' p_k at (x m_k, x' m_k) moves to
-    (y[x, k] mu[x, k], y[x', k] mu[x', k]), read from `table[:, occupied]`, or
-    from the whole table when every level is occupied.  `probs` may be a stack
-    of population rows (n, d_M), one per write, that occupy the same levels.
+    (y[x, k] mu[x, k], y[x', k] mu[x', k]), the images of m_k that the step
+    fills from the sector map, one x at a time.  `probs` may be a stack of
+    population rows (n, d_M), one per write, that occupy the same levels.
     """
 
     def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...] | None = None):
         occupied = np.flatnonzero(probs.reshape(-1, u.d_m)[0])
         if occupied.size == u.d_m:
-            self.y, self.mu = np.divmod(u.table, u.d_m)
-            self.p = probs
-        else:
-            self.y, self.mu = np.divmod(u.table[:, occupied], u.d_m)
-            self.p = probs[..., occupied]
+            occupied = slice(None)
+        self.p = probs[..., occupied]
+        groups, (y, mu) = u.grouping.groups, u.sectors
+        self.y = np.empty((u.d_s, self.p.shape[-1]), dtype=int)
+        self.mu = np.empty_like(self.y)
+        row = np.empty(u.d_m, dtype=int)
+        for x in range(u.d_s):  # one row of temporaries at a time: level groups[nu][s] goes to groups[mu][s]
+            row[groups] = groups[mu[x]]
+            self.mu[x] = row[occupied]
+            row[groups] = y[x, :, None]
+            self.y[x] = row[occupied]
         self.dims = dims or (u.d_m,)
         self.u, self.probs = u, probs
         self._maps = {}
@@ -117,11 +119,14 @@ class WriteStep:
         return sector_matrix(self.u.sectors[0], self.u.grouping.readout(self.probs))
 
     def pointer_map(self, f: int, grouping: EnergyGrouping) -> np.ndarray:
-        """Memory factor f's pointer map under its `grouping`, built once: row x the sector sums of the populations
-        written from |x>, divided by their own sum (for a one-unit step, `sector_matrix` of mu bit for bit)."""
+        """Memory factor f's pointer map under its `grouping`, built once.  One unit's is `sector_matrix` of mu; a merged
+        step's row x is the sector sums of the populations written from |x>, divided by their own sum."""
         if f not in self._maps:
-            a = grouping.readout(self.populations(f, np.eye(len(self.y))))
-            self._maps[f] = a / a.sum(axis=1, keepdims=True)
+            if len(self.dims) == 1:
+                self._maps[f] = sector_matrix(self.u.sectors[1], grouping.readout(self.probs))
+            else:
+                a = grouping.readout(self.populations(f, np.eye(len(self.y))))
+                self._maps[f] = a / a.sum(axis=1, keepdims=True)
         return self._maps[f]
 
     def populations(self, f: int, r: np.ndarray) -> np.ndarray:
@@ -159,7 +164,7 @@ def build_noninvasive_maxcorr(grouping: EnergyGrouping) -> ControlledInteraction
     every diagonal input against the thermal memory it was grouped for.
     """
     d_s = grouping.d_s
-    return ControlledInteraction("noninvasive", grouping, *_table(grouping, lambda x, nu: (x, (x + nu) % d_s)))
+    return ControlledInteraction("noninvasive", grouping, _complete_record(d_s, lambda x, nu: (x, (x + nu) % d_s)))
 
 
 def build_cycled_variant(grouping: EnergyGrouping, i: int) -> ControlledInteraction:
@@ -178,7 +183,7 @@ def build_cycled_variant(grouping: EnergyGrouping, i: int) -> ControlledInteract
         s_inv = ((nu - 1 - i) % (d_s - 1)) + 1
         return x, np.where(nu == 0, x, (x + s_inv) % d_s)
 
-    return ControlledInteraction("cycled", grouping, *_table(grouping, sector_map), i)
+    return ControlledInteraction("cycled", grouping, _complete_record(d_s, sector_map), i)
 
 
 def build_unbiased_swap(grouping: EnergyGrouping) -> ControlledInteraction:
@@ -187,7 +192,7 @@ def build_unbiased_swap(grouping: EnergyGrouping) -> ControlledInteraction:
     Exactly unbiased: the pointer distribution after the swap equals the
     system's outcome-basis diagonal for every input state.
     """
-    return ControlledInteraction("swap", grouping, *_table(grouping, lambda x, nu: (nu, x)))
+    return ControlledInteraction("swap", grouping, _complete_record(grouping.d_s, lambda x, nu: (nu, x)))
 
 
 def apply(u: ControlledInteraction, rho_s: DensityOperator, sigma_m: DensityOperator) -> DensityOperator:
@@ -209,19 +214,6 @@ def correlation_c(rho_joint: DensityOperator, grouping: EnergyGrouping) -> float
         raise DimensionMismatch(f"grouping is {grouping.d_s} x {grouping.dim}, state is {d_s} x {d_m}")
     diag = rho_joint.matrix.diagonal().real.reshape(d_s, d_m)
     return float(diag[np.arange(d_s)[:, None], grouping.groups].sum())
-
-
-def transition_matrix(u: ControlledInteraction, probs) -> np.ndarray:
-    """Row-stochastic pointer map a[x, y] = Tr[ Pi_y V_x diag(probs) V_x^dagger ] of a controlled shift.
-
-    The outcome distribution of a diagonal input p is p @ a.  V_x moves sector nu whole to sector
-    mu(x, nu), so a[x, mu(x, nu)] = W_nu: `sector_matrix` of mu on the pairwise sector weights.
-    """
-    if u.kind == "swap":
-        raise WrongKind("transition matrix defined for controlled permutations, not swap")
-    if len(probs) != u.d_m:
-        raise DimensionMismatch(f"memory populations have {len(probs)} levels, interaction {u.d_m}")
-    return sector_matrix(u.sectors[1], u.grouping.readout(np.asarray(probs, dtype=float)))
 
 
 def test_state_battery(d_s: int, seed: int = 7, n_random: int = 100) -> list[DensityOperator]:

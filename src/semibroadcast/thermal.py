@@ -310,7 +310,7 @@ def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     one at n = 411 ... 1029 (largest at beta omega = 0, n = 1029).
     C(n, m) stays finite as a float up to n = ANALYTIC_N_MAX = 1029, the
     largest n taken, and the largest a sweep config accepts.
-    d_s must be a power of two dividing 2^n, and n an integer (a numpy integer too).
+    d_s must be a power of two dividing 2^n, and each n a Python or numpy integer, not a bool.
 
     `n` and `beta_omega` are each a number or a 1-d sequence: two numbers give a float, else a
     (len beta_omega, len n) array, each value bit-identical to its scalar call.  The distinct n
@@ -321,12 +321,13 @@ def c_max_qubits_analytic(n, beta_omega, d_s: int = 2) -> float | np.ndarray:
     to float as it is walked, so a block holds its rows as floats and only the one exact row
     that the next n advances from.
     """
-    ns, bws = np.ravel(n).tolist(), np.ravel(np.asarray(beta_omega, dtype=float))
+    ns = np.ravel(np.asarray(n, dtype=object)).tolist()  # each n as given: a mixed list is not cast to floats
     for k in ns:
-        if not isinstance(k, int):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise DimensionMismatch(f"n must be an integer, got n={k!r}")
         if not 1 <= k <= ANALYTIC_N_MAX:
             raise DimensionMismatch(f"need 1 <= n <= {ANALYTIC_N_MAX}, got n={k}")
+    ns, bws = [int(k) for k in ns], np.ravel(np.asarray(beta_omega, dtype=float))  # Python ints: 2^n stays exact
     bad = bws[~(np.isfinite(bws) & (bws >= 0.0))]
     if bad.size:
         raise DimensionMismatch(f"beta_omega must be finite and >= 0, got {bad[0]}")

@@ -91,7 +91,8 @@ def test_sequential_run_reads_the_same_statistics_on_every_unit():
     p = [0.3, 0.7]
     run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
     unit = mem.units[0]
-    expected = np.asarray(p) @ interact.transition_matrix(unit.interaction, unit.probs)
+    w = unit.grouping.readout(unit.probs)
+    expected = np.asarray(p) @ interact.sector_matrix(unit.interaction.sectors[1], w)
     for qi in run.q:
         assert qi.tolist() == pytest.approx(expected.tolist(), abs=1e-13)
     assert run.mode == broadcast.SEQUENTIAL_LOCAL
@@ -126,8 +127,9 @@ def test_mixed_unit_sizes_each_push_through_their_own_map():
     p = [0.2, 0.8]
     run = broadcast.run_sequential_local(qcore.diag_density(p), mem)
     for unit, qi in zip(mem.units, run.q):
-        a = interact.transition_matrix(unit.interaction, unit.probs)
-        assert qi.tolist() == pytest.approx((np.asarray(p) @ a).tolist(), abs=1e-13)
+        # the dense write of the diagonal that reaches the unit, read through its sectors
+        joint = interact.apply(unit.interaction, qcore.diag_density(p), qcore.diag_density(unit.probs))
+        assert qi.tolist() == pytest.approx(interact.pointer_distribution(joint, unit.grouping).tolist(), abs=1e-13)
 
 
 def test_pure_memories_record_statistics_exactly():
@@ -497,7 +499,8 @@ def test_reconstruct_round_trip_through_dense_simulation():
 
 @pytest.mark.parametrize("d_s", [2, 3, 4])
 def test_transition_matrix_is_the_forward_model_of_reconstruction(d_s):
-    # unit i runs cycled variant i on unsorted levels; one sequential run over all of them is the oracle
+    # unit i runs cycled variant i on unsorted levels: its pointer map on the sector weights against
+    # one sequential run over all of them and the dense write of each
     rng = np.random.default_rng(d_s)
     h = thermal.MemoryHamiltonian(rng.uniform(0.0, 2.0, 2 * d_s))
     tau = thermal.gibbs(h, 0.7)
@@ -509,8 +512,10 @@ def test_transition_matrix_is_the_forward_model_of_reconstruction(d_s):
     pushed = []
     for i, unit in enumerate(mem.units):
         assert unit.interaction.variant == i
-        q = p @ interact.transition_matrix(unit.interaction, tau.probs)
+        q = p @ interact.sector_matrix(unit.interaction.sectors[1], unit.grouping.readout(tau.probs))
         np.testing.assert_allclose(q, run.q[i], rtol=0, atol=1e-12)
+        joint = interact.apply(unit.interaction, qcore.diag_density(p), tau.state)
+        np.testing.assert_allclose(q, interact.pointer_distribution(joint, unit.grouping), rtol=0, atol=1e-12)
         pushed.append(q)
     p_hat = broadcast.reconstruct_p(pushed, thermal.c_max(mem.units[0].grouping, tau), d_s)
     np.testing.assert_allclose(p_hat, p, rtol=0, atol=1e-9)
@@ -654,9 +659,10 @@ def test_sweep_rows_are_sorted_and_complete():
 
 
 def test_a_sweep_refuses_a_non_integer_n():
-    # 5.5 is not truncated to 5; numpy integers are taken, and each row keeps a Python int n
-    for n_values in ([5.5], [3, 5.5], np.array([5.0])):
-        with pytest.raises(DimensionMismatch, match="integer"):
+    # 5.5 is not truncated to 5 and True is not n = 1, each named as given; numpy integers are taken,
+    # and each row keeps a Python int n
+    for n_values, named in (([5.5], "5.5"), ([3, 5.5], "5.5"), (np.array([5.0]), "5.0"), ([3, True], "True")):
+        with pytest.raises(DimensionMismatch, match=rf"integer, got n=.*{named}"):
             broadcast.sweep_cmax_convergence(n_values, [1.0])
     rows = broadcast.sweep_cmax_convergence(np.array([5, 3], dtype=np.int64), [1.0])
     assert rows == broadcast.sweep_cmax_convergence([3, 5], [1.0])

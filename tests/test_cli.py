@@ -241,6 +241,29 @@ def test_reconstruct_past_19_qubits_exits_0(tmp_path, n):
     assert read_json(out)["max_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("reconstruct", {"system": {"d_S": 2, "state": "random"}, "memory": {"N": 1, "n": 21, "beta_omega": 1.0}}),
+        ("nogo", {"system": {"d_S": 2, "state": 0}, "memory": {"N": 2, "n": 20, "beta_omega": 1.0}}),
+    ],
+    ids=["reconstruct-n21", "nogo-n20-N2"],
+)
+def test_one_unit_pointer_maps_peak_within_half_the_byte_budget(tmp_path, command, cfg):
+    # every d_S x d_S map is a sector map on the pairwise sector weights: reconstruct builds no write
+    # step, and nogo's one shared step writes no populations; beside the memory's own arrays only that
+    # step's level images (y and mu, 2 x 2^20 each) are held.  With a d_S x d_M image table in every
+    # interaction, reconstruct peaked at 145 MiB and nogo at 152 MiB
+    tracemalloc.start()
+    try:
+        rc, _ = run(tmp_path, command, config={"experiment": command, **cfg})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= broadcast.BYTE_BUDGET // 2
+
+
 def test_classify_default_is_locally_noninvasive(tmp_path, capsys):
     rc, out = run(tmp_path, "classify")
     assert rc == 0
@@ -281,7 +304,8 @@ def _noninvasive_chi(p, n, beta_omega):
     """H(sum_x p_x V_x tau V_x^dagger) - H(tau) for the noninvasive write into an n-qubit Gibbs memory."""
     h = thermal.qubit_chain_hamiltonian(n)
     tau = thermal.gibbs(h, beta_omega).probs
-    levels = interact.build_noninvasive_maxcorr(thermal.group_energies(h, len(p))).table % h.dim
+    u = interact.build_noninvasive_maxcorr(thermal.group_energies(h, len(p)))
+    levels = u.joint_permutation.reshape(len(p), -1) % h.dim
     mix = np.zeros_like(tau)
     for x in range(len(p)):
         mix[levels[x]] += p[x] * tau
@@ -416,10 +440,12 @@ def _nogo_512(kind):
 def test_long_noninvasive_nogo_reads_the_transition_matrix_on_every_unit(tmp_path):
     rc, out = run(tmp_path, "nogo", config=_nogo_512("noninvasive"))
     assert rc == 0
-    # every unit sees the unchanged input |x>, so it reads row x of the unit's T
+    # every unit sees the unchanged input |x>, so it reads row x of the unit's pointer map, its
+    # sector map on the sector weights
     h = thermal.qubit_chain_hamiltonian(6)
-    u = interact.build_noninvasive_maxcorr(thermal.group_energies(h, 2))
-    t = interact.transition_matrix(u, thermal.gibbs(h, 1.0).probs)
+    g = thermal.group_energies(h, 2)
+    mu = interact.build_noninvasive_maxcorr(g).sectors[1]
+    t = interact.sector_matrix(mu, g.readout(thermal.gibbs(h, 1.0).probs))
     defects = [r["defect"] for r in read_json(out)["basis_defects"]]
     want = [float(np.max(np.abs(np.eye(2)[x] - t[x]))) for x in range(2)]
     assert defects == pytest.approx(want, abs=1e-12)
@@ -464,7 +490,7 @@ def _memory(**fields):
 @pytest.mark.parametrize(
     "cfg",
     [
-        _memory(N=1, n=30, beta_omega=1.0),  # a 2^31-index interaction table
+        _memory(N=1, n=30, beta_omega=1.0),  # a joint basis of 2^31 indices
         _memory(N=1, n=30, beta_omega=1.0, state="ground"),
         # a global write of 4 * 2^20000 entries
         {**_memory(N=20000, n=1, beta_omega=1.0), "experiment": "global"},
@@ -636,7 +662,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
 
 
 HL_OVERSIZED = {
-    # a 30-qubit memory: its interaction table alone is 16 GiB
+    # a 30-qubit memory: the indices of its joint basis alone are 16 GiB
     "single": {
         "experiment": "sequential",
         "system": {"d_S": 2, "state": [0.5, 0.5]},

@@ -319,7 +319,7 @@ def test_memory_dim_reads_the_level_count_from_the_config(n):
 
 @pytest.mark.parametrize("state", ["gibbs", "ground"])
 def test_build_memory_array_refuses_an_oversized_table_before_building(state):
-    # 2^30 levels: the interaction table alone is 16 GiB, and the Hamiltonian is never built
+    # 2^30 levels: the indices of the joint basis alone are 16 GiB, and the Hamiltonian is never built
     mem_cfg = MemoryConfig(1, 30, 1.0, HamiltonianConfig("qubit_chain", n=30), state=state)
     with pytest.raises(DimensionBudgetExceeded):
         build_memory_array(mem_cfg, None, 2)

@@ -580,7 +580,7 @@ def test_cold_memory_relative_entropy_matches_a_50_digit_oracle(kind, beta_omega
         q = [mpmath.mpf(0)] * h.dim
         for x in range(2):
             for m in range(h.dim):
-                q[int(u.table[x, m]) % h.dim] += mpmath.mpf(rho_diag[x]) * p[m]
+                q[int(u.joint_permutation[x * h.dim + m]) % h.dim] += mpmath.mpf(rho_diag[x]) * p[m]
         oracle = mpmath.fsum(qk * mpmath.log(qk / pk) for qk, pk in zip(q, p) if qk > 0)
         assert rep.rel_entropy_to_thermal == pytest.approx(float(oracle), abs=1e-12)
         assert abs(infotherm.holevo_landauer_gap(rep)) <= 1e-12

@@ -64,9 +64,36 @@ def mean_correlation(u, sigma, g, battery):
 
 
 def identity_interaction(grouping):
-    table = np.arange(grouping.d_s * grouping.dim).reshape(grouping.d_s, grouping.dim)
-    x, nu = np.indices((grouping.d_s, grouping.d_s))
-    return interact.ControlledInteraction("noninvasive", grouping, table, (x, nu))
+    # the sector map (x, nu) -> (x, nu), built around the complete-record check that refuses it
+    return interact.ControlledInteraction("noninvasive", grouping, tuple(np.indices((grouping.d_s, grouping.d_s))))
+
+
+def pointer_map(u, probs):
+    """The pointer map of a one-unit write: its sector map mu on the pairwise sector weights."""
+    return interact.sector_matrix(u.sectors[1], u.grouping.readout(probs))
+
+
+def definition(d_s, kind, i=0):
+    """The sector map (x, nu) -> (y, mu) of each kind, written from its definition."""
+    if kind == "swap":
+        return lambda x, nu: (nu, x)
+    if kind == "noninvasive":
+        return lambda x, nu: (x, (x + nu) % d_s)
+    # cycled variant i moves sector s_i(delta) = ((delta - 1 + i) mod (d_S - 1)) + 1 by offset delta
+    targets = {((delta - 1 + i) % (d_s - 1)) + 1: delta for delta in range(1, d_s)}
+    return lambda x, nu: (x, (x + targets.get(nu, 0)) % d_s)
+
+
+def hand_built_permutation(g, sector_map):
+    """pi[x * d_M + m], |x, groups[nu][s]> -> |y, groups[mu][s]>, one level at a time, independent of the index kernel."""
+    d_s, d_m = g.d_s, g.dim
+    pi = np.full(d_s * d_m, -1)
+    for x in range(d_s):
+        for nu in range(d_s):
+            y, mu = sector_map(x, nu)
+            for s in range(g.r):
+                pi[x * d_m + g.groups[nu][s]] = y * d_m + g.groups[mu][s]
+    return pi
 
 
 def system_rotation(basis, d_m):
@@ -80,7 +107,7 @@ def system_rotation(basis, d_m):
 def test_maxcorr_single_qubit_is_cnot():
     g, _ = qubit_setup()
     u = interact.build_noninvasive_maxcorr(g)
-    assert u.table.tolist() == [[0, 1], [3, 2]]
+    assert u.joint_permutation.tolist() == [0, 1, 3, 2]
     assert np.array_equal(permutation_matrix(u), CNOT)
 
 
@@ -88,7 +115,7 @@ def test_maxcorr_two_qubit_chain_shifts_whole_sectors():
     g, _ = chain_setup(2, 2)
     u = interact.build_noninvasive_maxcorr(g)
     # sectors {0,1} and {2,3}; control 1 exchanges them slot by slot
-    assert u.table.tolist() == [[0, 1, 2, 3], [6, 7, 4, 5]]
+    assert u.joint_permutation.tolist() == [0, 1, 2, 3, 6, 7, 4, 5]
 
 
 def test_maxcorr_matches_hand_built_controlled_shift():
@@ -117,16 +144,18 @@ def test_cycled_variant_zero_is_base():
     for g, _ in (qubit_setup(), ladder_setup(3), chain_setup(2, 4)):
         base = interact.build_noninvasive_maxcorr(g)
         v0 = interact.build_cycled_variant(g, 0)
-        assert np.array_equal(base.table, v0.table)
+        assert np.array_equal(base.sectors, v0.sectors)
+        assert np.array_equal(base.joint_permutation, v0.joint_permutation)
 
 
 def test_cycled_variant_one_swaps_offsets_for_three_outcomes():
     g, _ = ladder_setup(3)
     v1 = interact.build_cycled_variant(g, 1)
     # offsets 1 and 2 trade places relative to the base shift
+    pi = v1.joint_permutation.reshape(3, 3)
     for x in range(3):
-        assert v1.table[x, 1] == 3 * x + (x + 2) % 3
-        assert v1.table[x, 2] == 3 * x + (x + 1) % 3
+        assert pi[x, 1] == 3 * x + (x + 2) % 3
+        assert pi[x, 2] == 3 * x + (x + 1) % 3
 
 
 def test_cycled_variant_range_check():
@@ -146,7 +175,7 @@ def test_build_dispatches_every_config_kind():
         assert u.kind == kind
     cycled = interact.build(g, "cycled", 1)
     assert cycled.variant == 1
-    assert np.array_equal(cycled.table, interact.build_cycled_variant(g, 1).table)
+    assert np.array_equal(cycled.sectors, interact.build_cycled_variant(g, 1).sectors)
     with pytest.raises(WrongKind):
         interact.build(g, "sideways")
     with pytest.raises(WrongKind):
@@ -159,25 +188,11 @@ def test_joint_permutation_matches_hand_built_tables():
     setups += [degenerate_setup(2), degenerate_setup(3), degenerate_setup(4)]
     for g, _ in setups:
         d_s, d_m = g.d_s, g.dim
-
-        def cycled(i):
-            # variant i moves sector s_i(delta) = ((delta - 1 + i) mod (d_S - 1)) + 1 by offset delta
-            targets = {((delta - 1 + i) % (d_s - 1)) + 1: delta for delta in range(1, d_s)}
-            return lambda x, nu: (x, (x + targets.get(nu, 0)) % d_s)
-
-        # (x, nu) -> (y, mu): |x, groups[nu][s]> goes to |y, groups[mu][s]>
-        cases = [
-            (interact.build_noninvasive_maxcorr(g), lambda x, nu: (x, (x + nu) % d_s)),
-            (interact.build_unbiased_swap(g), lambda x, nu: (nu, x)),
-        ]
-        cases += [(interact.build_cycled_variant(g, i), cycled(i)) for i in range(d_s - 1)]
+        cases = [(interact.build_noninvasive_maxcorr(g), definition(d_s, "noninvasive"))]
+        cases += [(interact.build_unbiased_swap(g), definition(d_s, "swap"))]
+        cases += [(interact.build_cycled_variant(g, i), definition(d_s, "cycled", i)) for i in range(d_s - 1)]
         for u, sector_map in cases:
-            table = np.full(d_s * d_m, -1)
-            for x in range(d_s):
-                for nu in range(d_s):
-                    y, mu = sector_map(x, nu)
-                    for s in range(g.r):
-                        table[x * d_m + g.groups[nu][s]] = y * d_m + g.groups[mu][s]
+            table = hand_built_permutation(g, sector_map)
             assert np.array_equal(u.joint_permutation, table)
             assert np.array_equal(lifted_permutation((d_s, d_m), 1, u), table)
 
@@ -315,13 +330,13 @@ def test_maxcorr_reaches_cmax_on_every_diagonal_input():
             assert interact.correlation_c(out, g) == pytest.approx(target, abs=1e-13)
 
 
-# ------------------------------------------------------- transition matrix
+# ------------------------------------------------ pointer map of one unit
 
 
 def test_transition_matrix_single_qubit_frozen():
     g, tau = qubit_setup()
     u = interact.build_noninvasive_maxcorr(g)
-    a = interact.transition_matrix(u, tau.probs)
+    a = pointer_map(u, tau.probs)
     assert np.allclose(a, [[W0, W1], [W1, W0]], atol=1e-15)
 
 
@@ -329,7 +344,7 @@ def test_transition_matrix_matches_dense_projector_oracle():
     for g, tau in (chain_setup(3, 2, 0.8), ladder_setup(4, 1.4)):
         for i in range(g.d_s - 1):
             u = interact.build_cycled_variant(g, i)
-            a = interact.transition_matrix(u, tau.probs)
+            a = pointer_map(u, tau.probs)
             projs = dense_projectors(g)
             um = permutation_matrix(u)
             for x in range(g.d_s):
@@ -347,7 +362,7 @@ def test_transition_matrix_is_doubly_stochastic_at_any_beta():
         for _ in range(5):
             tau = thermal.gibbs(tau0.hamiltonian, float(rng.uniform(0.0, 4.0)))
             for i in range(g.d_s - 1):
-                a = interact.transition_matrix(interact.build_cycled_variant(g, i), tau.probs)
+                a = pointer_map(interact.build_cycled_variant(g, i), tau.probs)
                 assert np.allclose(a.sum(axis=1), 1.0, atol=1e-13)
                 assert np.allclose(a.sum(axis=0), 1.0, atol=1e-13)
                 assert np.all(a >= -1e-15)
@@ -359,7 +374,7 @@ def test_pointer_map_rows_sum_to_one_within_4_eps_at_20_qubits(d_s):
     g = thermal.group_energies(h, d_s)
     probs = thermal.gibbs(h, 1.0).probs
     for u in [interact.build_noninvasive_maxcorr(g)] + [interact.build_cycled_variant(g, i) for i in range(d_s - 1)]:
-        a = interact.transition_matrix(u, probs)
+        a = interact.WriteStep(u, probs).pointer_map(0, g)
         assert np.abs(a.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
@@ -381,7 +396,7 @@ def test_write_step_rows_sum_to_one_within_4_eps_at_20_and_21_qubits(n, kind):
 def test_transition_matrix_diagonal_carries_cmax():
     g, tau = chain_setup(3, 2, beta=0.5)
     u = interact.build_noninvasive_maxcorr(g)
-    a = interact.transition_matrix(u, tau.probs)
+    a = pointer_map(u, tau.probs)
     c = thermal.c_max(g, tau)
     assert np.allclose(np.diag(a), c, atol=1e-14)
 
@@ -391,7 +406,7 @@ def test_cycled_variants_spread_anticorrelation_evenly():
     for d_s in (3, 4):
         g, tau = ladder_setup(d_s, beta=0.85)
         total = sum(
-            interact.transition_matrix(interact.build_cycled_variant(g, i), tau.probs)
+            pointer_map(interact.build_cycled_variant(g, i), tau.probs)
             for i in range(d_s - 1)
         )
         c = thermal.c_max(g, tau)
@@ -404,7 +419,7 @@ def test_cycled_variants_spread_anticorrelation_evenly():
 def test_pushforward_matches_matrix_product():
     g, tau = qubit_setup(beta=math.log(4.0))  # c_max = 0.8 exactly
     u = interact.build_noninvasive_maxcorr(g)
-    a = interact.transition_matrix(u, tau.probs)
+    a = pointer_map(u, tau.probs)
     assert thermal.c_max(g, tau) == pytest.approx(0.8, abs=1e-15)
     assert (np.array([0.3, 0.7]) @ a).tolist() == pytest.approx([0.38, 0.62], abs=1e-15)
 
@@ -412,25 +427,17 @@ def test_pushforward_matches_matrix_product():
 def test_pushforward_matches_dense_pointer_distribution():
     g, tau = chain_setup(2, 2, beta=1.0)
     u = interact.build_noninvasive_maxcorr(g)
-    a = interact.transition_matrix(u, tau.probs)
+    a = pointer_map(u, tau.probs)
     p = np.array([0.25, 0.75])
     out = interact.apply(u, qcore.diag_density(p), tau.state)
     q_dense = interact.pointer_distribution(out, g)
     assert (p @ a).tolist() == pytest.approx(q_dense.tolist(), abs=1e-14)
 
 
-def test_transition_matrix_rejects_swap():
-    g, tau = qubit_setup()
-    with pytest.raises(WrongKind):
-        interact.transition_matrix(interact.build_unbiased_swap(g), tau.probs)
-    with pytest.raises(DimensionMismatch, match="memory populations have 3 levels"):
-        interact.transition_matrix(interact.build_noninvasive_maxcorr(g), [0.5, 0.3, 0.2])
-
-
 def test_transition_matrix_near_pure_memory_is_identity():
     g, _ = qubit_setup()
     tau = thermal.gibbs(thermal.qubit_chain_hamiltonian(1), beta=60.0)
-    a = interact.transition_matrix(interact.build_noninvasive_maxcorr(g), tau.probs)
+    a = pointer_map(interact.build_noninvasive_maxcorr(g), tau.probs)
     assert np.allclose(a, np.eye(2), atol=1e-12)
 
 
@@ -582,26 +589,56 @@ def test_haar_probe_comes_close_to_cmax_on_a_qubit_pair():
 @pytest.mark.parametrize("kind", interact.KINDS)
 def test_a_stacked_write_step_reads_each_row_as_alone(kind):
     # one write step over three rows of Gibbs populations: each row's populations, bit for bit,
-    # and the whole table read when every level is occupied
+    # and the images of every level when every level is occupied
     h = thermal.MemoryHamiltonian([0.0, 0.4, 1.0, 1.7, 2.0, 3.1])
-    u = interact.build(thermal.group_energies(h, 3), kind)
+    g = thermal.group_energies(h, 3)
+    u = interact.build(g, kind)
     probs = np.stack([thermal.gibbs(h, beta).probs for beta in (0.5, 1.0, 2.0)])
     diags = np.random.default_rng(3).dirichlet(np.ones(3), size=3)
     step = interact.WriteStep(u, probs)
-    assert step.p is probs and np.array_equal(step.mu, u.table % u.d_m)
+    assert np.array_equal(step.p, probs)
+    assert np.array_equal(step.mu, hand_built_permutation(g, definition(3, kind)).reshape(3, -1) % u.d_m)
     stacked = step.populations(0, diags)
     for row, (p, r) in enumerate(zip(probs, diags)):
         assert np.array_equal(stacked[row], interact.WriteStep(u, p).populations(0, r[None])[0])
 
 
 def test_a_write_step_reads_only_the_occupied_levels():
-    # a ground memory occupies one level: the step gathers its column of the table
+    # a ground memory occupies one level: the step keeps the images of that level alone
     h = thermal.qubit_chain_hamiltonian(2)
     u = interact.build(thermal.group_energies(h, 2), "noninvasive")
     step = interact.WriteStep(u, np.array([1.0, 0.0, 0.0, 0.0]))
     assert step.p.tolist() == [1.0]
-    assert np.array_equal(step.mu, u.table[:, :1] % u.d_m)
+    assert np.array_equal(step.mu, u.joint_permutation.reshape(2, -1)[:, :1] % u.d_m)
     assert np.array_equal(step.populations(0, np.array([[0.3, 0.7]]))[0], [0.3, 0.0, 0.7, 0.0])
+
+
+def test_a_write_step_fills_the_images_of_the_hand_built_permutation():
+    # every kind and variant at d_S 2-5, over qubit chains and explicit spectra with tied, unsorted
+    # levels, Gibbs, ground and sparse populations: the step's images (y, mu) are the divmod of the
+    # permutation written from the definition on the occupied columns, and a one-unit pointer map,
+    # the sector map on the sector weights, is the populations route bit for bit
+    rng = np.random.default_rng(30)
+    checked = 0
+    for d_s in range(2, 6):
+        hs = [thermal.MemoryHamiltonian(rng.integers(0, 3, d_s * r).astype(float)) for r in (1, 2, 3)]
+        hs += [thermal.qubit_chain_hamiltonian(3)] if d_s in (2, 4) else []
+        for h in hs:
+            g = thermal.group_energies(h, d_s)
+            ground = np.eye(h.dim)[np.argmin(h.energies)]
+            sparse = rng.random(h.dim) * (np.arange(h.dim) % 2 == 0)
+            for probs in (thermal.gibbs(h, 0.8).probs, ground, sparse / sparse.sum()):
+                occupied = np.flatnonzero(probs)
+                for kind, i in [("noninvasive", 0), ("swap", 0)] + [("cycled", i) for i in range(d_s - 1)]:
+                    u = interact.build(g, kind, i)
+                    step = interact.WriteStep(u, probs)
+                    pi = hand_built_permutation(g, definition(d_s, kind, i)).reshape(d_s, -1)
+                    y, mu = np.divmod(pi[:, occupied], h.dim)
+                    assert np.array_equal(step.y, y) and np.array_equal(step.mu, mu)
+                    a = g.readout(step.populations(0, np.eye(d_s)))
+                    assert np.array_equal(step.pointer_map(0, g), a / a.sum(axis=1, keepdims=True))
+                    checked += 1
+    assert checked == 186
 
 
 def random_factor(rng, d_s):
@@ -655,7 +692,7 @@ def fsum_rows(p, target, d_s):
 
 
 def test_transition_and_pointer_maps_are_the_sector_weights_within_2_eps():
-    # t, each memory factor's pointer map and transition_matrix against the exact sector weights:
+    # t, each memory factor's pointer map and the merged pointer map against the exact sector weights:
     # Gibbs, ground and random populations, over one memory and over the merged memory of two
     rng = np.random.default_rng(29)
     eps, checked = np.finfo(float).eps, 0
@@ -673,11 +710,11 @@ def test_transition_and_pointer_maps_are_the_sector_weights_within_2_eps():
         for kind, variant in [("noninvasive", 0), ("swap", 0)] + [("cycled", i) for i in range(d_s - 1)]:
             u = interact.build(grouping, kind, variant)
             step = interact.WriteStep(u, probs, dims)
-            y, level = np.divmod(u.table, u.d_m)
+            y, level = np.divmod(u.joint_permutation.reshape(d_s, -1), u.d_m)
             assert np.abs(step.t - fsum_rows(probs, y, d_s)).max() <= 2 * eps
             if kind != "swap":
                 merged_sector = np.argsort(grouping.groups.ravel()) // grouping.r
-                assert np.abs(interact.transition_matrix(u, probs) - fsum_rows(probs, merged_sector[level], d_s)).max() <= 2 * eps
+                assert np.abs(pointer_map(u, probs) - fsum_rows(probs, merged_sector[level], d_s)).max() <= 2 * eps
             for f, (g, sector) in enumerate(sector_of):
                 digit = level // math.prod(dims[f + 1 :]) % dims[f]
                 assert np.abs(step.pointer_map(f, g) - fsum_rows(probs, sector[digit], d_s)).max() <= 2 * eps
@@ -695,4 +732,4 @@ def test_a_sector_map_that_is_not_a_complete_record_is_refused(sector_map):
     # memory would keep a coherence of S
     g, _ = ladder_setup(3)
     with pytest.raises(WrongKind, match="into one sector"):
-        interact._table(g, sector_map)
+        interact._complete_record(g.d_s, sector_map)

@@ -564,8 +564,12 @@ def test_the_class_walks_are_math_comb_at_every_n():
 
 
 def test_analytic_cmax_refuses_a_non_integer_n():
-    for n in (5.0, 5.5, np.float64(5.0), [3, 5.5], np.array([3.0])):
-        with pytest.raises(DimensionMismatch, match="integer"):
+    # each element is checked as given, so a mixed list names its own non-integer, and a bool is not n = 1
+    for n, named in ((5.0, "5.0"), (5.5, "5.5"), (np.float64(5.0), "5.0"), ([3, 5.5], "5.5"), (np.array([3.0]), "3.0")):
+        with pytest.raises(DimensionMismatch, match=rf"integer, got n=.*{named}"):
+            thermal.c_max_qubits_analytic(n, 1.0)
+    for n in (True, [3, True], np.array([True])):
+        with pytest.raises(DimensionMismatch, match="integer, got n=True"):
             thermal.c_max_qubits_analytic(n, 1.0)
     want = thermal.c_max_qubits_analytic(5, 1.0)
     assert thermal.c_max_qubits_analytic(np.int64(5), 1.0) == want
