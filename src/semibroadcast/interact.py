@@ -5,10 +5,10 @@ sector map (x, nu) -> (y, mu): the joint level |x, groups[nu][s]> goes to
 |y, groups[mu][s]>, keeping the within-sector slot s.  This module owns the
 one kind dispatch (`build` over `KINDS`), the one dense conjugation
 (`conjugate`) and the one write step (`WriteStep`) of the broadcast runs and
-`infotherm.thermo_report`, which alone fills the images of the levels; no run
-lifts a write to the product space of several memories.  Every kind is a
-complete record of the outcome (`_complete_record` checks it): for each nu
-the d_S sectors mu(x, nu) differ, so a write's channel on S dephases it in
+`infotherm.thermo_report`; `_images` alone fills the images of the levels.
+No run lifts a write to the product space of several memories.  Every kind
+is a complete record of the outcome (`_complete_record` checks it): for each
+nu the d_S sectors mu(x, nu) differ, so a write's channel on S dephases it in
 the outcome basis, then moves its diagonal by `WriteStep.t`.
 
 * noninvasive and cycled: controlled sector shifts, y = x.  These never
@@ -69,11 +69,24 @@ class ControlledInteraction:
     def d_m(self) -> int:
         return self.grouping.dim
 
-    @property
+    @cached_property
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis, from the images of every level."""
-        step = WriteStep(self, np.ones(self.d_m))
-        return (step.y * self.d_m + step.mu).ravel()
+        y, mu = _images(self, slice(None), self.d_m)
+        return (y * self.d_m + mu).ravel()
+
+
+def _images(u: ControlledInteraction, occupied, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y, mu)[x, k]: level |x, m_k> goes to |y, mu>, m_k the k-th of the `size` levels `occupied` selects."""
+    groups, (y, mu) = u.grouping.groups, u.sectors
+    out_y, out_mu = np.empty((2, u.d_s, size), dtype=int)
+    row = np.empty(u.d_m, dtype=int)
+    for x in range(u.d_s):  # one row of temporaries at a time: level groups[nu][s] goes to groups[mu][s]
+        row[groups] = groups[mu[x]]
+        out_mu[x] = row[occupied]
+        row[groups] = y[x, :, None]
+        out_y[x] = row[occupied]
+    return out_y, out_mu
 
 
 def sector_matrix(sector_map: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -97,18 +110,9 @@ class WriteStep:
 
     def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...] | None = None):
         occupied = np.flatnonzero(probs.reshape(-1, u.d_m)[0])
-        if occupied.size == u.d_m:
-            occupied = slice(None)
-        self.p = probs[..., occupied]
-        groups, (y, mu) = u.grouping.groups, u.sectors
-        self.y = np.empty((u.d_s, self.p.shape[-1]), dtype=int)
-        self.mu = np.empty_like(self.y)
-        row = np.empty(u.d_m, dtype=int)
-        for x in range(u.d_s):  # one row of temporaries at a time: level groups[nu][s] goes to groups[mu][s]
-            row[groups] = groups[mu[x]]
-            self.mu[x] = row[occupied]
-            row[groups] = y[x, :, None]
-            self.y[x] = row[occupied]
+        full = occupied.size == u.d_m  # every level occupied: keep the caller's populations, no gathered copy
+        self.p = probs if full else probs[..., occupied]
+        self.y, self.mu = _images(u, slice(None) if full else occupied, self.p.shape[-1])
         self.dims = dims or (u.d_m,)
         self.u, self.probs = u, probs
         self._maps = {}
