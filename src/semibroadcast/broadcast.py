@@ -220,14 +220,15 @@ class BroadcastRun:
         meet, then each later step's channel T o Delta on S, which moves the Gram and the traces."""
         d, d1 = self.dims[:2]
         first, later = self._steps[0], self._steps[1:]
-        a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
+        y, mu = first.images
+        a, rest = np.divmod(mu, math.prod(first.dims[1:]))
         same = rest[:, None] == rest[None]  # the other memory factors agree: traced out
         if later:  # complete records, they dephase S: only entries whose S images agree survive
-            same &= first.y[:, None] == first.y[None]
+            same &= y[:, None] == y[None]
         # entry (x, x', k) adds rho_xx' p_k at (y[x, k], y[x', k]) of the block (a[x, k], a[x', k]); the
         # keys order the entries by M_1 pair, then S pair, so that each M_1 pair's entries are adjacent
         key = (a[:, None] * d1 + a[None]) * (d * d)
-        key += first.y[:, None] * d + first.y[None]
+        key += y[:, None] * d + y[None]
         key = key[same]
         del a, rest  # each full-size array goes once read: the sort's own copies set the peak
         keys, slot = np.unique(key, return_inverse=True)

@@ -204,7 +204,7 @@ def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.nda
     member's P_nu >= p_k > 0), so chi keeps every outcome; one of probability 0 adds exactly 0.
     Every product runs one row at a time, so no row's numbers depend on the others.
     """
-    y, mu, p = step.y, step.mu, step.p
+    (y, mu), p = step.images, step.p
     n, d_s = rho.shape[:2]
     pops = step.populations(0, rho.diagonal(axis1=1, axis2=2).real)
     if (y == np.arange(d_s)[:, None]).all():
@@ -217,7 +217,8 @@ def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.nda
         slots = np.arange(n)[:, None] * step.dims[0] + mu[0]  # slot s of sector 0 labels the slot
         w = np.bincount(slots.ravel(), p.ravel(), minlength=n * step.dims[0]).reshape(n, -1)
         s_m_out = entropies(w, 0.0) + s_s
-        q = p / p_out[:, y[0]]  # each member's own weights; P_nu >= p_k > 0 for nu = nu_k
+        # each member's own weights: P_nu >= p_k > 0 for nu = nu_k, and an empty level divides by no P_nu, 0 in a cold row
+        q = np.divide(p, p_out[:, y[0]], out=np.zeros_like(p), where=p > 0)
         member_s = np.stack([entropies(q[:, row], 0.0) for row in member], axis=1) + s_s[:, None]
     chi = s_m_out - (p_out * member_s).sum(axis=1)
     return entropies(p_out, 0.0), pops, s_m_out, chi
@@ -264,9 +265,6 @@ def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> The
     if isinstance(u, ControlledInteraction):
         if d_s != u.d_s or d_m != u.d_m:
             raise DimensionMismatch(f"interaction is {u.d_s} x {u.d_m}, states are {d_s} x {d_m}")
-        occupied = tau.probs > 0
-        if (occupied != occupied[0]).any():  # a write step reads the levels its rows share
-            return _by_occupied_levels(rho, spectra, tau, u, occupied)
         s_s_out, pops_m_out, s_m_out, chi = _write_step(rho, s_s_in, WriteStep(u, tau.probs), h_tau)
     else:
         if u.shape[-1] != d_s * d_m:
@@ -291,19 +289,6 @@ def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> The
         rel_entropy_to_thermal=-s_m_out - _row_dot(pops_m_out, log_tau),
         chi=chi,
     )
-
-
-def _by_occupied_levels(rho, spectra, tau: GibbsRows, u: ControlledInteraction, occupied) -> ThermoReport:
-    """The report of a stack whose rows occupy different levels: each set of rows that agree is written as its own stack."""
-    _, part = np.unique(occupied, axis=0, return_inverse=True)
-    part = part.ravel()
-    fields = {name: np.empty(len(rho)) for name in ThermoReport.__dataclass_fields__}
-    for j in range(part.max() + 1):
-        rows = part == j
-        rep = _thermo_rows(rho[rows], spectra[rows], GibbsRows(*(a[rows] for a in tau)), u)
-        for name, values in fields.items():
-            values[rows] = getattr(rep, name)
-    return ThermoReport(**fields)
 
 
 def thermo_report(rho_s, tau, u) -> ThermoReport:

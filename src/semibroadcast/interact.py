@@ -101,21 +101,27 @@ class WriteStep:
 
     The memory is one unit (a sequential stage or an hl-bound write) or the
     merged memory of a global run, whose level splits into the unit digits
-    `dims`.  Only the occupied levels m_k of `probs`, p[..., k] the population
-    of m_k, enter: the input entry rho_xx' p_k at (x m_k, x' m_k) moves to
-    (y[x, k] mu[x, k], y[x', k] mu[x', k]), the images of m_k that the step
-    fills from the sector map, one x at a time.  `probs` may be a stack of
-    population rows (n, d_M), one per write, that occupy the same levels.
+    `dims`.  `probs` is one population row, or a stack of rows (n, d_M), one
+    per write (hl-bound's).  A stack is read over every level, so that no
+    row's numbers depend on the levels another row underflows; one row is
+    read over its occupied levels.  p[..., k] is the population of the k-th
+    level m_k read: the input entry rho_xx' p_k at (x m_k, x' m_k) moves to
+    (y[x, k] mu[x, k], y[x', k] mu[x', k]), the `images` of m_k, filled on
+    first read: `t` and the one-unit pointer maps need none.
     """
 
     def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...] | None = None):
-        occupied = np.flatnonzero(probs.reshape(-1, u.d_m)[0])
-        full = occupied.size == u.d_m  # every level occupied: keep the caller's populations, no gathered copy
-        self.p = probs if full else probs[..., occupied]
-        self.y, self.mu = _images(u, slice(None) if full else occupied, self.p.shape[-1])
+        full = probs.ndim > 1 or probs.all()  # every level read: keep the caller's populations, no gathered copy
+        self._levels = slice(None) if full else np.flatnonzero(probs)
+        self.p = probs if full else probs[self._levels]
         self.dims = dims or (u.d_m,)
         self.u, self.probs = u, probs
         self._maps = {}
+
+    @cached_property
+    def images(self) -> tuple[np.ndarray, np.ndarray]:
+        """(y, mu)[x, k]: the level |x, m_k> goes to |y, mu>."""
+        return _images(self.u, self._levels, self.p.shape[-1])
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -129,15 +135,15 @@ class WriteStep:
             if len(self.dims) == 1:
                 self._maps[f] = sector_matrix(self.u.sectors[1], grouping.readout(self.probs))
             else:
-                a = grouping.readout(self.populations(f, np.eye(len(self.y))))
+                a = grouping.readout(self.populations(f, np.eye(self.u.d_s)))
                 self._maps[f] = a / a.sum(axis=1, keepdims=True)
         return self._maps[f]
 
     def populations(self, f: int, r: np.ndarray) -> np.ndarray:
         """Level populations of memory factor f after writing each system diagonal, a row of r;
         with a stack of population rows, row i of r is written with row i of p."""
-        d = self.dims[f]
-        levels = self.mu if len(self.dims) == 1 else self.mu // math.prod(self.dims[f + 1 :]) % d
+        d, mu = self.dims[f], self.images[1]
+        levels = mu if len(self.dims) == 1 else mu // math.prod(self.dims[f + 1 :]) % d
         if len(r) > 1:  # row i counts into bins i * d ... i * d + d - 1
             levels = np.arange(len(r)).reshape(-1, 1, 1) * d + levels
         pops = np.bincount(levels.ravel(), (r[:, :, None] * self.p[..., None, :]).ravel(), minlength=len(r) * d)

@@ -129,9 +129,9 @@ def swap_report(rho_s, tau, u):
     EIG_FLOOR; the products themselves are exact.  The system label moves, so the write is
     checked to be a swap."""
     step = interact.WriteStep(u, tau.probs)
-    d_s = len(step.y)
-    nu, p = step.y[0], step.p
-    assert (step.y == nu).all(), "not a swap: the system label stays"
+    (y, mu), p = step.images, step.p
+    d_s, nu = len(y), y[0]
+    assert (y == nu).all(), "not a swap: the system label stays"
     lam = rho_s.spectrum()
     lam = np.where(lam > qcore.EIG_FLOOR, lam, 0.0)
 
@@ -139,10 +139,10 @@ def swap_report(rho_s, tau, u):
         return float(qcore.entropies(np.sort(np.outer(weights, lam).ravel()), 0.0))
 
     p_out = np.array([p[nu == x].sum() for x in range(d_s)])
-    s_m_out = s(np.bincount(step.mu[0], p, minlength=step.dims[0]))
+    s_m_out = s(np.bincount(mu[0], p, minlength=step.dims[0]))
     kept = p_out > infotherm.PROB_FLOOR
     chi = s_m_out - sum(p_out[x] * s(p[nu == x] / p_out[x]) for x in range(d_s) if kept[x])
-    pops = np.bincount(step.mu.ravel(), (rho_s.matrix.diagonal().real[:, None] * p).ravel(), minlength=u.d_m)
+    pops = np.bincount(mu.ravel(), (rho_s.matrix.diagonal().real[:, None] * p).ravel(), minlength=u.d_m)
     s_s_in, h_tau = qcore.von_neumann_entropy(rho_s), qcore.shannon_entropy(tau.probs)
     s_s_out = qcore.von_neumann_entropy(qcore.diag_density(p_out))
     energies = tau.hamiltonian.absolute_energies()
@@ -167,9 +167,10 @@ def channel(step):
     """The channel on S of an `interact.WriteStep`, d_S^2 x d_S^2 on row-major vec(rho): the entry
     (x, x', k) of rho_S (x) diag(p) moves to (y[x, k] mu[x, k], y[x', k] mu[x', k]), and it survives
     tracing out the memory when mu[x, k] = mu[x', k]."""
-    d = len(step.y)
-    same = step.mu[:, None] == step.mu[None]
-    flat = (step.y[:, None] * d + step.y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
+    y, mu = step.images
+    d = len(y)
+    same = mu[:, None] == mu[None]
+    flat = (y[:, None] * d + y[None]) * d * d + np.arange(d * d).reshape(d, d, 1)
     phi = np.bincount(flat[same], np.broadcast_to(step.p, same.shape)[same], minlength=d**4)
     return phi.reshape(d * d, d * d)
 
@@ -186,9 +187,10 @@ def channel_blocks(rho_s, mem, mode=broadcast.SEQUENTIAL_LOCAL, kind="swap", var
         merged = interact.build(thermal.group_energies(merged_h, d), kind, variant)
         steps = [interact.WriteStep(merged, reduce(np.kron, [u.probs for u in mem.units]), mem.dims)]
     first = steps[0]
-    a, rest = np.divmod(first.mu, math.prod(first.dims[1:]))
+    y, mu = first.images
+    a, rest = np.divmod(mu, math.prod(first.dims[1:]))
     same = rest[:, None] == rest[None]
-    flat = ((first.y[:, None] * d + first.y[None]) * d1 * d1 + a[:, None] * d1 + a[None])[same]
+    flat = ((y[:, None] * d + y[None]) * d1 * d1 + a[:, None] * d1 + a[None])[same]
     blocks = np.zeros(d * d * d1 * d1, dtype=complex)
     np.add.at(blocks, flat, (rho_s.matrix[:, :, None] * first.p)[same])
     after = reduce(lambda acc, step: channel(step) @ acc, steps[1:], np.eye(d * d))

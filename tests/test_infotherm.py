@@ -508,8 +508,8 @@ def test_a_stacked_write_names_each_dropped_outcome_and_keeps_every_row_apart(ki
 
 @pytest.mark.parametrize("kind", interact.KINDS)
 def test_rows_whose_memories_occupy_other_levels_are_written_apart(kind):
-    # at beta = 400 the top level of the two-qubit chain underflows to 0: the write step of that row reads
-    # three levels, the warm rows four, and each row still equals its write alone
+    # at beta = 400 the top level of the two-qubit chain underflows to 0 in one row, the warm rows occupy all
+    # four.  A stack is read over every level, its write alone too, so each row equals its write alone bit for bit
     h = thermal.qubit_chain_hamiltonian(2)
     u = interact.build(thermal.group_energies(h, 2), kind)
     taus = [thermal.gibbs(h, beta) for beta in (1.0, 400.0, 2.0)]
@@ -528,9 +528,8 @@ def test_rows_whose_memories_occupy_other_levels_are_written_apart(kind):
 def test_a_stack_that_underflows_levels_reports_each_row_as_written_alone(kind):
     # a band of 14 levels 1e-5 apart under two levels at 1 and 1.5: at beta*omega = 800 the two
     # underflow to 0, so the cold rows occupy 14 of the 16 levels and the warm rows all of them.
-    # Each set of rows is written as its own stack.  Reading every row over the warm rows' levels
-    # would put exact zeros among the cold rows' populations, which moves numpy's pairwise sums:
-    # a cold row's bits would then depend on its stack-mates
+    # Every row of a stack, and a row written alone, is read over all 16 levels, zeros included:
+    # no row's sums depend on the levels its stack-mates occupy
     h = thermal.MemoryHamiltonian(np.r_[1e-5 * np.arange(14), 1.0, 1.5])
     u = interact.build(thermal.group_energies(h, 2), kind)
     betas = [1.0, 800.0, 800.0, 1.0, 800.0]

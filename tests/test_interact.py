@@ -598,7 +598,7 @@ def test_a_stacked_write_step_reads_each_row_as_alone(kind):
     diags = np.random.default_rng(3).dirichlet(np.ones(3), size=3)
     step = interact.WriteStep(u, probs)
     assert step.p is probs
-    assert np.array_equal(step.mu, hand_built_permutation(g, definition(3, kind)).reshape(3, -1) % u.d_m)
+    assert np.array_equal(step.images[1], hand_built_permutation(g, definition(3, kind)).reshape(3, -1) % u.d_m)
     stacked = step.populations(0, diags)
     for row, (p, r) in enumerate(zip(probs, diags)):
         assert np.array_equal(stacked[row], interact.WriteStep(u, p).populations(0, r[None])[0])
@@ -610,7 +610,7 @@ def test_a_write_step_reads_only_the_occupied_levels():
     u = interact.build(thermal.group_energies(h, 2), "noninvasive")
     step = interact.WriteStep(u, np.array([1.0, 0.0, 0.0, 0.0]))
     assert step.p.tolist() == [1.0]
-    assert np.array_equal(step.mu, u.joint_permutation.reshape(2, -1)[:, :1] % u.d_m)
+    assert np.array_equal(step.images[1], u.joint_permutation.reshape(2, -1)[:, :1] % u.d_m)
     assert np.array_equal(step.populations(0, np.array([[0.3, 0.7]]))[0], [0.3, 0.0, 0.7, 0.0])
 
 
@@ -635,7 +635,7 @@ def test_a_write_step_fills_the_images_of_the_hand_built_permutation():
                     step = interact.WriteStep(u, probs)
                     pi = hand_built_permutation(g, definition(d_s, kind, i)).reshape(d_s, -1)
                     y, mu = np.divmod(pi[:, occupied], h.dim)
-                    assert np.array_equal(step.y, y) and np.array_equal(step.mu, mu)
+                    assert np.array_equal(step.images[0], y) and np.array_equal(step.images[1], mu)
                     a = g.readout(step.populations(0, np.eye(d_s)))
                     assert np.array_equal(step.pointer_map(0, g), a / a.sum(axis=1, keepdims=True))
                     checked += 1
