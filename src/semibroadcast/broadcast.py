@@ -194,8 +194,7 @@ class BroadcastRun:
         """The system diagonals `rows` entering each step, then leaving the last."""
         yield rows
         for step in self._steps:
-            # a swap's rows of t are all W: it writes W, where r @ t would scale it by sum(r) != 1
-            rows = np.repeat(step.t[:1], len(rows), axis=0) if (step.t == step.t[0]).all() else rows @ step.t
+            rows = step.stage(rows)
             yield rows
 
     def _writes(self, incoming):

@@ -69,6 +69,11 @@ class ControlledInteraction:
     def d_m(self) -> int:
         return self.grouping.dim
 
+    @property
+    def keeps_label(self) -> bool:
+        """Whether every write leaves the system label, y = x (noninvasive, cycled); a swap replaces it."""
+        return bool((self.sectors[0] == np.arange(self.d_s)[:, None]).all())
+
     @cached_property
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis, from the images of every level."""
@@ -127,6 +132,15 @@ class WriteStep:
     def t(self) -> np.ndarray:
         """The stage on the system diagonal: t[x, y] the weight of |x> -> |y>, `sector_matrix` of y for one population row."""
         return sector_matrix(self.u.sectors[0], self.u.grouping.readout(self.probs))
+
+    def stage(self, rows: np.ndarray) -> np.ndarray:
+        """The system diagonals `rows` after the write, rows @ t: the rows themselves where the write keeps the
+        label (t = I exactly), else each population row's W / sum(W) of a swap, whose rows of t are all that,
+        whatever the input (rows @ t would scale it by sum(r) != 1)."""
+        if self.u.keeps_label:
+            return rows
+        w = self.u.grouping.readout(self.probs)
+        return np.broadcast_to(w / w.sum(axis=-1, keepdims=True), rows.shape)
 
     def pointer_map(self, f: int, grouping: EnergyGrouping) -> np.ndarray:
         """Memory factor f's pointer map under its `grouping`, built once.  One unit's is `sector_matrix` of mu; a merged
