@@ -277,11 +277,21 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     ]
     _write_csv(out_dir, header, [[r[k] for k in header] for r in records])
     print(f"{len(records)} instance(s): min gap {min_gap:.3e}, max identity residual {max_rw:.3e}")
-    gap_floor = -(GAP_TOL / LN2 if bits else GAP_TOL)
-    if not min_gap >= gap_floor:
-        raise InvariantViolation(f"bound gap {min_gap} below {gap_floor}")
-    if not max_rw <= RW_TOL:
-        raise InvariantViolation(f"decomposition residual {max_rw} above {RW_TOL}")
+    # Each check is a difference of rounded terms, which reach beta * dE: the gap of Sigma, chi and beta dF_M,
+    # the residual of Sigma, I and D.  Forming the residual from a memory of d_M levels rounds 8 d_M + 7 times:
+    # the means <E> before and after and <ln tau> after (2 d_M - 1 each), ln tau = -beta E - ln Z (2 per level),
+    # and the 10 differences, sums and products that assemble Sigma, I, D and the residual; the gap rounds
+    # fewer.  So each check allows its tolerance plus (8 d_M + 7) eps times the sum of its terms' magnitudes,
+    # a rounding of at most eps / 2 each, with a factor 2 for the rounded inputs; an infinite term fails
+    nats = LN2 if bits else 1.0  # the entropic fields in nats, the unit of both tolerances
+    for r in records:
+        c = (8 * r["d_M"] + 7) * sys.float_info.epsilon * nats
+        floor = -GAP_TOL - c * (abs(r["entropy_production"]) + abs(r["chi"]) + abs(r["beta_delta_f_memory"]))
+        if not r["gap"] * nats >= floor > -math.inf:
+            raise InvariantViolation(f"bound gap {r['gap']} of instance {r['index']} below {floor / nats}")
+        ceiling = RW_TOL + c * (abs(r["entropy_production"]) + abs(r["mutual_info"]) + abs(r["rel_entropy_to_thermal"]))
+        if not r["reeb_wolf_residual"] <= ceiling < math.inf:
+            raise InvariantViolation(f"decomposition residual {r['reeb_wolf_residual']} of instance {r['index']} above {ceiling}")
     return payload
 
 
@@ -329,8 +339,13 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         )
     else:
         print(f"worst statistics defect {worst:.3e}; no finite-k witness")
-    if cfg.memory.state == "gibbs" and cfg.memory.beta_omega > 0 and worst <= 1e-6:
-        raise InvariantViolation(f"thermal memories should obstruct copying, defect {worst}")
+    # from some basis input every kind puts each sector weight W_nu / sum(W), nu > 0, of the shared unit on a
+    # wrong outcome, so no defect is below their largest, up to the d_S eps that the rows' sums and divisions
+    # round apart: 0 where the upper sectors underflow, and no floor for a ground memory
+    w = mem.units[0].grouping.readout(mem.units[0].probs)
+    floor = float((w[1:] / w.sum()).max())
+    if not worst >= floor * (1 - d_s * sys.float_info.epsilon):
+        raise InvariantViolation(f"thermal memories should obstruct copying by at least {floor}, defect {worst}")
     return payload
 
 

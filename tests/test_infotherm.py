@@ -545,6 +545,25 @@ def test_a_stack_that_underflows_levels_reports_each_row_as_written_alone(kind):
                 assert getattr(rep, name)[i] == value[0], (i, name)
 
 
+def test_a_swap_stack_with_a_row_that_underflows_a_whole_sector_reports_it_as_written_alone():
+    # at beta = 800 both levels of the two-qubit chain's upper sector underflow to 0: the cold row's
+    # member 1 has probability exactly 0 and divides by no sector weight, so every field stays finite
+    h = thermal.qubit_chain_hamiltonian(2)
+    u = interact.build(thermal.group_energies(h, 2), "swap")
+    rows = stacked_rows([thermal.gibbs(h, beta) for beta in (1.0, 800.0, 2.0)])
+    assert thermal.group_energies(h, 2).readout(rows.probs)[1].tolist() == [1.0, 0.0]
+    rho = qcore.random_states(2, range(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = infotherm.thermo_report(rho, rows, u)
+        for name, values in vars(rep).items():
+            assert np.isfinite(values).all(), name
+        for i in range(3):
+            alone = infotherm.thermo_report(rho[i : i + 1], thermal.GibbsRows(*(a[i : i + 1] for a in rows)), u)
+            for name, value in vars(alone).items():
+                assert getattr(rep, name)[i] == value[0], (i, name)
+
+
 def test_a_write_refuses_states_of_other_sizes():
     h = thermal.qubit_chain_hamiltonian(2)
     u = interact.build(thermal.group_energies(h, 2), "swap")

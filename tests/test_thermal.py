@@ -145,6 +145,14 @@ def test_gibbs_refuses_a_beta_that_takes_every_weight_out_of_the_float_range():
     assert rows.probs[1].tobytes() == alone.probs[0].tobytes() and rows.log_z[1] == alone.log_z[0]
 
 
+def test_gibbs_with_ln_z_near_the_float_maximum_warns_nothing():
+    # at beta = 1, ln Z is 1e308: -beta E - ln Z overflows to -inf on the level at 1e308, a population of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = thermal.gibbs(thermal.MemoryHamiltonian([0.0, 1e308, -1e308]), 1.0)
+    assert tau.probs.tolist() == [0.0, 0.0, 1.0] and tau.log_z == 1e308
+
+
 def test_gibbs_probs_ordering_follows_energies():
     h = thermal.MemoryHamiltonian([0.3, 0.0, 1.2, 0.7])
     tau = thermal.gibbs(h, beta=1.5)
