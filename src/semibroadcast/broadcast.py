@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -192,10 +193,7 @@ class BroadcastRun:
 
     def _chain(self, rows: np.ndarray):
         """The system diagonals `rows` entering each step, then leaving the last."""
-        yield rows
-        for step in self._steps:
-            rows = step.stage(rows)
-            yield rows
+        return accumulate(self._steps, lambda diag, step: step.stage(diag), initial=rows)
 
     def _writes(self, incoming):
         """(unit, step, memory factor, system diagonals entering the step) for every unit in order."""
@@ -245,7 +243,7 @@ class BroadcastRun:
         gram = np.zeros((d, d))
         gram[np.ix_(rows, rows)] = (b @ b.conj().T).real
         traces = np.bincount(y, v.real * (pair // d1 == pair % d1), minlength=d)
-        t = reduce(np.matmul, [step.t for step in later], np.eye(d))  # T_2 ... T_N: M_x -> sum_w t[w, x] M_w
+        t = reduce(np.matmul, [step.stage(np.eye(d)) for step in later], np.eye(d))  # T_2 ... T_N: M_x -> sum_w t[w, x] M_w
         return SystemBlocks(t.T @ gram @ t, traces @ t, off)
 
     def ensembles(self):

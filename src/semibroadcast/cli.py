@@ -277,12 +277,10 @@ def cmd_hl_bound(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     ]
     _write_csv(out_dir, header, [[r[k] for k in header] for r in records])
     print(f"{len(records)} instance(s): min gap {min_gap:.3e}, max identity residual {max_rw:.3e}")
-    # Each check is a difference of rounded terms, which reach beta * dE: the gap of Sigma, chi and beta dF_M,
-    # the residual of Sigma, I and D.  Forming the residual from a memory of d_M levels rounds 8 d_M + 7 times:
-    # the means <E> before and after and <ln tau> after (2 d_M - 1 each), ln tau = -beta E - ln Z (2 per level),
-    # and the 10 differences, sums and products that assemble Sigma, I, D and the residual; the gap rounds
-    # fewer.  So each check allows its tolerance plus (8 d_M + 7) eps times the sum of its terms' magnitudes,
-    # a rounding of at most eps / 2 each, with a factor 2 for the rounded inputs; an infinite term fails
+    # Each check takes differences of rounded terms that reach beta * dE.  The residual of Sigma, I and D over
+    # d_M levels rounds 8 d_M + 7 times (<E> before and after and <ln tau>, 2 d_M - 1 each; ln tau, 2 per level;
+    # 10 sums and products), the gap of Sigma, chi and beta dF_M fewer, each within eps / 2 of its result, doubled
+    # for rounded inputs: so each allows that many eps times the sum of its terms' magnitudes; no infinite term
     nats = LN2 if bits else 1.0  # the entropic fields in nats, the unit of both tolerances
     for r in records:
         c = (8 * r["d_M"] + 7) * sys.float_info.epsilon * nats
@@ -339,9 +337,8 @@ def cmd_nogo(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
         )
     else:
         print(f"worst statistics defect {worst:.3e}; no finite-k witness")
-    # from some basis input every kind puts each sector weight W_nu / sum(W), nu > 0, of the shared unit on a
-    # wrong outcome, so no defect is below their largest, up to the d_S eps that the rows' sums and divisions
-    # round apart: 0 where the upper sectors underflow, and no floor for a ground memory
+    # from some basis input every kind puts each upper sector weight W_nu / sum(W), nu > 0, of the shared unit on a
+    # wrong outcome: no defect is below their largest (0 if they underflow), up to the d_S eps of the rows' sums
     w = mem.units[0].grouping.readout(mem.units[0].probs)
     floor = float((w[1:] / w.sum()).max())
     if not worst >= floor * (1 - d_s * sys.float_info.epsilon):

@@ -192,33 +192,30 @@ def _write_step(rho: np.ndarray, s_s: np.ndarray, step: WriteStep, h_tau: np.nda
     h_tau = H(tau) per row.
 
     The write is a complete record, so rho_S' is diagonal: the system diagonal after the step's
-    stage t, `WriteStep.stage` as a broadcast run chains it, and S(rho_S') is the entropy of those
+    stage, `WriteStep.stage` as a broadcast run chains it, and S(rho_S') is the entropy of those
     populations.  Member y and rho_M' sum the entries rho_xx' p_k whose system images agree.  A write
     that keeps the system label (t = I) makes member x the populations p permuted to mu[x]: rho_M' is
-    one row of populations and every member's entropy is H(tau).  A swap (y[:, k] is one outcome nu_k,
-    mu[:, k] the slot of m_k in every sector) puts p_k rho_S on the levels mu[:, k]: rho_S' = diag(P),
-    P = W / sum(W) from the sector weights W, member nu is the direct sum of p_k / P_nu rho_S over
-    nu_k = nu, and rho_M' that of w_s rho_S over the slots s.  The entropy of a direct sum of
-    w_k rho_S with sum_k w_k = 1 is H(w) + S(rho_S), so only exact weights enter an entropy besides
-    s_s.  A member divides only the p_k > 0 of its levels, by P_nu > 0: chi keeps every outcome, and
-    one of probability 0, a sector that a cold row underflows among them, adds exactly 0.
+    one row of populations and every member's entropy is H(tau).  A swap sends the level at slot s of
+    sector nu, of population p, to slot s of every sector with weight p rho_S: rho_S' = diag(P),
+    P = W / sum(W) from the sector weights W, member nu is the direct sum of p / P_nu rho_S over the
+    slots of sector nu, and rho_M' that of w_s rho_S, w_s the weight of slot s summed over the sectors.
+    The entropy of a direct sum of w_k rho_S with sum_k w_k = 1 is H(w) + S(rho_S), so only exact
+    weights enter an entropy besides s_s.  A member divides only its p > 0, by P_nu > 0: chi keeps
+    every outcome, and one of probability 0, a sector that a cold row underflows among them, adds 0.
     Every product runs one row at a time, so no row's numbers depend on the others.
     """
-    (y, mu), p = step.images, step.p
     n, d_s = rho.shape[:2]
     diag = rho.diagonal(axis1=1, axis2=2).real
     pops = step.populations(0, diag)
     p_out = step.stage(diag)
-    if step.u.keeps_label:
+    if (step.u.sectors[0] == np.arange(d_s)[:, None]).all():
         s_m_out = entropies(pops, 0.0)
         member_s = np.broadcast_to(h_tau[:, None], p_out.shape)
-    else:
-        member = y[0] == np.arange(d_s)[:, None]  # member[nu, k]: nu_k = nu
-        slots = np.arange(n)[:, None] * step.dims[0] + mu[0]  # slot s of sector 0 labels the slot
-        w = np.bincount(slots.ravel(), p.ravel(), minlength=n * step.dims[0]).reshape(n, -1)
-        s_m_out = entropies(w, 0.0) + s_s
-        q = np.divide(p, p_out[:, y[0]], out=np.zeros_like(p), where=p > 0)  # each member's own weights
-        member_s = np.stack([entropies(q[:, row], 0.0) for row in member], axis=1) + s_s[:, None]
+    else:  # a stack is read over every level: sectors[:, nu, s] is the population at slot s of sector nu
+        sectors = step.p[:, step.u.grouping.groups]
+        s_m_out = entropies(sectors.sum(axis=1), 0.0) + s_s
+        q = np.divide(sectors, p_out[:, :, None], out=np.zeros_like(sectors), where=sectors > 0)  # member nu's weights
+        member_s = entropies(q.reshape(n * d_s, -1), 0.0).reshape(n, d_s) + s_s[:, None]
     chi = s_m_out - (p_out * member_s).sum(axis=1)
     return entropies(p_out, 0.0), pops, s_m_out, chi
 

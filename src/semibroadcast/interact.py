@@ -9,7 +9,7 @@ one kind dispatch (`build` over `KINDS`), the one dense conjugation
 No run lifts a write to the product space of several memories.  Every kind
 is a complete record of the outcome (`_complete_record` checks it): for each
 nu the d_S sectors mu(x, nu) differ, so a write's channel on S dephases it in
-the outcome basis, then moves its diagonal by `WriteStep.t`.
+the outcome basis, then moves its diagonal by its stage (`WriteStep.stage`).
 
 * noninvasive and cycled: controlled sector shifts, y = x.  These never
   disturb the system's outcome-basis diagonal.
@@ -17,7 +17,7 @@ the outcome basis, then moves its diagonal by `WriteStep.t`.
   register.  It copies the system's outcome statistics into the pointer
   sectors exactly, at the price of replacing the system state.
 
-Every d_S x d_S matrix of a one-unit write, `WriteStep.t` and
+Every d_S x d_S matrix of a one-unit write, its stage and
 `WriteStep.pointer_map`, is a sector map on the pairwise sector weights
 (`sector_matrix`).  The pointer correlation C = sum_x Tr[ rho (|x><x| (x) Pi_x) ],
 Pi_x the sector projectors, and every pointer distribution are read through
@@ -69,11 +69,6 @@ class ControlledInteraction:
     def d_m(self) -> int:
         return self.grouping.dim
 
-    @property
-    def keeps_label(self) -> bool:
-        """Whether every write leaves the system label, y = x (noninvasive, cycled); a swap replaces it."""
-        return bool((self.sectors[0] == np.arange(self.d_s)[:, None]).all())
-
     @cached_property
     def joint_permutation(self) -> np.ndarray:
         """pi with U|j> = |pi[j]> on the d_S * d_M product basis, from the images of every level."""
@@ -106,38 +101,29 @@ class WriteStep:
 
     The memory is one unit (a sequential stage or an hl-bound write) or the
     merged memory of a global run, whose level splits into the unit digits
-    `dims`.  `probs` is one population row, or a stack of rows (n, d_M), one
-    per write (hl-bound's).  A stack is read over every level, so that no
-    row's numbers depend on the levels another row underflows; one row is
-    read over its occupied levels.  p[..., k] is the population of the k-th
-    level m_k read: the input entry rho_xx' p_k at (x m_k, x' m_k) moves to
-    (y[x, k] mu[x, k], y[x', k] mu[x', k]), the `images` of m_k, filled on
-    first read: `t` and the one-unit pointer maps need none.
+    `dims`.  `probs` is one population row, read over its occupied levels, or
+    hl-bound's stack of rows (n, d_M), read over every level so that no row
+    depends on the levels another underflows.  The input entry rho_xx' p_k at
+    (x m_k, x' m_k), p[..., k] the population of the k-th level read, moves to
+    (y[x, k] mu[x, k], y[x', k] mu[x', k]), the `images` of m_k.
     """
 
     def __init__(self, u: ControlledInteraction, probs: np.ndarray, dims: tuple[int, ...] | None = None):
         full = probs.ndim > 1 or probs.all()  # every level read: keep the caller's populations, no gathered copy
         self._levels = slice(None) if full else np.flatnonzero(probs)
         self.p = probs if full else probs[self._levels]
-        self.dims = dims or (u.d_m,)
-        self.u, self.probs = u, probs
+        self.u, self.probs, self.dims = u, probs, dims or (u.d_m,)
         self._maps = {}
 
     @cached_property
     def images(self) -> tuple[np.ndarray, np.ndarray]:
-        """(y, mu)[x, k]: the level |x, m_k> goes to |y, mu>."""
+        """(y, mu)[x, k]: the level |x, m_k> goes to |y, mu>, filled on first read (the stage and one-unit pointer maps read none)."""
         return _images(self.u, self._levels, self.p.shape[-1])
 
-    @cached_property
-    def t(self) -> np.ndarray:
-        """The stage on the system diagonal: t[x, y] the weight of |x> -> |y>, `sector_matrix` of y for one population row."""
-        return sector_matrix(self.u.sectors[0], self.u.grouping.readout(self.probs))
-
     def stage(self, rows: np.ndarray) -> np.ndarray:
-        """The system diagonals `rows` after the write, rows @ t: the rows themselves where the write keeps the
-        label (t = I exactly), else each population row's W / sum(W) of a swap, whose rows of t are all that,
-        whatever the input (rows @ t would scale it by sum(r) != 1)."""
-        if self.u.keeps_label:
+        """The system diagonals `rows` after the write, rows @ t for its stage t = stage(I): t = I exactly where it keeps
+        the label (y = x), and a swap writes each population row's W / sum(W) whatever the input (rows @ t scales by sum(r))."""
+        if (self.u.sectors[0] == np.arange(self.u.d_s)[:, None]).all():
             return rows
         w = self.u.grouping.readout(self.probs)
         return np.broadcast_to(w / w.sum(axis=-1, keepdims=True), rows.shape)

@@ -207,7 +207,7 @@ def test_a_swap_chain_leaves_the_sector_weights_bit_for_bit():
     unit = broadcast.thermal_unit(thermal.qubit_chain_hamiltonian(6), 1.0, 2, kind="swap")
     p = qcore.diag_density(np.random.default_rng(5).dirichlet(np.ones(2)))
     run = broadcast.run_sequential_local(p, broadcast.MemoryArray(2, [unit] * 1024))
-    t = interact.WriteStep(unit.interaction, unit.probs).t
+    t = interact.WriteStep(unit.interaction, unit.probs).stage(np.eye(2))
     assert all(np.array_equal(diag, t[0]) for diag in run.system_diag_history)
 
 

@@ -388,7 +388,7 @@ def test_write_step_rows_sum_to_one_within_4_eps_at_20_and_21_qubits(n, kind):
     g = thermal.group_energies(h, 2)
     u, probs = interact.build(g, kind), thermal.gibbs(h, 1.0).probs
     step = interact.WriteStep(u, probs)
-    for a in (step.t, step.pointer_map(0, g)):
+    for a in (step.stage(np.eye(2)), step.pointer_map(0, g)):
         assert np.abs(a.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
     a = g.readout(step.populations(0, np.eye(2)))
     assert np.array_equal(a / a.sum(axis=1, keepdims=True), interact.sector_matrix(u.sectors[1], g.readout(probs)))
@@ -678,7 +678,7 @@ def test_every_write_channel_is_dephasing_then_its_transition_matrix():
             step = interact.WriteStep(interact.build(grouping, kind, variant), probs, dims)
             want = np.zeros((d_s * d_s, d_s * d_s))
             diag = np.arange(d_s) * (d_s + 1)  # the flat index of (x, x)
-            want[np.ix_(diag, diag)] = step.t.T
+            want[np.ix_(diag, diag)] = step.stage(np.eye(d_s)).T
             got = channel(step)
             assert np.array_equal(got == 0, want == 0)
             assert np.abs(got - want).max() <= (step.p.shape[-1] / 2 + 2) * np.finfo(float).eps
@@ -712,7 +712,7 @@ def test_transition_and_pointer_maps_are_the_sector_weights_within_2_eps():
             u = interact.build(grouping, kind, variant)
             step = interact.WriteStep(u, probs, dims)
             y, level = np.divmod(u.joint_permutation.reshape(d_s, -1), u.d_m)
-            assert np.abs(step.t - fsum_rows(probs, y, d_s)).max() <= 2 * eps
+            assert np.abs(step.stage(np.eye(d_s)) - fsum_rows(probs, y, d_s)).max() <= 2 * eps
             if kind != "swap":
                 merged_sector = np.argsort(grouping.groups.ravel()) // grouping.r
                 assert np.abs(pointer_map(u, probs) - fsum_rows(probs, merged_sector[level], d_s)).max() <= 2 * eps
