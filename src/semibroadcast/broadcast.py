@@ -243,7 +243,8 @@ class BroadcastRun:
         gram = np.zeros((d, d))
         gram[np.ix_(rows, rows)] = (b @ b.conj().T).real
         traces = np.bincount(y, v.real * (pair // d1 == pair % d1), minlength=d)
-        t = reduce(np.matmul, [step.stage(np.eye(d)) for step in later], np.eye(d))  # T_2 ... T_N: M_x -> sum_w t[w, x] M_w
+        # T_2 ... T_N, each stage's matrix stage(I): M_x -> sum_w t[w, x] M_w
+        t = reduce(np.matmul, [step.stage(np.eye(d)) for step in later], np.eye(d))
         return SystemBlocks(t.T @ gram @ t, traces @ t, off)
 
     def ensembles(self):

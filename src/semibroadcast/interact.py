@@ -117,12 +117,12 @@ class WriteStep:
 
     @cached_property
     def images(self) -> tuple[np.ndarray, np.ndarray]:
-        """(y, mu)[x, k]: the level |x, m_k> goes to |y, mu>, filled on first read (the stage and one-unit pointer maps read none)."""
+        """(y, mu)[x, k]: |x, m_k> goes to |y, mu>, filled on first read: the stage and one-unit maps read none."""
         return _images(self.u, self._levels, self.p.shape[-1])
 
     def stage(self, rows: np.ndarray) -> np.ndarray:
-        """The system diagonals `rows` after the write, rows @ t for its stage t = stage(I): t = I exactly where it keeps
-        the label (y = x), and a swap writes each population row's W / sum(W) whatever the input (rows @ t scales by sum(r))."""
+        """The system diagonals `rows` after the write, rows @ t for t = stage(I): the rows themselves where the label
+        stays (y = x, t = I exactly); for a swap each population row's W / sum(W), which rows @ t would scale by sum(r)."""
         if (self.u.sectors[0] == np.arange(self.u.d_s)[:, None]).all():
             return rows
         w = self.u.grouping.readout(self.probs)

@@ -143,7 +143,7 @@ def gibbs_rows(energies: np.ndarray, beta) -> GibbsRows:
     bad = beta[~(np.isfinite(beta) & (beta >= 0.0))]
     if bad.size:
         raise DimensionMismatch(f"beta must be finite and >= 0, got {bad[0]}")
-    # a -beta E past the float range is +-inf, and a row of them has no finite ln Z; -beta E - ln Z may be -inf, weight 0
+    # a -beta E past the float range is +-inf and a row of them has no finite ln Z; -beta E - ln Z = -inf is weight 0
     with np.errstate(over="ignore", invalid="ignore"):
         logw = -beta[:, None] * energies
         log_z = _segment_logsumexp(logw.ravel(), np.full(logw.shape[0], logw.shape[1]))
