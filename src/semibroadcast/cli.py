@@ -145,10 +145,11 @@ def _hl_single(cfg: ExperimentConfig, bits: bool) -> dict:
     d_s = cfg.system.d_s
     # the budget checks first, as for classify: the unit's joint basis and its write step's entry list
     check_memory(cfg.memory, d_s)
-    tau = thermal.gibbs(build_unit_hamiltonian(cfg.memory), unit_beta(cfg.memory))
-    u = build_interaction(cfg.interaction, tau.hamiltonian, d_s)
+    h = build_unit_hamiltonian(cfg.memory)
+    tau = thermal.gibbs_rows(h.absolute_energies()[None], [unit_beta(cfg.memory)])
+    u = build_interaction(cfg.interaction, h, d_s)
     # the sweep's evaluation, on a stack of one
-    return _hl_rows(build_system_state(cfg.system).matrix[None], tau.rows(), u.kind, u, bits, [0])[0]
+    return _hl_rows(build_system_state(cfg.system).matrix[None], tau, u.kind, u, bits, [0])[0]
 
 
 class HLDraw(NamedTuple):

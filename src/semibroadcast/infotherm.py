@@ -160,24 +160,24 @@ def accessible_info_bracket(probs, rows) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ThermoReport:
-    """Energetics and information balance of one memory write, or arrays over a stack of writes.
+    """Energetics and information balance of a stack of memory writes, one array entry per write.
 
     All entropic fields are in nats; delta_e_m is in absolute energy units
     and delta_q = beta * delta_e_m is its dimensionless heat value.
     """
 
-    sigma_prod: float
-    delta_q: float
-    delta_s_system: float
-    delta_e_m: float
-    delta_s_m: float
-    beta_delta_f: float
-    mutual_info: float
-    rel_entropy_to_thermal: float
-    chi: float
+    sigma_prod: np.ndarray
+    delta_q: np.ndarray
+    delta_s_system: np.ndarray
+    delta_e_m: np.ndarray
+    delta_s_m: np.ndarray
+    beta_delta_f: np.ndarray
+    mutual_info: np.ndarray
+    rel_entropy_to_thermal: np.ndarray
+    chi: np.ndarray
 
-    def reeb_wolf_residual(self) -> float:
-        """|<Sigma> - I(S:M) - D(rho_M || tau_M)| for the same final state."""
+    def reeb_wolf_residual(self) -> np.ndarray:
+        """|<Sigma> - I(S:M) - D(rho_M || tau_M)| of each write's final state."""
         return abs(self.sigma_prod - self.mutual_info - self.rel_entropy_to_thermal)
 
 
@@ -253,20 +253,39 @@ def _conjugated(rho: np.ndarray, probs: np.ndarray, u: np.ndarray):
     return entropies(density_spectra(rho_s_out)), pops, s_m_out, chi
 
 
-def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
-    n, d_s = rho.shape[:2]
+def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
+    """Entropy production and its decomposition for a stack of n writes into thermal memories.
+
+    rho_S is an (n, d_S, d_S) array, checked here as DensityOperator checks one
+    matrix; tau is thermal.GibbsRows of n rows; `u` is one ControlledInteraction
+    for every row or an (n, D, D) stack of joint unitaries, checked for
+    unitarity.  Every report field is an array of n, and no row's numbers
+    depend on the other rows.
+
+    A ControlledInteraction is a basis permutation: `_write_step` reads rho_S',
+    rho_M' and the members through its `interact.WriteStep` into tau, and no
+    joint-size state is built.  Any other unitary is applied by conjugation of
+    the dense joint states (`_conjugated`).  Either way every write keeps the
+    spectrum of rho_S (x) tau, so S(rho_out) = S(rho_S) + H(tau) with no joint
+    spectrum; chi = S(rho_M') - sum_x p_x S(rho^x), over every outcome of a
+    permutation write and over those above PROB_FLOOR of a conjugation;
+    D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
+    ln tau_m = -beta E_m - ln Z, finite at every temperature; and
+    I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
+    """
+    n, d_s = rho_s.shape[:2]
     d_m = tau.probs.shape[-1]
-    s_s_in = entropies(spectra)
+    s_s_in = entropies(density_spectra(rho_s))
     h_tau = entropies(tau.probs, 0.0)  # S(tau): its spectrum is the populations
     if isinstance(u, ControlledInteraction):
         if d_s != u.d_s or d_m != u.d_m:
             raise DimensionMismatch(f"interaction is {u.d_s} x {u.d_m}, states are {d_s} x {d_m}")
-        s_s_out, pops_m_out, s_m_out, chi = _write_step(rho, s_s_in, WriteStep(u, tau.probs), h_tau)
+        s_s_out, pops_m_out, s_m_out, chi = _write_step(rho_s, s_s_in, WriteStep(u, tau.probs), h_tau)
     else:
         if u.shape[-1] != d_s * d_m:
             raise DimensionMismatch(f"unitary dim {u.shape[-1]} != state dim {d_s * d_m}")
         check_unitary(u)
-        s_s_out, pops_m_out, s_m_out, chi = _conjugated(rho, tau.probs, u)
+        s_s_out, pops_m_out, s_m_out, chi = _conjugated(rho_s, tau.probs, u)
     s_out = s_s_in + h_tau  # a unitary keeps the spectrum of rho_S (x) tau
     log_tau = -tau.beta[:, None] * tau.energies - tau.log_z[:, None]
 
@@ -287,38 +306,8 @@ def _thermo_rows(rho: np.ndarray, spectra: np.ndarray, tau: GibbsRows, u) -> The
     )
 
 
-def thermo_report(rho_s, tau, u) -> ThermoReport:
-    """Entropy production and its decomposition for a stack of writes into thermal memories.
-
-    A stack is rho_S as an (n, d_S, d_S) array, checked here as DensityOperator
-    checks one matrix, tau as thermal.GibbsRows of n rows, and `u` either one
-    ControlledInteraction for every row or an (n, D, D) stack of joint
-    unitaries, checked for unitarity; every report field is then an array of n.
-    One write (rho_S a DensityOperator, tau a GibbsState, `u` a
-    ControlledInteraction or one joint unitary) is the stack of one, and its
-    fields are floats.  No row's numbers depend on the other rows.
-
-    A ControlledInteraction is a basis permutation: `_write_step` reads rho_S',
-    rho_M' and the members through its `interact.WriteStep` into tau, and no
-    joint-size state is built.  Any other unitary is applied by conjugation of
-    the dense joint states (`_conjugated`).  Either way every write keeps the
-    spectrum of rho_S (x) tau, so S(rho_out) = S(rho_S) + H(tau) with no joint
-    spectrum; chi = S(rho_M') - sum_x p_x S(rho^x), over every outcome of a
-    permutation write and over those above PROB_FLOOR of a conjugation;
-    D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
-    ln tau_m = -beta E_m - ln Z, finite at every temperature; and
-    I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
-    """
-    if isinstance(rho_s, DensityOperator):
-        if not isinstance(u, ControlledInteraction):
-            u = np.asarray(getattr(u, "matrix", u), dtype=complex)[None]
-        rep = _thermo_rows(rho_s.matrix[None], rho_s.spectrum()[None], tau.rows(), u)
-        return ThermoReport(**{name: float(values[0]) for name, values in vars(rep).items()})
-    return _thermo_rows(rho_s, density_spectra(rho_s), tau, u)
-
-
-def holevo_landauer_gap(report: ThermoReport) -> float:
-    """<Sigma> - chi - beta*Delta F_M; nonnegative when the write bound holds."""
+def holevo_landauer_gap(report: ThermoReport) -> np.ndarray:
+    """<Sigma> - chi - beta*Delta F_M of each write; nonnegative where the write bound holds."""
     return report.sigma_prod - report.chi - report.beta_delta_f
 
 

@@ -99,10 +99,6 @@ class GibbsState:
     def mean_energy(self) -> float:
         return float(self.probs @ self.hamiltonian.absolute_energies())
 
-    def rows(self) -> GibbsRows:
-        """This state as a stack of one row."""
-        return GibbsRows(self.hamiltonian.absolute_energies()[None], np.array([self.beta]), np.array([self.log_z]), self.probs[None])
-
 
 def _segment_logsumexp(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """log(sum(exp(segment))) of each nonempty segment of the 1-d float `a` cut by `lengths`.

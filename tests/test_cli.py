@@ -765,16 +765,17 @@ def test_single_instance_hl_bound_writes_beyond_a_dense_joint_state(tmp_path, ki
 
 
 def test_single_instance_hl_bound_builds_the_gibbs_state_once(tmp_path, monkeypatch):
-    # one Gibbs state serves the unit's write and the report; every module's binding is counted
-    gibbs, calls = thermal.gibbs, []
+    # one Gibbs row serves the unit's write and the report; every module's binding of gibbs_rows,
+    # which thermal.gibbs calls too, is counted
+    gibbs_rows, calls = thermal.gibbs_rows, []
 
     def counted(*args):
         calls.append(args)
-        return gibbs(*args)
+        return gibbs_rows(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("semibroadcast") and getattr(module, "gibbs", None) is gibbs:
-            monkeypatch.setattr(module, "gibbs", counted)
+        if name.startswith("semibroadcast") and getattr(module, "gibbs_rows", None) is gibbs_rows:
+            monkeypatch.setattr(module, "gibbs_rows", counted)
     cfg = {"experiment": "sequential", "system": {"d_S": 2, "state": [0.3, 0.7]}, "memory": {"N": 1, "n": 3, "beta_omega": 1.0}}
     rc, _ = run(tmp_path, "hl-bound", config=cfg)
     assert rc == 0

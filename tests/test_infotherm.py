@@ -204,11 +204,23 @@ def test_bracket_closes_on_every_diagonal_ensemble(ensemble):
 # ------------------------------------------------------------ thermo report
 
 
+def stacked_rows(taus):
+    """The GibbsRows of several Gibbs states on one set of levels, one row each, as a sweep stacks them."""
+    return thermal.gibbs_rows(np.stack([t.hamiltonian.absolute_energies() for t in taus]), [t.beta for t in taus])
+
+
+def report_of_one(rho_s, tau, u):
+    """The report of a stack of one write of rho_S into the Gibbs memory tau by `u`, a
+    ControlledInteraction or a stack of one joint unitary: each field read at [0]."""
+    rep = infotherm.thermo_report(rho_s.matrix[None], stacked_rows([tau]), u)
+    return infotherm.ThermoReport(**{name: values[0] for name, values in vars(rep).items()})
+
+
 def test_identity_interaction_produces_all_zero_report():
     h = thermal.qubit_chain_hamiltonian(1)
     tau = thermal.gibbs(h, beta=1.0)
     rho = qcore.diag_density([0.4, 0.6])
-    rep = infotherm.thermo_report(rho, tau, np.eye(4))
+    rep = report_of_one(rho, tau, np.eye(4)[None])
     assert rep.sigma_prod == pytest.approx(0.0, abs=1e-12)
     assert rep.delta_q == pytest.approx(0.0, abs=1e-12)
     assert rep.delta_s_system == pytest.approx(0.0, abs=1e-12)
@@ -223,7 +235,7 @@ def test_thermal_cnot_on_uniform_input_saturates_the_bound():
     g = thermal.group_energies(h, 2)
     tau = thermal.gibbs(h, beta=1.0)
     u = interact.build_noninvasive_maxcorr(g)
-    rep = infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), tau, u)
+    rep = report_of_one(qcore.diag_density([0.5, 0.5]), tau, u)
     assert rep.sigma_prod == pytest.approx(SIGMA_CNOT_UNIFORM, abs=1e-13)
     assert rep.delta_s_system == pytest.approx(0.0, abs=1e-13)
     assert rep.delta_e_m == pytest.approx(W0 - 0.5, abs=1e-13)
@@ -241,7 +253,7 @@ def test_free_energy_term_equals_relative_entropy_to_thermal():
     for beta in (0.3, 1.0, 2.5):
         tau = thermal.gibbs(h, beta)
         u = interact.build_noninvasive_maxcorr(g)
-        rep = infotherm.thermo_report(qcore.random_density(2, seed=int(10 * beta)), tau, u)
+        rep = report_of_one(qcore.random_density(2, seed=int(10 * beta)), tau, u)
         assert rep.beta_delta_f == pytest.approx(rep.rel_entropy_to_thermal, abs=1e-11)
 
 
@@ -250,7 +262,7 @@ def test_infinite_temperature_write_is_thermodynamically_free():
     g = thermal.group_energies(h, 2)
     tau = thermal.gibbs(h, beta=0.0)
     u = interact.build_noninvasive_maxcorr(g)
-    rep = infotherm.thermo_report(qcore.diag_density([0.3, 0.7]), tau, u)
+    rep = report_of_one(qcore.diag_density([0.3, 0.7]), tau, u)
     assert rep.sigma_prod == pytest.approx(0.0, abs=1e-12)
     assert rep.chi == pytest.approx(0.0, abs=1e-12)
     assert infotherm.holevo_landauer_gap(rep) == pytest.approx(0.0, abs=1e-12)
@@ -263,7 +275,7 @@ def test_swap_on_diagonal_input_also_saturates():
     g = thermal.group_energies(h, 2)
     tau = thermal.gibbs(h, beta=1.0)
     u = interact.build_unbiased_swap(g)
-    rep = infotherm.thermo_report(qcore.diag_density([0.2, 0.8]), tau, u)
+    rep = report_of_one(qcore.diag_density([0.2, 0.8]), tau, u)
     assert rep.mutual_info == pytest.approx(0.0, abs=1e-12)
     assert rep.chi == pytest.approx(0.0, abs=1e-12)
     assert infotherm.holevo_landauer_gap(rep) == pytest.approx(0.0, abs=1e-11)
@@ -273,7 +285,7 @@ def test_swap_on_diagonal_input_also_saturates():
 def test_coherent_input_opens_a_strict_gap():
     plus = qcore.DensityOperator(np.ones((2, 2)) / 2.0)
     out, tau, u = cnot_on(plus)
-    rep = infotherm.thermo_report(plus, tau, u)
+    rep = report_of_one(plus, tau, u)
     assert infotherm.holevo_landauer_gap(rep) > 1e-3
     assert rep.reeb_wolf_residual() <= 1e-11
 
@@ -284,7 +296,7 @@ def test_entropy_production_bounds_label_entropy_for_sbs_writes():
     g = thermal.group_energies(h, 2)
     tau = thermal.gibbs(h, beta=12.0)
     u = interact.build_noninvasive_maxcorr(g)
-    rep = infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), tau, u)
+    rep = report_of_one(qcore.diag_density([0.5, 0.5]), tau, u)
     assert rep.sigma_prod >= LN2 - 1e-9
 
 
@@ -312,7 +324,7 @@ def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memo
     tau = thermal.gibbs(h, 0.8)
     rho_s = qcore.random_density(d_s, seed=17 + d_s)
     if kind == "haar":
-        u = qcore.random_unitary(d_s * h.dim, seed=23)
+        u = qcore.random_unitary(d_s * h.dim, seed=23).matrix
     else:
         write = interact.build(thermal.group_energies(h, d_s), kind, d_s - 2 if kind == "cycled" else 0)
         u = permutation_matrix(write)
@@ -337,13 +349,13 @@ def test_thermo_report_matches_library_definitions_on_the_final_state(kind, memo
     delta_e = np.trace(rho_m_out.matrix @ hm).real - np.trace(tau.state.matrix @ hm).real
     assert rep.delta_e_m == pytest.approx(delta_e, abs=1e-12)
     assert rep.reeb_wolf_residual() <= 1e-12
-    got = infotherm.thermo_report(rho_s, tau, u)
+    got = report_of_one(rho_s, tau, u[None])
     assert_reports_agree(got, rep)
     # every write keeps the spectrum of rho_S (x) tau: S(rho_out) = S(rho_S) + H(tau), with no joint eigensolve
     assert joint_entropy(got, rho_s, tau) == pytest.approx(s(rho_out), abs=1e-12)
     if kind != "haar":
         # the write step reads the same report from the table
-        assert_reports_agree(infotherm.thermo_report(rho_s, tau, write), rep)
+        assert_reports_agree(report_of_one(rho_s, tau, write), rep)
 
 
 def assert_reports_agree(got, want, tol=1e-12):
@@ -376,9 +388,9 @@ def test_write_step_matches_the_dense_branch(kind, d_s, chain, r, beta, coherent
         rho_s = qcore.diag_density(rng.dirichlet(np.ones(d_s)))
     u = interact.build(thermal.group_energies(h, d_s), kind, int(rng.integers(0, d_s - 1)))
     dense = oracle.thermo_report(rho_s, tau, u)
-    rep = infotherm.thermo_report(rho_s, tau, u)
+    rep = report_of_one(rho_s, tau, u)
     assert_reports_agree(rep, dense)
-    assert_reports_agree(infotherm.thermo_report(rho_s, tau, permutation_matrix(u)), dense)
+    assert_reports_agree(report_of_one(rho_s, tau, permutation_matrix(u)[None]), dense)
     if kind == "swap":  # each swap entropy is read as H(weights) + S(rho_S): the product spectra it stands for
         assert_reports_agree(rep, oracle.swap_report(rho_s, tau, u), tol=1e-14)
 
@@ -391,7 +403,7 @@ def test_a_haar_write_into_a_cold_memory_keeps_a_50_digit_joint_entropy():
     h = thermal.qubit_chain_hamiltonian(2)
     tau = thermal.gibbs(h, 30.0)
     rho_s = qcore.random_density(2, seed=8)
-    rep = infotherm.thermo_report(rho_s, tau, qcore.random_unitary(8, seed=9))
+    rep = report_of_one(rho_s, tau, qcore.haar_unitaries(8, [9]))
     with mpmath.workdps(50):
         (a, b), (_, d) = (map(mpmath.mpf, row.real) for row in rho_s.matrix)
         off = abs(mpmath.mpc(complex(rho_s.matrix[0, 1])))
@@ -436,7 +448,7 @@ def test_a_haar_stack_names_every_dropped_outcome_in_one_warning():
     for i, tau in enumerate(taus):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateOutcomeWarning)
-            alone = infotherm.thermo_report(qcore.basis_state(2, 0), tau, np.eye(8))
+            alone = report_of_one(qcore.basis_state(2, 0), tau, np.eye(8)[None])
         for name, value in vars(alone).items():
             assert getattr(rep, name)[i] == value, (i, name)
 
@@ -460,7 +472,7 @@ def test_a_permutation_write_builds_no_joint_state(kind, monkeypatch):
     tau = thermal.gibbs(h, 0.7)
     u = interact.build(thermal.group_energies(h, 2), kind)
     rho_s = qcore.DensityOperator(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
-    rep = infotherm.thermo_report(rho_s, tau, u)
+    rep = report_of_one(rho_s, tau, u)
     assert rep.reeb_wolf_residual() <= 1e-12
     assert built == [2]  # the input rho_S only: rho_S' is checked as a stack of one
     assert "state" not in vars(tau)  # the dense Gibbs state was never built
@@ -474,18 +486,13 @@ def test_a_swap_write_builds_no_memory_sized_matrix():
     rho_s = qcore.random_density(2, seed=5)
     tracemalloc.start()
     try:
-        rep = infotherm.thermo_report(rho_s, tau, u)
+        rep = report_of_one(rho_s, tau, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**2 * h.dim
     assert rep.reeb_wolf_residual() <= 1e-10
     assert infotherm.holevo_landauer_gap(rep) >= -1e-9
-
-
-def stacked_rows(taus):
-    """The GibbsRows of several Gibbs states on one set of levels, one row each."""
-    return thermal.GibbsRows(*(np.concatenate(fields) for fields in zip(*(t.rows() for t in taus))))
 
 
 @pytest.mark.parametrize("kind", interact.KINDS)
@@ -502,7 +509,7 @@ def test_a_stacked_write_names_each_dropped_outcome_and_keeps_every_row_apart(ki
         warnings.simplefilter("error")
         rep = infotherm.thermo_report(np.stack([r.matrix for r in rhos]), stack, u)
         for i, (rho, tau) in enumerate(zip(rhos, taus)):
-            for name, value in vars(infotherm.thermo_report(rho, tau, u)).items():
+            for name, value in vars(report_of_one(rho, tau, u)).items():
                 assert getattr(rep, name)[i] == value, (i, name)
 
 
@@ -520,7 +527,7 @@ def test_rows_whose_memories_occupy_other_levels_are_written_apart(kind):
         warnings.simplefilter("error", DegenerateOutcomeWarning)
         rep = infotherm.thermo_report(np.stack([r.matrix for r in rhos]), stack, u)
         for i, (rho, tau) in enumerate(zip(rhos, taus)):
-            for name, value in vars(infotherm.thermo_report(rho, tau, u)).items():
+            for name, value in vars(report_of_one(rho, tau, u)).items():
                 assert getattr(rep, name)[i] == value, (i, name)
 
 
@@ -568,11 +575,11 @@ def test_a_write_refuses_states_of_other_sizes():
     h = thermal.qubit_chain_hamiltonian(2)
     u = interact.build(thermal.group_energies(h, 2), "swap")
     with pytest.raises(DimensionMismatch):
-        infotherm.thermo_report(qcore.diag_density([0.2, 0.3, 0.5]), thermal.gibbs(h, 1.0), u)
+        report_of_one(qcore.diag_density([0.2, 0.3, 0.5]), thermal.gibbs(h, 1.0), u)
     with pytest.raises(DimensionMismatch):
-        infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), thermal.gibbs(thermal.qubit_chain_hamiltonian(3), 1.0), u)
+        report_of_one(qcore.diag_density([0.5, 0.5]), thermal.gibbs(thermal.qubit_chain_hamiltonian(3), 1.0), u)
     with pytest.raises(DimensionMismatch, match="unitary dim 4 != state dim 8"):
-        infotherm.thermo_report(qcore.diag_density([0.5, 0.5]), thermal.gibbs(h, 1.0), np.eye(4))
+        report_of_one(qcore.diag_density([0.5, 0.5]), thermal.gibbs(h, 1.0), np.eye(4)[None])
 
 
 COLD_EXPECTED_D = {20.0: 9.30685282150, 40.0: 19.30685281944, 400.0: 199.30685281944}
@@ -593,7 +600,7 @@ def test_cold_memory_relative_entropy_matches_a_50_digit_oracle(kind, beta_omega
     for rho_diag in ([0.5, 0.5], [0.3, 0.7]):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DegenerateOutcomeWarning)
-            rep = infotherm.thermo_report(qcore.diag_density(rho_diag), tau, u)
+            rep = report_of_one(qcore.diag_density(rho_diag), tau, u)
         # a diagonal input stays diagonal: q collects rho_xx p_m at each memory image
         q = [mpmath.mpf(0)] * h.dim
         for x in range(2):
@@ -625,7 +632,7 @@ def test_entropy_of_gibbs_populations_matches_a_50_digit_oracle(n, beta_omega):
     u = interact.build(thermal.group_energies(tau.hamiltonian, 2), "noninvasive")
     with warnings.catch_warnings():
         warnings.simplefilter("error", DegenerateOutcomeWarning)  # outcome 1 has probability 0 and is kept
-        rep = infotherm.thermo_report(qcore.basis_state(2, 0), tau, u)
+        rep = report_of_one(qcore.basis_state(2, 0), tau, u)
     assert abs(rep.rel_entropy_to_thermal) <= 1e-12 * exact
     assert rep.reeb_wolf_residual() <= 1e-12 * exact
 
@@ -635,9 +642,9 @@ def test_a_haar_write_into_a_cold_memory_reads_d_from_the_log_weights():
     # the oracle's -S(rho_M') - Tr rho_M' ln tau with ln tau = -beta H - ln Z
     h = thermal.qubit_chain_hamiltonian(2)
     tau = thermal.gibbs(h, 20.0)
-    u = qcore.random_unitary(8, seed=3)
+    u = qcore.random_unitary(8, seed=3).matrix
     rho_s = qcore.diag_density([0.5, 0.5])
-    rep = infotherm.thermo_report(rho_s, tau, u)
+    rep = report_of_one(rho_s, tau, u[None])
     with pytest.raises(SupportViolation):  # the eigenvalue route drops those levels from the support
         qcore.relative_entropy(qcore.partial_trace(qcore.evolve(qcore.tensor(rho_s, tau.state), u), (1,)), tau.state)
     assert 10.0 < rep.rel_entropy_to_thermal < 40.0
@@ -655,7 +662,7 @@ def test_random_instances_respect_bound_and_equality():
         tau = thermal.gibbs(h, float(rng.uniform(0.0, 3.0)))
         u = builders[trial % 2](g)
         rho = qcore.random_density(2, seed=3000 + trial)
-        rep = infotherm.thermo_report(rho, tau, u)
+        rep = report_of_one(rho, tau, u)
         assert infotherm.holevo_landauer_gap(rep) >= -1e-9
         assert rep.reeb_wolf_residual() <= 1e-10
         assert rep.sigma_prod >= -1e-12
