@@ -270,12 +270,19 @@ def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
     spectrum; chi = S(rho_M') - sum_x p_x S(rho^x), over every outcome of a
     permutation write and over those above PROB_FLOOR of a conjugation;
     D(rho_M' || tau) = -S(rho_M') - sum_m (rho_M')_mm ln tau_m with
-    ln tau_m = -beta E_m - ln Z, finite at every temperature; and
+    ln tau_m = -beta eps_m - ln Z_0 from the energies eps = E - min E of the
+    row, finite at every temperature; and
     I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
     """
     n, d_s = rho_s.shape[:2]
     d_m = tau.probs.shape[-1]
     s_s_in = entropies(density_spectra(rho_s))
+    e_0 = tau.energies.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        span = tau.energies.max(axis=1) - e_0[:, 0]
+    if not np.isfinite(span).all():
+        row = int(np.flatnonzero(~np.isfinite(span))[0])
+        raise DimensionMismatch(f"the energies of row {row} span more than the float range")
     h_tau = entropies(tau.probs, 0.0)  # S(tau): its spectrum is the populations
     if isinstance(u, ControlledInteraction):
         if d_s != u.d_s or d_m != u.d_m:
@@ -287,9 +294,14 @@ def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
         check_unitary(u)
         s_s_out, pops_m_out, s_m_out, chi = _conjugated(rho_s, tau.probs, u)
     s_out = s_s_in + h_tau  # a unitary keeps the spectrum of rho_S (x) tau
-    log_tau = -tau.beta[:, None] * tau.energies - tau.log_z[:, None]
-
-    delta_e_m = _row_dot(pops_m_out, tau.energies) - _row_dot(tau.probs, tau.energies)
+    # each row's energies from its ground level, eps = E - E_0: <E> and ln tau round at the size of beta dE, not of beta E_0
+    eps = tau.energies - e_0
+    delta_e_m = _row_dot(pops_m_out, eps) - _row_dot(tau.probs, eps)
+    with np.errstate(over="ignore"):  # a -beta eps past the float range is -inf, a weight of 0
+        log_tau = -tau.beta[:, None] * eps
+    del eps
+    # ln Z_0 = ln sum e^(-beta eps): a log-sum-exp whose largest term, the ground level's, is e^0 = 1
+    log_tau -= np.log(np.exp(log_tau).sum(axis=1))[:, None]
     delta_s_system = s_s_out - s_s_in
     delta_s_m = s_m_out - h_tau
     delta_q = tau.beta * delta_e_m

@@ -157,6 +157,30 @@ def test_a_cold_hl_sweep_exits_0(tmp_path, top):
     assert read_json(out)["summary"]["max_reeb_wolf_residual"] > cli.RW_TOL
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_a_cold_hl_sweep_over_16_levels_to_beta_1e10_exits_0(tmp_path, seed):
+    # levels drawn from [0, 3] sit up to E_0 above their ground level: the report forms <E> and ln tau from
+    # eps = E - E_0, so no term rounds at the size of beta E_0 = 3e10 when the identity's terms are far smaller
+    cfg = {"experiment": "sequential", "seed": seed, "instances": {"count": 2000, "d_S": [2, 3, 4], "max_memory_dim": 16, "beta_range": [0, 1e10]}}
+    rc, _ = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 0
+
+
+def test_hl_bound_on_an_energy_span_past_the_float_range_exits_4_with_warnings_as_errors(tmp_path, capsys):
+    # E - min E = 2e308 is past the float range: the run is refused before any record, with no overflow warning
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 3, "state": [0.5, 0.3, 0.2]},
+        "memory": {"N": 1, "beta_omega": 1.0, "hamiltonian": {"type": "explicit", "energies": [0, 1e308, -1e308]}},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run(tmp_path, "hl-bound", config=cfg)
+    assert rc == 4
+    assert "float range" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 @pytest.mark.parametrize(
     "field, message",
     [("rel_entropy_to_thermal", "decomposition residual"), ("beta_delta_f", "bound gap")],

@@ -582,6 +582,17 @@ def test_a_write_refuses_states_of_other_sizes():
         report_of_one(qcore.diag_density([0.5, 0.5]), thermal.gibbs(h, 1.0), np.eye(4)[None])
 
 
+def test_a_write_refuses_an_energy_span_past_the_float_range_without_a_warning():
+    # the report measures each row's energies from its ground level, and 1e308 - (-1e308) overflows
+    h = thermal.MemoryHamiltonian([0.0, 1e308, -1e308])
+    u = interact.build(thermal.group_energies(h, 3), "noninvasive")
+    rows = stacked_rows([thermal.gibbs(thermal.MemoryHamiltonian([0.0, 1.0, 2.0]), 1.0), thermal.gibbs(h, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="row 1 span more than the float range"):
+            infotherm.thermo_report(qcore.random_states(3, [1, 2]), rows, u)
+
+
 COLD_EXPECTED_D = {20.0: 9.30685282150, 40.0: 19.30685281944, 400.0: 199.30685281944}
 
 
