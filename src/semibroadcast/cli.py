@@ -353,8 +353,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, bits: bool) -> dict:
     unit = build_memory_array(cfg.memory, None, d_s).units[0]
     rho_s = build_system_state(cfg.system)
     p_true = qcore.prob_vector(rho_s.matrix.diagonal().real)
-    cmax = thermal.c_max(unit.grouping, unit)
     w = unit.grouping.readout(unit.probs)  # variant i's pointer map is its sector map mu_i on the sector weights
+    cmax = float(w[0])  # c_max, the coldest sector's weight
     q_variants = [
         p_true @ interact.sector_matrix(interact.build(unit.grouping, "cycled", i).sectors[1], w) for i in range(d_s - 1)
     ]
