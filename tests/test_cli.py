@@ -307,6 +307,21 @@ def test_reconstruct_reads_each_variant_from_its_transition_matrix(tmp_path, d_s
         assert abs(math.fsum(q) - 1.0) <= 1e-15
 
 
+def test_reconstruct_reads_the_sector_weights_once(tmp_path, monkeypatch):
+    # c_max is the coldest of the sector weights that the pointer maps read: one pass over the unit's levels
+    readout, calls = thermal.EnergyGrouping.readout, []
+
+    def counted(self, weights):
+        calls.append(np.shape(weights))
+        return readout(self, weights)
+
+    monkeypatch.setattr(thermal.EnergyGrouping, "readout", counted)
+    rc, out = run(tmp_path, "reconstruct")
+    assert rc == 0
+    assert calls == [(2,)]
+    assert read_json(out)["c_max"] == 1 / (1 + math.exp(-1.0))
+
+
 @pytest.mark.parametrize("n", [20, 21])
 def test_reconstruct_past_19_qubits_exits_0(tmp_path, n):
     # prob_vector accepts each variant only if it sums to 1 within 1e-12, which one sequential
@@ -704,6 +719,36 @@ def test_the_largest_admitted_sequential_classify_peaks_within_2_25_budgets(tmp_
     sbs = read_json(out)["sbs_first_component"]
     assert sbs["off_diagonal_norm"] == pytest.approx(_label_keeping_off_diagonal(cfg), rel=1e-15)
     assert peak <= 2.25 * broadcast.BYTE_BUDGET
+
+
+@pytest.mark.parametrize("kind", ["swap", "noninvasive"])
+def test_the_largest_admitted_single_instance_hl_bound_peaks_within_one_budget(tmp_path, kind):
+    # d_S = 2 over one 21-qubit Gibbs memory (n = 22 exits 4): the write step and its report hold
+    # a few 2^21-level rows at once, measured at 210.9 MiB for swap and 178.0 MiB for noninvasive
+    cfg = {
+        "experiment": "sequential",
+        "system": {"d_S": 2, "state": "random"},
+        "memory": {"N": 1, "n": 21, "beta_omega": 1.0},
+        "interaction": {"kind": kind},
+    }
+    rc, _, peak = _traced(tmp_path, "hl-bound", cfg)
+    assert rc == 0
+    assert peak <= broadcast.BYTE_BUDGET
+
+
+@pytest.mark.parametrize("kind", ["swap", "noninvasive"])
+def test_the_largest_admitted_two_memory_global_classify_peaks_within_one_budget(tmp_path, kind):
+    # two 10-qubit memories merged into one 2^20-level write (n = 11 exits 4 on its entry list):
+    # the entry list the budget checks is 96 MiB, the run peaks at 164.1 MiB measured
+    cfg = {
+        "experiment": "global",
+        "system": {"d_S": 2, "state": "random"},
+        "memory": {"N": 2, "n": 10, "beta_omega": 1.0},
+        "interaction": {"kind": kind},
+    }
+    rc, _, peak = _traced(tmp_path, "classify", cfg)
+    assert rc == 0
+    assert peak <= broadcast.BYTE_BUDGET
 
 
 def test_single_instance_hl_bound_on_a_cold_16_qubit_memory(tmp_path):
