@@ -281,8 +281,7 @@ def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
     with np.errstate(over="ignore"):
         span = tau.energies.max(axis=1) - e_0[:, 0]
     if not np.isfinite(span).all():
-        row = int(np.flatnonzero(~np.isfinite(span))[0])
-        raise DimensionMismatch(f"the energies of row {row} span more than the float range")
+        raise DimensionMismatch(f"the energies of row {np.argmin(np.isfinite(span))} span more than the float range")
     h_tau = entropies(tau.probs, 0.0)  # S(tau): its spectrum is the populations
     if isinstance(u, ControlledInteraction):
         if d_s != u.d_s or d_m != u.d_m:
@@ -299,7 +298,6 @@ def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
     delta_e_m = _row_dot(pops_m_out, eps) - _row_dot(tau.probs, eps)
     with np.errstate(over="ignore"):  # a -beta eps past the float range is -inf, a weight of 0
         log_tau = -tau.beta[:, None] * eps
-    del eps
     # ln Z_0 = ln sum e^(-beta eps): a log-sum-exp whose largest term, the ground level's, is e^0 = 1
     log_tau -= np.log(np.exp(log_tau).sum(axis=1))[:, None]
     delta_s_system = s_s_out - s_s_in
