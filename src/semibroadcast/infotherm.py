@@ -296,8 +296,7 @@ def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
     # each row's energies from its ground level, eps = E - E_0: <E> and ln tau round at the size of beta dE, not of beta E_0
     eps = tau.energies - e_0
     delta_e_m = _row_dot(pops_m_out, eps) - _row_dot(tau.probs, eps)
-    with np.errstate(over="ignore"):  # a -beta eps past the float range is -inf, a weight of 0
-        log_tau = -tau.beta[:, None] * eps
+    log_tau = -tau.beta[:, None] * eps
     # ln Z_0 = ln sum e^(-beta eps): a log-sum-exp whose largest term, the ground level's, is e^0 = 1
     log_tau -= np.log(np.exp(log_tau).sum(axis=1))[:, None]
     delta_s_system = s_s_out - s_s_in
