@@ -274,8 +274,7 @@ def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
     row, finite at every temperature; and
     I(S:M') = S(rho_S') + S(rho_M') - S(rho_out).
     """
-    n, d_s = rho_s.shape[:2]
-    d_m = tau.probs.shape[-1]
+    d_s, d_m = rho_s.shape[-1], tau.probs.shape[-1]
     s_s_in = entropies(density_spectra(rho_s))
     e_0 = tau.energies.min(axis=1, keepdims=True)
     with np.errstate(over="ignore"):
@@ -293,7 +292,7 @@ def thermo_report(rho_s: np.ndarray, tau: GibbsRows, u) -> ThermoReport:
         check_unitary(u)
         s_s_out, pops_m_out, s_m_out, chi = _conjugated(rho_s, tau.probs, u)
     s_out = s_s_in + h_tau  # a unitary keeps the spectrum of rho_S (x) tau
-    # each row's energies from its ground level, eps = E - E_0: <E> and ln tau round at the size of beta dE, not of beta E_0
+    # each row's energies from its ground level E_0, so that <E> and ln tau round at the size of beta dE, not beta E_0
     eps = tau.energies - e_0
     delta_e_m = _row_dot(pops_m_out, eps) - _row_dot(tau.probs, eps)
     log_tau = -tau.beta[:, None] * eps
